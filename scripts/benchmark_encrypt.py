@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark the per-pixel statevector encryption pipeline.
+"""Benchmark the batch encryption engine behind `encrypt`.
 
 Times `encrypt` across image sizes, arities, and thread counts, and verifies
 each run round-trips before reporting it.  Useful for checking the desk-scale
@@ -27,7 +27,7 @@ def run_case(size, arity, threads, seed, repeats):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 256, 512])
-    parser.add_argument("--arities", type=int, nargs="+", default=[1, 2, 4])
+    parser.add_argument("--arities", type=int, nargs="+", default=[1, 2, 4, 8, 16])
     parser.add_argument("--threads", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=3, help="keep the best of N runs")

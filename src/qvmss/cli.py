@@ -68,21 +68,24 @@ def _load_image(path: str) -> BinaryImage:
         raise _Failure(EXIT_IO, f"{path}: {exc}")
 
 
+def _require_same_dims(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage) -> None:
+    if (a.width, a.height) != (b.width, b.height):
+        raise _Failure(
+            EXIT_SHAPE,
+            f"{name_b}: dimensions {b.width}x{b.height} do not match "
+            f"{name_a} ({a.width}x{a.height})",
+        )
+
+
 def _load_matching_images(paths: list[str]) -> list[BinaryImage]:
     images = [_load_image(p) for p in paths]
-    first = images[0]
     for path, img in zip(paths[1:], images[1:]):
-        if (img.width, img.height) != (first.width, first.height):
-            raise _Failure(
-                EXIT_SHAPE,
-                f"{path}: dimensions {img.width}x{img.height} do not match "
-                f"{paths[0]} ({first.width}x{first.height})",
-            )
+        _require_same_dims(paths[0], images[0], path, img)
     return images
 
 
-def _write_outputs(out_dir: str, artifacts: dict[str, bytes]) -> dict[str, str]:
-    """Stage every artifact, then rename into place; returns name -> sha256."""
+def _write_outputs(out_dir: str, artifacts: dict[str, bytes]) -> None:
+    """Stage every artifact, then rename into place."""
     directory = Path(out_dir)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -100,7 +103,6 @@ def _write_outputs(out_dir: str, artifacts: dict[str, bytes]) -> dict[str, str]:
             raise
     except OSError as exc:
         raise _Failure(EXIT_IO, f"{out_dir}: {exc}")
-    return {name: hashlib.sha256(payload).hexdigest() for name, payload in artifacts.items()}
 
 
 def _manifest_bytes(seed: int, arity: int, width: int, height: int,
@@ -113,6 +115,14 @@ def _manifest_bytes(seed: int, arity: int, width: int, height: int,
         "files": dict(sorted(digests.items())),
     }
     return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+def _thread_count(text: str) -> int:
+    """--threads value: at least 1, clamped to the CPU count."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return min(value, os.cpu_count() or 1)
 
 
 def _variant(name: str) -> PbmVariant:
@@ -163,12 +173,7 @@ def cmd_decrypt(args) -> int:
 
 
 def _pair_entry(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage) -> dict:
-    if (a.width, a.height) != (b.width, b.height):
-        raise _Failure(
-            EXIT_SHAPE,
-            f"{name_b}: dimensions {b.width}x{b.height} do not match "
-            f"{name_a} ({a.width}x{a.height})",
-        )
+    _require_same_dims(name_a, a, name_b, b)
     return {"a": name_a, "b": name_b, **metrics.report(a, b).to_dict()}
 
 
@@ -193,12 +198,7 @@ def cmd_metrics(args) -> int:
         raise _Failure(EXIT_IO, "metrics needs exactly two images (or --pairs)")
     name_a, name_b = args.images
     a, b = _load_image(name_a), _load_image(name_b)
-    if (a.width, a.height) != (b.width, b.height):
-        raise _Failure(
-            EXIT_SHAPE,
-            f"{name_b}: dimensions {b.width}x{b.height} do not match "
-            f"{name_a} ({a.width}x{a.height})",
-        )
+    _require_same_dims(name_a, a, name_b, b)
     print(metrics.report(a, b).to_json(indent=2))
     return EXIT_OK
 
@@ -368,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encrypt", help="encrypt n secrets into U.pbm and S1..Sn.pbm")
     p_enc.add_argument("secrets", nargs="+", help="secret images (PBM)")
     add_common(p_enc, ".")
-    p_enc.add_argument("--threads", type=int, default=1, help="worker threads for pixel encoding")
+    p_enc.add_argument("--threads", type=_thread_count, default=1,
+                       help="worker threads for pixel encoding (capped at the CPU count)")
     p_enc.set_defaults(handler=cmd_encrypt)
 
     p_dec = sub.add_parser("decrypt", help="recover secrets from the UniShare plus shares")
@@ -390,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="end-to-end pipeline on built-in fixtures")
     add_common(p_demo, "qvmss_demo")
     p_demo.add_argument("--size", type=int, default=512, help="fixture edge length in pixels")
-    p_demo.add_argument("--threads", type=int, default=1, help="worker threads for pixel encoding")
+    p_demo.add_argument("--threads", type=_thread_count, default=1,
+                        help="worker threads for pixel encoding (capped at the CPU count)")
     p_demo.set_defaults(handler=cmd_demo)
 
     p_self = sub.add_parser("selftest", help="run the scheme property suite")

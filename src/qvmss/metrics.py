@@ -38,7 +38,9 @@ class SsimParams:
 
 def intensity_of(image: BinaryImage) -> np.ndarray:
     """(height, width) float grid with bit 0 -> 0.0 and bit 1 -> 255.0."""
-    return image.as_grid().astype(np.float64) * PEAK
+    grid = image.as_grid().astype(np.float64)
+    grid *= PEAK
+    return grid
 
 
 def _check_grids(a: np.ndarray, b: np.ndarray) -> None:
@@ -49,8 +51,9 @@ def _check_grids(a: np.ndarray, b: np.ndarray) -> None:
 def mse(a: np.ndarray, b: np.ndarray) -> float:
     """Mean squared intensity difference."""
     _check_grids(a, b)
-    diff = a.astype(np.float64) - b.astype(np.float64)
-    return float(np.mean(diff * diff))
+    diff = a.astype(np.float64, copy=False) - b.astype(np.float64, copy=False)
+    diff *= diff
+    return float(np.mean(diff))
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:
@@ -66,8 +69,8 @@ def ssim_global(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams())
     _check_grids(a, b)
     if a.size < 2:
         raise ValueError("ssim_global needs at least 2 pixels")
-    x = a.astype(np.float64).reshape(-1)
-    y = b.astype(np.float64).reshape(-1)
+    x = a.astype(np.float64, copy=False).reshape(-1)
+    y = b.astype(np.float64, copy=False).reshape(-1)
     mu_x = float(x.mean())
     mu_y = float(y.mean())
     var_x = float(np.mean((x - mu_x) ** 2))
@@ -82,8 +85,8 @@ def ssim_global(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams())
 def correlation(a: np.ndarray, b: np.ndarray) -> float | None:
     """Pearson coefficient; None when either grid is constant."""
     _check_grids(a, b)
-    x = a.astype(np.float64).reshape(-1)
-    y = b.astype(np.float64).reshape(-1)
+    x = a.astype(np.float64, copy=False).reshape(-1)
+    y = b.astype(np.float64, copy=False).reshape(-1)
     mu_x = float(x.mean())
     mu_y = float(y.mean())
     var_x = float(np.mean((x - mu_x) ** 2))

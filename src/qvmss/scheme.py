@@ -1,23 +1,27 @@
 """Universal-share (n, n+1) multi-secret sharing of binary images.
 
-Encryption runs one (n+1)-qubit circuit per pixel: qubit 0 is put into
-superposition by a Hadamard (the universal-share bit), qubits 1..n are
-loaded with the n secret bits via X gates, and a CNOT from qubit 0 onto
-each secret qubit entangles them.  Measuring collapses the register to one
-of two complementary branches, yielding the UniShare bit u and share bits
-s_k = g_k XOR u.  Decryption XORs the UniShare back, either directly or
-through the receiver-side CNOT circuit.
+Encryption runs one (n+1)-qubit circuit per pixel: X gates load the n
+secret bits into qubits 1..n, then `encoding_circuit` puts qubit 0 (the
+universal-share bit) into superposition with a Hadamard and entangles it
+with a CNOT onto each secret qubit.  Measuring collapses the register to
+one of two complementary branches, yielding the UniShare bit u and share
+bits s_k = g_k XOR u.  Decryption XORs the UniShare back; `decode_pixel`
+can also run the receiver-side CNOT circuit.
 
-Pixels are independent, so `encrypt` simulates their statevectors in
-vectorized blocks (one 2^(n+1) amplitude row per pixel) instead of looping
-`encode_pixel`; both paths draw the same per-pixel random variate and are
-bit-identical.  `classical_encrypt` is the plain XOR oracle kept separate
-for cross-checking the circuit route.
+The circuit is Clifford on a basis state, so its state never has more
+than two nonzero amplitudes.  `encrypt` therefore runs the same
+`encoding_circuit` program on a sparse batch engine that keeps each
+pixel's support as two (basis index, amplitude) arrays, in blocks of
+pixels, instead of looping the dense reference `encode_pixel`; both draw
+the same per-pixel random variate and are bit-identical.
+`classical_encrypt` is the plain XOR oracle kept separate for
+cross-checking the circuit route.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +31,8 @@ from .imaging import BinaryImage, require_same_shape
 from .qsim import (
     INV_SQRT2,
     NORM_TOLERANCE,
+    GateKind,
+    GateOp,
     StateError,
     StateVector,
     apply_gate,
@@ -39,8 +45,8 @@ from .qsim import (
 
 MAX_ARITY = 16
 
-# Cap per-block scratch at ~16 MB of amplitudes (2^20 complex128).
-_BLOCK_AMPLITUDES = 1 << 20
+# Pixels per engine block: bounds the scratch arrays and is the unit of thread work.
+_BLOCK_PIXELS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -51,8 +57,6 @@ class ConfigError(ValueError):
 class SchemeConfig:
     arity_n: int
     master_seed: int
-    verify_with_oracle: bool = False
-    use_circuit_decoder: bool = False
 
     def __post_init__(self):
         if not 1 <= self.arity_n <= MAX_ARITY:
@@ -101,6 +105,15 @@ def _validated_bits(secret_bits: Sequence[int]) -> tuple[int, ...]:
     return g
 
 
+def encoding_circuit(n: int) -> list[GateOp]:
+    """Gate program that follows the X layer loading the n secret bits.
+
+    H puts qubit 0 (the UniShare bit) into superposition, then a CNOT from
+    qubit 0 onto each secret qubit 1..n entangles them.
+    """
+    return [hadamard(0), *(cnot(0, j) for j in range(1, n + 1))]
+
+
 def transmitter_state(secret_bits: Sequence[int]) -> StateVector:
     """Pre-measurement state of the encoding circuit for one pixel.
 
@@ -112,9 +125,8 @@ def transmitter_state(secret_bits: Sequence[int]) -> StateVector:
     for j, bit in enumerate(g):
         if bit:
             state = apply_gate(state, pauli_x(j + 1))
-    state = apply_gate(state, hadamard(0))
-    for j in range(len(g)):
-        state = apply_gate(state, cnot(0, j + 1))
+    for gate in encoding_circuit(len(g)):
+        state = apply_gate(state, gate)
     return state
 
 
@@ -140,75 +152,63 @@ def decode_pixel(u: int, s_k: int, use_circuit: bool = False) -> int:
     return u ^ s_k
 
 
-def _simulate_pixel_block(
-    secret_block: np.ndarray, master_seed: int, pixel_indices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Statevector-simulate one encoding circuit per pixel, vectorized.
+def _run_sparse(
+    program: Sequence[GateOp], num_qubits: int, start: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Apply an H/CNOT program to one basis state per pixel.
 
-    secret_block is (n, m) with one column per pixel; returns (u_bits,
-    share_bits) with share_bits shaped (n, m).  Mirrors `encode_pixel`
-    draw-for-draw: same gate arithmetic, same single uniform variate per
-    pixel from stream `pixel_indices[i]`.
+    The support is a list of (basis-index array, amplitude array) branches:
+    one at the start, two once an H splits it.  CNOT is a masked XOR on the
+    indices; H is only defined here on a single basis branch.
     """
-    n, m = secret_block.shape
-    k = n + 1
-    dim = 1 << k
-    half = dim >> 1
-
-    amps = np.zeros((m, dim), dtype=np.complex128)
-    amps[:, 0] = 1.0
-
-    # X on qubit j+1 for pixels whose secret bit g_j is 1 (basis permutation).
-    base = np.arange(dim)
-    for j in range(n):
-        mask = secret_block[j] == 1
-        if mask.any():
-            perm = base ^ (1 << (n - 1 - j))
-            amps[mask] = amps[np.ix_(mask, perm)]
-
-    # Hadamard on qubit 0 (index bit 2^n splits the two halves).
-    lo, hi = amps[:, :half], amps[:, half:]
-    amps = np.concatenate(((lo + hi) * INV_SQRT2, (lo - hi) * INV_SQRT2), axis=1)
-
-    # CNOT(control=0, target=j+1): flip the target bit inside the upper half.
-    for j in range(n):
-        perm = np.where(base >= half, base ^ (1 << (n - 1 - j)), base)
-        amps = amps[:, perm]
-
-    probs = np.abs(amps) ** 2
-    totals = probs.sum(axis=1)
-    if np.any(np.abs(totals - 1.0) > NORM_TOLERANCE):
-        raise StateError("simulated pixel state drifted off unit norm")
-
-    # Born sampling, one variate per pixel: two nonzero branches, lower index first.
-    nonzero = probs > 0.0
-    first = nonzero.argmax(axis=1)
-    last = dim - 1 - nonzero[:, ::-1].argmax(axis=1)
-    p_first = probs[np.arange(m), first]
-    u = rng.unit_array(master_seed, pixel_indices, 0)
-    outcome = np.where(u < p_first, first, last)
-
-    u_bits = ((outcome >> n) & 1).astype(np.uint8)
-    share_bits = np.empty((n, m), dtype=np.uint8)
-    for j in range(n):
-        share_bits[j] = (outcome >> (n - 1 - j)) & 1
-    return u_bits, share_bits
+    branches = [(start, np.ones(start.shape, dtype=np.complex128))]
+    for gate in program:
+        target = num_qubits - 1 - gate.target
+        if gate.kind is GateKind.CNOT:
+            control = num_qubits - 1 - gate.control
+            branches = [(idx ^ (((idx >> control) & 1) << target), amp)
+                        for idx, amp in branches]
+        elif gate.kind is GateKind.HADAMARD and len(branches) == 1:
+            ((idx, amp),) = branches
+            low = amp * INV_SQRT2
+            high = np.where((idx >> target) & 1, -low, low)
+            bit = 1 << target
+            branches = [(idx & ~bit, low), (idx | bit, high)]
+        else:
+            raise ValueError(f"sparse engine cannot apply {gate} to {len(branches)} branches")
+    return branches
 
 
-def _encode_span(
-    secret_grid: np.ndarray, master_seed: int, start: int, stop: int,
+def _encode_block(
+    program: Sequence[GateOp], secret_grid: np.ndarray, master_seed: int, lo: int,
     u_out: np.ndarray, s_out: np.ndarray,
 ) -> None:
-    n = secret_grid.shape[0]
-    block = max(1, _BLOCK_AMPLITUDES >> (n + 1))
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        indices = np.arange(lo, hi, dtype=np.uint64)
-        u_bits, share_bits = _simulate_pixel_block(
-            secret_grid[:, lo:hi], master_seed, indices
-        )
-        u_out[lo:hi] = u_bits
-        s_out[:, lo:hi] = share_bits
+    """Encode pixels lo..lo+_BLOCK_PIXELS into u_out and s_out.
+
+    Mirrors `encode_pixel` draw-for-draw: same gate arithmetic, same single
+    uniform variate per pixel from stream p.
+    """
+    secret_block = secret_grid[:, lo:lo + _BLOCK_PIXELS]
+    n, m = secret_block.shape
+
+    # X layer: the secret bits g_1..g_n are the starting basis index.
+    start = np.zeros(m, dtype=np.int64)
+    for row in secret_block:
+        start = (start << 1) | row
+
+    (i0, a0), (i1, a1) = _run_sparse(program, n + 1, start)
+    p0, p1 = np.abs(a0) ** 2, np.abs(a1) ** 2
+    if np.any(np.abs(p0 + p1 - 1.0) > NORM_TOLERANCE):
+        raise StateError("simulated pixel state drifted off unit norm")
+
+    # Born sampling, one variate per pixel: lower basis index first.
+    p_first = np.where(i0 < i1, p0, p1)
+    u = rng.unit_array(master_seed, np.arange(lo, lo + m, dtype=np.uint64), 0)
+    outcome = np.where(u < p_first, np.minimum(i0, i1), np.maximum(i0, i1))
+
+    u_out[lo:lo + m] = (outcome >> n) & 1
+    for j in range(n):
+        s_out[j, lo:lo + m] = (outcome >> (n - 1 - j)) & 1
 
 
 def encrypt(
@@ -217,7 +217,8 @@ def encrypt(
     """Encrypt n same-sized secrets into a UniShare plus n share images.
 
     Pixel p uses RNG stream p, so the result is bit-exact reproducible from
-    config.master_seed regardless of `threads`.
+    config.master_seed regardless of `threads`.  Threads split the work at
+    block boundaries, so an image of one block runs inline.
     """
     secrets = list(secrets)
     if not secrets:
@@ -235,31 +236,20 @@ def encrypt(
 
     u_out = np.empty(num_pixels, dtype=np.uint8)
     s_out = np.empty((config.arity_n, num_pixels), dtype=np.uint8)
-
-    if threads <= 1 or num_pixels < 2048:
-        _encode_span(secret_grid, config.master_seed, 0, num_pixels, u_out, s_out)
+    encode = partial(_encode_block, encoding_circuit(config.arity_n), secret_grid,
+                     config.master_seed, u_out=u_out, s_out=s_out)
+    starts = range(0, num_pixels, _BLOCK_PIXELS)
+    threads = min(threads, len(starts))
+    if threads <= 1:
+        for lo in starts:
+            encode(lo)
     else:
-        bounds = np.linspace(0, num_pixels, threads + 1, dtype=int)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _encode_span, secret_grid, config.master_seed,
-                    int(bounds[i]), int(bounds[i + 1]), u_out, s_out,
-                )
-                for i in range(threads)
-            ]
-            for future in futures:
-                future.result()
+            list(pool.map(encode, starts))
 
     unishare = BinaryImage(width, height, u_out)
     shares = tuple(BinaryImage(width, height, s_out[j]) for j in range(config.arity_n))
-    share_set = ShareSet(config.arity_n, unishare, shares, width, height)
-
-    if config.verify_with_oracle:
-        expected = classical_encrypt(secrets, unishare)
-        if any(got != want for got, want in zip(shares, expected)):
-            raise RuntimeError("circuit shares disagree with the XOR oracle")
-    return share_set
+    return ShareSet(config.arity_n, unishare, shares, width, height)
 
 
 def classical_encrypt(
@@ -272,26 +262,11 @@ def classical_encrypt(
     return [img ^ mask for img in secrets]
 
 
-def decrypt(
-    unishare: BinaryImage, share: BinaryImage, config: SchemeConfig | None = None
-) -> BinaryImage:
+def decrypt(unishare: BinaryImage, share: BinaryImage) -> BinaryImage:
     """Recover the secret behind `share`; a wrong UniShare just yields noise."""
-    require_same_shape(unishare, share)
-    if config is not None and config.use_circuit_decoder:
-        bits = np.fromiter(
-            (
-                decode_pixel(int(u), int(s), use_circuit=True)
-                for u, s in zip(unishare.bits, share.bits)
-            ),
-            dtype=np.uint8,
-            count=unishare.width * unishare.height,
-        )
-        return BinaryImage(unishare.width, unishare.height, bits)
     return unishare ^ share
 
 
-def decrypt_all(
-    share_set: ShareSet, config: SchemeConfig | None = None
-) -> list[BinaryImage]:
+def decrypt_all(share_set: ShareSet) -> list[BinaryImage]:
     """Recover every secret, in share order."""
-    return [decrypt(share_set.unishare, share, config) for share in share_set.shares]
+    return [decrypt(share_set.unishare, share) for share in share_set.shares]

@@ -1,0 +1,29 @@
+import pytest
+
+from qvmss import scheme
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the encoder's thread pool with an inline stand-in.
+
+    Returns the list of `max_workers` values the encoder asked for; no
+    thread is started.
+    """
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scheme, "ThreadPoolExecutor", RecordingPool)
+    return sizes

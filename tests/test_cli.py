@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -227,6 +228,29 @@ def test_demo_deterministic_across_runs_and_threads(tmp_path):
                      "--threads", threads, "-o", str(out)]) == 0
         trees.append(read_tree(out))
     assert trees[0] == trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("command", ["encrypt", "demo"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_threads_below_one_exits_2(tmp_path, secret_files, capsys, command, value):
+    inputs = list(map(str, secret_files)) if command == "encrypt" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--threads", value, "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch, pool_sizes):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # 512x512 is four engine blocks, so only the CPU count limits the pool.
+    big = tmp_path / "big.pbm"
+    big.write_bytes(write_pbm(make_fixture("random", 512, 512, seed=0)))
+    assert main(["encrypt", "--seed", "1", str(big), "--threads", "64",
+                 "-o", str(tmp_path / "enc")]) == 0
+    assert main(["demo", "--seed", "1", "--threads", "64", "-o", str(tmp_path / "demo")]) == 0
+    assert pool_sizes == [2, 2]
 
 
 # ----------------------------------------------------------------- selftest

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
-from qvmss.qsim import nonzero_support
+from qvmss.qsim import cnot, hadamard, nonzero_support
 from qvmss.rng import RngStream, draw_unit
 from qvmss.scheme import (
+    MAX_ARITY,
     ConfigError,
     SchemeConfig,
     ShareSet,
@@ -17,6 +18,7 @@ from qvmss.scheme import (
     decrypt,
     decrypt_all,
     encode_pixel,
+    encoding_circuit,
     encrypt,
     transmitter_state,
 )
@@ -135,7 +137,7 @@ def test_encrypt_pairwise_xor_identity_small():
 def test_encrypt_round_trip_64():
     secrets = random_images(2, 64, 64, seed=400)
     config = SchemeConfig(arity_n=2, master_seed=42)
-    recovered = decrypt_all(encrypt(secrets, config), config)
+    recovered = decrypt_all(encrypt(secrets, config))
     assert recovered[0] == secrets[0]
     assert recovered[1] == secrets[1]
 
@@ -150,31 +152,52 @@ def test_encrypt_is_reproducible():
 
 
 def test_encrypt_threads_match_serial():
-    secrets = random_images(3, 64, 48, seed=9)
+    # 300x300 spans two engine blocks, so threads > 1 reach the pool.
+    secrets = random_images(3, 300, 300, seed=9)
     config = SchemeConfig(arity_n=3, master_seed=777)
     serial = encrypt(secrets, config, threads=1)
-    parallel = encrypt(secrets, config, threads=3)
-    assert serial.unishare == parallel.unishare
-    assert serial.shares == parallel.shares
+    for threads in (2, 3):
+        parallel = encrypt(secrets, config, threads=threads)
+        assert serial.unishare == parallel.unishare
+        assert serial.shares == parallel.shares
 
 
-def test_encrypt_matches_per_pixel_reference():
-    """The batched statevector engine must equal encode_pixel pixel by pixel."""
-    for n, seed in [(1, 10), (2, 11), (3, 12)]:
-        secrets = random_images(n, 16, 16, seed=1000 + n)
+def test_encrypt_threads_capped_at_block_count(pool_sizes):
+    config = SchemeConfig(arity_n=1, master_seed=4)
+    one_block = random_images(1, 256, 256, seed=3)
+    assert encrypt(one_block, config, threads=8) == encrypt(one_block, config)
+    assert pool_sizes == []
+    three_blocks = random_images(1, 256, 600, seed=3)
+    assert encrypt(three_blocks, config, threads=8) == encrypt(three_blocks, config)
+    assert pool_sizes == [3]
+
+
+def test_encoding_circuit_is_hadamard_then_cnot_fanout():
+    assert encoding_circuit(1) == [hadamard(0), cnot(0, 1)]
+    assert encoding_circuit(3) == [hadamard(0), cnot(0, 1), cnot(0, 2), cnot(0, 3)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    width=st.integers(1, 40),
+    height=st.integers(1, 40),
+    picks=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+)
+@example(seed=2**64 - 1, width=300, height=300, picks=[65535, 65536, 89999])
+def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
+    """At every arity, the sparse batch engine equals the XOR oracle on whole
+    images and the dense encode_pixel reference on sampled pixels."""
+    for n in range(1, MAX_ARITY + 1):
+        secrets = random_images(n, width, height, seed=(seed + n) % 2**32)
         share_set = encrypt(secrets, SchemeConfig(arity_n=n, master_seed=seed))
-        for p in range(16 * 16):
+        assert classical_encrypt(secrets, share_set.unishare) == list(share_set.shares)
+        for pick in picks:
+            p = pick % (width * height)
             g = [int(img.bits[p]) for img in secrets]
             outcome = encode_pixel(g, RngStream(seed, p))
             assert outcome.u == share_set.unishare.bits[p]
             assert outcome.s == tuple(int(s.bits[p]) for s in share_set.shares)
-
-
-def test_encrypt_verify_with_oracle_passes():
-    secrets = random_images(2, 16, 16, seed=2)
-    config = SchemeConfig(arity_n=2, master_seed=3, verify_with_oracle=True)
-    share_set = encrypt(secrets, config)
-    assert classical_encrypt(secrets, share_set.unishare) == list(share_set.shares)
 
 
 def test_encrypt_rejects_empty_and_mismatched_input():
@@ -245,14 +268,6 @@ def test_decrypt_with_unishare_itself_gives_zeros():
     share_set = encrypt(random_images(1, 8, 8, seed=5), SchemeConfig(arity_n=1, master_seed=6))
     u = share_set.unishare
     assert decrypt(u, u) == make_fixture("all_zero", 8, 8)
-
-
-def test_decrypt_circuit_decoder_matches_xor_path():
-    secrets = random_images(2, 12, 12, seed=21)
-    share_set = encrypt(secrets, SchemeConfig(arity_n=2, master_seed=22))
-    circuit_cfg = SchemeConfig(arity_n=2, master_seed=22, use_circuit_decoder=True)
-    assert decrypt_all(share_set, circuit_cfg) == decrypt_all(share_set)
-    assert decrypt_all(share_set, circuit_cfg) == secrets
 
 
 def test_decrypt_wrong_unishare_yields_noise():
