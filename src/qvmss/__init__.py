@@ -10,8 +10,7 @@ from .imaging import (
     read_pbm,
     write_pbm,
 )
-from .metrics import MetricsReport, SsimParams, correlation, intensity_of
-from .metrics import mismatch_fraction, mse, psnr, report, ssim_global
+from .metrics import MetricsReport, report
 from .rng import RngStream
 from .scheme import (
     ConfigError,
@@ -40,22 +39,15 @@ __all__ = [
     "SchemeConfig",
     "ShapeMismatchError",
     "ShareSet",
-    "SsimParams",
     "classical_encrypt",
-    "correlation",
     "decode_pixel",
     "decrypt",
     "decrypt_all",
     "encode_pixel",
     "encrypt",
-    "intensity_of",
     "make_fixture",
-    "mismatch_fraction",
-    "mse",
-    "psnr",
     "read_pbm",
     "report",
-    "ssim_global",
     "transmitter_state",
     "write_pbm",
 ]

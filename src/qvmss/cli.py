@@ -3,8 +3,9 @@ score image pairs, run the built-in demo, or self-check the scheme.
 
 Every run is reproducible: an explicit --seed (or QVMSS_SEED in the
 environment) pins all randomness, and an auto-drawn seed is always echoed
-so the run can be repeated.  Output files are staged and renamed into
-place, so failures never leave partial artifacts.  manifest.json records
+so the run can be repeated.  Each output file is staged under a unique
+temporary name and renamed into place, so it is replaced atomically;
+manifest.json is renamed last.  manifest.json records
 `{"seed", "arity", "width", "height", "files": {name: sha256-hex}}`.
 
 Exit codes: 0 success, 1 selftest property failure, 2 I/O or parse
@@ -18,10 +19,12 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from . import metrics, scheme
 from .imaging import (
+    MAX_PIXELS,
     BinaryImage,
     PbmParseError,
     PbmVariant,
@@ -85,16 +88,18 @@ def _load_matching_images(paths: list[str]) -> list[BinaryImage]:
 
 
 def _write_outputs(out_dir: str, artifacts: dict[str, bytes]) -> None:
-    """Stage every artifact, then rename into place."""
+    """Stage every artifact under a unique name, then rename each into place
+    in order, so the last artifact (manifest.json) lands last."""
     directory = Path(out_dir)
     try:
         directory.mkdir(parents=True, exist_ok=True)
         staged = []
         try:
             for name, payload in artifacts.items():
-                tmp = directory / (name + ".tmp")
-                tmp.write_bytes(payload)
-                staged.append((tmp, directory / name))
+                fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+                staged.append((Path(tmp), directory / name))
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(payload)
             for tmp, final in staged:
                 os.replace(tmp, final)
         except OSError:
@@ -123,6 +128,16 @@ def _thread_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return min(value, os.cpu_count() or 1)
+
+
+def _demo_size(text: str) -> int:
+    """--size value: a square fixture edge within the codec's pixel cap."""
+    value = int(text)
+    if value < 1 or value * value > MAX_PIXELS:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {math.isqrt(MAX_PIXELS)}, got {value}"
+        )
+    return value
 
 
 def _variant(name: str) -> PbmVariant:
@@ -390,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="end-to-end pipeline on built-in fixtures")
     add_common(p_demo, "qvmss_demo")
-    p_demo.add_argument("--size", type=int, default=512, help="fixture edge length in pixels")
+    p_demo.add_argument("--size", type=_demo_size, default=512,
+                        help="fixture edge length in pixels")
     p_demo.add_argument("--threads", type=_thread_count, default=1,
                         help="worker threads for pixel encoding (capped at the CPU count)")
     p_demo.set_defaults(handler=cmd_demo)

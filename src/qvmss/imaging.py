@@ -120,7 +120,11 @@ def _read_dimension(data: bytes, pos: int, name: str) -> tuple[int, int]:
         pos += 1
     if pos == start:
         raise PbmParseError(f"expected decimal {name}", start)
-    value = int(data[start:pos])
+    digits = data[start:pos].lstrip(b"0")
+    # int() refuses more than 4300 digits, so bound the length before parsing.
+    if len(digits) > len(str(MAX_DIMENSION)):
+        raise PbmParseError(f"{name} with {len(digits)} digits out of supported range", start)
+    value = int(digits or b"0")
     if value < 1 or value > MAX_DIMENSION:
         raise PbmParseError(f"{name} {value} out of supported range", start)
     return value, pos
@@ -153,6 +157,12 @@ def read_pbm(data: bytes) -> BinaryImage:
 
 
 def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:
+    # Every pixel takes at least one byte; check before allocating `count`.
+    if len(data) - pos < count:
+        raise PbmParseError(
+            f"raster truncated: need at least {count} bytes, have {len(data) - pos}",
+            len(data),
+        )
     bits = np.empty(count, dtype=np.uint8)
     filled = 0
     n = len(data)

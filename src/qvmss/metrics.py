@@ -1,10 +1,12 @@
-"""Image quality and secrecy statistics: MSE, PSNR, global SSIM, Pearson
-correlation, plus the bit-level helpers used by the security checks.
+"""Image quality and secrecy statistics for a pair of binary images: MSE,
+PSNR, global SSIM, Pearson correlation, mismatch and ones fractions.
 
-All metrics operate on 8-bit intensity grids; binary images are mapped
-{0, 1} -> {0, 255} first so PSNR magnitudes land in the familiar regime.
-Moments are population (1/N) throughout, and SSIM is the single-window
-whole-image form.
+Bits are scored on the 8-bit intensity mapping {0, 1} -> {0, 255}, so PSNR
+magnitudes land in the familiar regime.  For two bit images every metric is
+a closed form in the 2x2 contingency counts: the pixel count N, the ones
+counts n_a and n_b, and the joint ones count n_11.  Moments are population
+(1/N), SSIM is the single-window whole-image form (Wang et al., IEEE TIP
+2004), and a 1-pixel image is allowed.
 """
 from __future__ import annotations
 
@@ -14,93 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import BinaryImage, ShapeMismatchError, require_same_shape
+from .imaging import BinaryImage, require_same_shape
 
-PEAK = 255.0
-
-
-@dataclass(frozen=True)
-class SsimParams:
-    """Stabilizer constants for SSIM; defaults k1=0.01, k2=0.03, L=255."""
-
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = PEAK
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
-
-
-def intensity_of(image: BinaryImage) -> np.ndarray:
-    """(height, width) float grid with bit 0 -> 0.0 and bit 1 -> 255.0."""
-    grid = image.as_grid().astype(np.float64)
-    grid *= PEAK
-    return grid
-
-
-def _check_grids(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"grid shapes differ: {a.shape} vs {b.shape}")
-
-
-def mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean squared intensity difference."""
-    _check_grids(a, b)
-    diff = a.astype(np.float64, copy=False) - b.astype(np.float64, copy=False)
-    diff *= diff
-    return float(np.mean(diff))
-
-
-def psnr(a: np.ndarray, b: np.ndarray) -> float:
-    """10*log10(255^2 / MSE) in dB; +inf for identical grids."""
-    error = mse(a, b)
-    if error == 0.0:
-        return math.inf
-    return 10.0 * math.log10(PEAK * PEAK / error)
-
-
-def ssim_global(a: np.ndarray, b: np.ndarray, params: SsimParams = SsimParams()) -> float:
-    """Single-window SSIM over whole-image population moments."""
-    _check_grids(a, b)
-    if a.size < 2:
-        raise ValueError("ssim_global needs at least 2 pixels")
-    x = a.astype(np.float64, copy=False).reshape(-1)
-    y = b.astype(np.float64, copy=False).reshape(-1)
-    mu_x = float(x.mean())
-    mu_y = float(y.mean())
-    var_x = float(np.mean((x - mu_x) ** 2))
-    var_y = float(np.mean((y - mu_y) ** 2))
-    cov = float(np.mean((x - mu_x) * (y - mu_y)))
-    c1, c2 = params.c1, params.c2
-    numerator = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    denominator = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return numerator / denominator
-
-
-def correlation(a: np.ndarray, b: np.ndarray) -> float | None:
-    """Pearson coefficient; None when either grid is constant."""
-    _check_grids(a, b)
-    x = a.astype(np.float64, copy=False).reshape(-1)
-    y = b.astype(np.float64, copy=False).reshape(-1)
-    mu_x = float(x.mean())
-    mu_y = float(y.mean())
-    var_x = float(np.mean((x - mu_x) ** 2))
-    var_y = float(np.mean((y - mu_y) ** 2))
-    if var_x == 0.0 or var_y == 0.0:
-        return None
-    cov = float(np.mean((x - mu_x) * (y - mu_y)))
-    return cov / math.sqrt(var_x * var_y)
-
-
-def mismatch_fraction(a: BinaryImage, b: BinaryImage) -> float:
-    """Fraction of pixel positions where the two images disagree."""
-    require_same_shape(a, b)
-    return float(np.mean(a.bits != b.bits))
+PEAK = 255
+SSIM_C1 = (0.01 * PEAK) ** 2
+SSIM_C2 = (0.03 * PEAK) ** 2
 
 
 @dataclass(frozen=True)
@@ -135,18 +55,41 @@ class MetricsReport:
 
 
 def report(a: BinaryImage, b: BinaryImage) -> MetricsReport:
-    """Bundle every metric for a pair of equal-sized binary images."""
+    """Every metric for a pair of equal-sized binary images.
+
+    Numerators are exact integers and each float is one division, so MSE
+    and the fractions are correctly rounded, and identical images score an
+    SSIM (and, unless constant, a correlation) of exactly 1.0.
+    """
     require_same_shape(a, b)
-    grid_a = intensity_of(a)
-    grid_b = intensity_of(b)
+    n = a.bits.size
+    n_a = int(np.count_nonzero(a.bits))
+    n_b = int(np.count_nonzero(b.bits))
+    n_11 = int(np.count_nonzero(a.bits & b.bits))
+    mismatches = n_a + n_b - 2 * n_11
+
+    peak2 = PEAK * PEAK
+    mse = peak2 * mismatches / n
+    mean_a = PEAK * n_a / n
+    mean_b = PEAK * n_b / n
+    var_a = peak2 * n_a * (n - n_a) / (n * n)
+    var_b = peak2 * n_b * (n - n_b) / (n * n)
+    covariance = peak2 * (n * n_11 - n_a * n_b) / (n * n)
+
+    ssim = ((2.0 * mean_a * mean_b + SSIM_C1) * (2.0 * covariance + SSIM_C2)) / (
+        (mean_a * mean_a + mean_b * mean_b + SSIM_C1) * (var_a + var_b + SSIM_C2)
+    )
+    correlation = None
+    if var_a > 0.0 and var_b > 0.0:
+        correlation = covariance / math.sqrt(var_a * var_b)
     return MetricsReport(
-        mse=mse(grid_a, grid_b),
-        psnr_db=psnr(grid_a, grid_b),
-        ssim=ssim_global(grid_a, grid_b),
-        correlation=correlation(grid_a, grid_b),
-        mismatch_fraction=mismatch_fraction(a, b),
-        ones_fraction_a=a.ones_fraction(),
-        ones_fraction_b=b.ones_fraction(),
+        mse=mse,
+        psnr_db=math.inf if mismatches == 0 else 10.0 * math.log10(peak2 / mse),
+        ssim=ssim,
+        correlation=correlation,
+        mismatch_fraction=mismatches / n,
+        ones_fraction_a=n_a / n,
+        ones_fraction_b=n_b / n,
         width=a.width,
         height=a.height,
     )

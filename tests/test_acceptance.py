@@ -6,7 +6,7 @@ import time
 
 from qvmss.cli import main
 from qvmss.imaging import make_fixture
-from qvmss.metrics import mismatch_fraction, report
+from qvmss.metrics import report
 from qvmss.qsim import nonzero_support
 from qvmss.scheme import (
     SchemeConfig,
@@ -98,7 +98,7 @@ def test_criterion_6_wrong_key_noise():
     share_set = encrypt(secrets, SchemeConfig(arity_n=1, master_seed=31))
     wrong_unishare = make_fixture("random", 256, 256, seed=87654)
     garbage = decrypt(wrong_unishare, share_set.shares[0])
-    m = mismatch_fraction(garbage, secrets[0])
+    m = report(garbage, secrets[0]).mismatch_fraction
     assert abs(m - 0.5) <= 0.02, f"wrong-key mismatch {m}"
     print(f"\nPASS criterion 6: wrong UniShare decrypts to noise (mismatch {m:.4f})")
 
@@ -117,20 +117,17 @@ def test_criterion_7_pairwise_xor_identity():
 
 
 def test_criterion_8_metric_algebra():
-    from qvmss.metrics import intensity_of, mse, psnr
-
     for seed in SEEDS[:5]:
         a = make_fixture("random", 64, 64, seed=seed)
         b = make_fixture("random", 64, 64, seed=seed + 1000)
-        m = mismatch_fraction(a, b)
-        assert m > 0
-        value = psnr(intensity_of(a), intensity_of(b))
-        assert abs(value + 10.0 * math.log10(m)) < 1e-9
+        rep = report(a, b)
+        assert rep.mismatch_fraction > 0
+        assert abs(rep.psnr_db + 10.0 * math.log10(rep.mismatch_fraction)) < 1e-9
 
-    zeros = intensity_of(make_fixture("all_zero", 16, 16))
-    ones = intensity_of(make_fixture("all_one", 16, 16))
-    assert mse(zeros, ones) == 65025.0
-    assert math.isinf(psnr(zeros, zeros))
+    zeros = make_fixture("all_zero", 16, 16)
+    ones = make_fixture("all_one", 16, 16)
+    assert report(zeros, ones).mse == 65025.0
+    assert math.isinf(report(zeros, zeros).psnr_db)
     print("\nPASS criterion 8: psnr == -10*log10(mismatch), mse(0,255)=65025, psnr(id)=inf")
 
 

@@ -48,6 +48,17 @@ def test_encrypt_rerun_is_byte_identical(tmp_path, secret_files):
     assert read_tree(out_a) == read_tree(out_b)
 
 
+def test_encrypt_leaves_unrelated_tmp_files_alone(tmp_path, secret_files):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "U.pbm.tmp").write_bytes(b"user data")
+    assert main(["encrypt", "--seed", "5", *map(str, secret_files), "-o", str(out)]) == 0
+    assert (out / "U.pbm.tmp").read_bytes() == b"user data"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "S1.pbm", "S2.pbm", "U.pbm", "U.pbm.tmp", "manifest.json",
+    ]
+
+
 def test_encrypt_single_secret_gives_random_grid_pair(tmp_path, secret_files):
     out = tmp_path / "out"
     rc = main(["encrypt", "--seed", "1", str(secret_files[0]), "-o", str(out)])
@@ -169,6 +180,17 @@ def test_metrics_two_images(tmp_path, secret_files, capsys):
     assert payload["mismatch_fraction"] == 0.0
 
 
+def test_metrics_one_pixel_images(tmp_path, capsys):
+    a, b = tmp_path / "a.pbm", tmp_path / "b.pbm"
+    a.write_bytes(b"P1\n1 1\n1\n")
+    b.write_bytes(b"P1\n1 1\n0\n")
+    assert main(["metrics", str(a), str(b)]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["mismatch_fraction"] == 1.0 and payload["correlation"] is None
+    assert "Traceback" not in captured.err
+
+
 def test_metrics_requires_two_images(capsys, secret_files):
     assert main(["metrics", str(secret_files[0])]) == 2
 
@@ -239,6 +261,16 @@ def test_threads_below_one_exits_2(tmp_path, secret_files, capsys, command, valu
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--threads" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "9000"])
+def test_demo_size_out_of_range_exits_2(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--size", value, "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--size" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

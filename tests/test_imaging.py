@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvmss.imaging import (
@@ -141,6 +143,44 @@ def test_read_truncated_p4_reports_offset():
     with pytest.raises(PbmParseError) as excinfo:
         read_pbm(data)
     assert excinfo.value.offset == len(data)
+
+
+def test_read_rejects_dimension_past_int_digit_limit():
+    with pytest.raises(PbmParseError) as excinfo:
+        read_pbm(b"P4 " + b"1" * 5000 + b" 1\n\x00")
+    assert excinfo.value.offset == 3
+
+
+def test_read_accepts_dimension_with_long_zero_padding():
+    assert read_pbm(b"P1 " + b"0" * 5000 + b"2 1\n10") == BinaryImage(2, 1, [1, 0])
+
+
+def test_read_p1_short_payload_fails_before_allocating():
+    data = b"P1\n1048576 64\n01\n"
+    assert len(data) == 17
+    tracemalloc.start()
+    try:
+        with pytest.raises(PbmParseError) as excinfo:
+            read_pbm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert excinfo.value.offset == len(data)
+    assert peak < 1 << 20
+
+
+@settings(max_examples=300)
+@given(data=st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda magic, tail: magic + tail, st.sampled_from([b"P1 ", b"P4 "]), st.binary()),
+))
+@example(data=b"P4 " + b"1" * 5000 + b" 1")
+@example(data=b"P1\n1048576 64\n01\n")
+def test_read_pbm_fuzz_yields_image_or_parse_error(data):
+    try:
+        assert isinstance(read_pbm(data), BinaryImage)
+    except PbmParseError:
+        pass
 
 
 def test_read_p1_rejects_stray_raster_bytes():

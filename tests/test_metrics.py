@@ -7,22 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
-from qvmss.metrics import (
-    SsimParams,
-    correlation,
-    intensity_of,
-    mismatch_fraction,
-    mse,
-    psnr,
-    report,
-    ssim_global,
-)
+from qvmss.metrics import report
 from qvmss.rng import unit_array
 from qvmss.scheme import SchemeConfig, encrypt
-
-
-def grids(img_a, img_b):
-    return intensity_of(img_a), intensity_of(img_b)
 
 
 def random_pair(width, height, seed):
@@ -32,173 +19,184 @@ def random_pair(width, height, seed):
     )
 
 
-# ------------------------------------------------------------- intensity map
-
-def test_intensity_mapping():
-    img = BinaryImage(2, 1, [0, 1])
-    assert np.array_equal(intensity_of(img), [[0.0, 255.0]])
-
-
-def test_intensity_round_trips_through_threshold():
-    img = make_fixture("random", 16, 16, seed=0)
-    grid = intensity_of(img)
-    back = (grid >= 128).astype(np.uint8).reshape(-1)
-    assert BinaryImage(16, 16, back) == img
+def textbook_metrics(a, b):
+    """Float64 reference: map bits to {0, 255} grids, then population moments."""
+    x = a.as_grid() * 255.0
+    y = b.as_grid() * 255.0
+    error = float(np.mean((x - y) ** 2))
+    mu_x, mu_y = float(x.mean()), float(y.mean())
+    var_x = float(np.mean((x - mu_x) ** 2))
+    var_y = float(np.mean((y - mu_y) ** 2))
+    cov = float(np.mean((x - mu_x) * (y - mu_y)))
+    c1, c2 = (0.01 * 255) ** 2, (0.03 * 255) ** 2
+    return {
+        "mse": error,
+        "psnr_db": math.inf if error == 0.0 else 10.0 * math.log10(255.0**2 / error),
+        "ssim": ((2 * mu_x * mu_y + c1) * (2 * cov + c2))
+        / ((mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)),
+        "correlation": None if var_x == 0.0 or var_y == 0.0 else cov / math.sqrt(var_x * var_y),
+        "mismatch_fraction": float(np.mean(a.bits != b.bits)),
+        "ones_fraction_a": float(np.mean(a.bits)),
+        "ones_fraction_b": float(np.mean(b.bits)),
+    }
 
 
 # ----------------------------------------------------------------------- mse
 
 def test_mse_identical_is_zero():
-    a = intensity_of(make_fixture("random", 8, 8, seed=1))
-    assert mse(a, a) == 0.0
+    a = make_fixture("random", 8, 8, seed=1)
+    assert report(a, a).mse == 0.0
 
 
 def test_mse_full_swing_is_peak_squared():
-    a, b = grids(make_fixture("all_zero", 5, 7), make_fixture("all_one", 5, 7))
-    assert mse(a, b) == 65025.0
+    assert report(make_fixture("all_zero", 5, 7), make_fixture("all_one", 5, 7)).mse == 65025.0
 
 
 def test_mse_half_differing_pixels():
     a = BinaryImage(4, 4, [0] * 16)
     b = BinaryImage(4, 4, [1] * 8 + [0] * 8)
-    assert mse(*grids(a, b)) == 32512.5
+    assert report(a, b).mse == 32512.5
 
 
 def test_mse_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        mse(np.zeros((2, 2)), np.zeros((2, 3)))
+        report(make_fixture("all_zero", 2, 2), make_fixture("all_zero", 3, 2))
 
 
 # ---------------------------------------------------------------------- psnr
 
 def test_psnr_identical_is_infinite():
-    a = intensity_of(make_fixture("random", 8, 8, seed=2))
-    assert math.isinf(psnr(a, a))
+    a = make_fixture("random", 8, 8, seed=2)
+    assert math.isinf(report(a, a).psnr_db)
 
 
 def test_psnr_full_swing_is_zero_db():
-    a, b = grids(make_fixture("all_zero", 4, 4), make_fixture("all_one", 4, 4))
-    assert psnr(a, b) == 0.0
+    assert report(make_fixture("all_zero", 4, 4), make_fixture("all_one", 4, 4)).psnr_db == 0.0
 
 
 def test_psnr_half_differing_is_ten_log_two():
     a = BinaryImage(4, 4, [0] * 16)
     b = BinaryImage(4, 4, [1] * 8 + [0] * 8)
-    assert psnr(*grids(a, b)) == pytest.approx(10.0 * math.log10(2.0), abs=1e-12)
+    assert report(a, b).psnr_db == pytest.approx(10.0 * math.log10(2.0), abs=1e-12)
 
 
 def test_psnr_equals_neg_log_mismatch_for_binary_pairs():
     for seed in range(6):
-        a, b = random_pair(32, 32, seed * 10)
-        m = mismatch_fraction(a, b)
-        assert m > 0
-        assert abs(psnr(*grids(a, b)) + 10.0 * math.log10(m)) < 1e-9
+        rep = report(*random_pair(32, 32, seed * 10))
+        assert rep.mismatch_fraction > 0
+        assert abs(rep.psnr_db + 10.0 * math.log10(rep.mismatch_fraction)) < 1e-9
 
 
 # ---------------------------------------------------------------------- ssim
 
 def test_ssim_identical_is_exactly_one():
-    a = intensity_of(make_fixture("random", 16, 16, seed=3))
-    assert abs(ssim_global(a, a) - 1.0) < 1e-12
+    a = make_fixture("random", 16, 16, seed=3)
+    assert report(a, a).ssim == 1.0
 
 
 def test_ssim_constant_image_against_itself():
-    a = intensity_of(make_fixture("all_one", 8, 8))
-    assert abs(ssim_global(a, a) - 1.0) < 1e-12
+    a = make_fixture("all_one", 8, 8)
+    assert report(a, a).ssim == 1.0
 
 
 def test_ssim_checkerboard_complement_matches_hand_formula():
     board = make_fixture("checkerboard", 8, 8)
-    a, b = grids(board, board.complement())
     # mean 127.5 on both sides, covariance exactly -variance
     mu, var = 127.5, 127.5**2
     c1, c2 = (0.01 * 255) ** 2, (0.03 * 255) ** 2
     expected = ((2 * mu * mu + c1) * (-2 * var + c2)) / ((2 * mu * mu + c1) * (2 * var + c2))
-    got = ssim_global(a, b)
+    got = report(board, board.complement()).ssim
     assert got < 0
     assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_ssim_params_stabilizers_positive():
-    params = SsimParams()
-    assert params.c1 == pytest.approx((0.01 * 255) ** 2)
-    assert params.c2 == pytest.approx((0.03 * 255) ** 2)
-    assert params.c1 > 0 and params.c2 > 0
-
-
-def test_ssim_needs_two_pixels():
-    with pytest.raises(ValueError):
-        ssim_global(np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 # --------------------------------------------------------------- correlation
 
 def test_correlation_identical_nonconstant_is_one():
-    a = intensity_of(make_fixture("random", 16, 16, seed=4))
-    assert correlation(a, a) == 1.0
+    a = make_fixture("random", 16, 16, seed=4)
+    assert report(a, a).correlation == 1.0
 
 
 def test_correlation_complement_is_minus_one():
     img = make_fixture("checkerboard", 6, 6)
-    a, b = grids(img, img.complement())
-    assert correlation(a, b) == pytest.approx(-1.0, abs=1e-12)
+    assert report(img, img.complement()).correlation == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_correlation_constant_input_is_undefined():
-    flat = intensity_of(make_fixture("all_zero", 4, 4))
-    wavy = intensity_of(make_fixture("checkerboard", 4, 4))
-    assert correlation(flat, wavy) is None
-    assert correlation(wavy, flat) is None
-    assert correlation(flat, flat) is None
+    flat = make_fixture("all_zero", 4, 4)
+    wavy = make_fixture("checkerboard", 4, 4)
+    assert report(flat, wavy).correlation is None
+    assert report(wavy, flat).correlation is None
+    assert report(flat, flat).correlation is None
 
 
 # ----------------------------------------------------------------- mismatch
 
 def test_mismatch_extremes():
     img = make_fixture("random", 8, 8, seed=5)
-    assert mismatch_fraction(img, img) == 0.0
-    assert mismatch_fraction(img, img.complement()) == 1.0
+    assert report(img, img).mismatch_fraction == 0.0
+    assert report(img, img.complement()).mismatch_fraction == 1.0
 
 
 def test_mismatch_secret_vs_share_is_half():
     secret = make_fixture("random", 256, 256, seed=6)
     share_set = encrypt([secret], SchemeConfig(arity_n=1, master_seed=7))
-    assert mismatch_fraction(secret, share_set.shares[0]) == pytest.approx(0.5, abs=0.02)
+    assert report(secret, share_set.shares[0]).mismatch_fraction == pytest.approx(0.5, abs=0.02)
 
 
 # --------------------------------------------------------------- properties
 
+@settings(max_examples=200)
+@given(
+    width=st.integers(1, 32),
+    height=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+    density_a=st.floats(0.0, 1.0),
+    density_b=st.floats(0.0, 1.0),
+)
+def test_report_matches_textbook_float_oracle(width, height, seed, density_a, density_b):
+    draws = np.random.default_rng(seed).random((2, width * height))
+    a = BinaryImage(width, height, draws[0] < density_a)
+    b = BinaryImage(width, height, draws[1] < density_b)
+    got = report(a, b).to_dict()
+    expected = textbook_metrics(a, b)
+    for field in ("mse", "mismatch_fraction", "ones_fraction_a", "ones_fraction_b"):
+        assert got[field] == expected[field], field
+    assert got["psnr_db"] == ("inf" if math.isinf(expected["psnr_db"]) else expected["psnr_db"])
+    assert got["ssim"] == pytest.approx(expected["ssim"], abs=1e-12)
+    if expected["correlation"] is None:
+        assert got["correlation"] is None
+    else:
+        assert got["correlation"] == pytest.approx(expected["correlation"], abs=1e-12)
+
+
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), width=st.integers(2, 16), height=st.integers(2, 16))
 def test_metrics_are_symmetric(seed, width, height):
-    img_a = make_fixture("random", width, height, seed=seed)
-    img_b = make_fixture("random", width, height, seed=seed + 1)
-    a, b = grids(img_a, img_b)
-    assert mse(a, b) == mse(b, a)
-    assert psnr(a, b) == psnr(b, a)
-    assert abs(ssim_global(a, b) - ssim_global(b, a)) < 1e-12
-    ra, rb = correlation(a, b), correlation(b, a)
-    if ra is None or rb is None:
-        assert ra is None and rb is None
+    img_a, img_b = random_pair(width, height, seed)
+    ab, ba = report(img_a, img_b), report(img_b, img_a)
+    assert ab.mse == ba.mse
+    assert ab.psnr_db == ba.psnr_db
+    assert abs(ab.ssim - ba.ssim) < 1e-12
+    if ab.correlation is None or ba.correlation is None:
+        assert ab.correlation is None and ba.correlation is None
     else:
-        assert abs(ra - rb) < 1e-12
-    assert mismatch_fraction(img_a, img_b) == mismatch_fraction(img_b, img_a)
+        assert abs(ab.correlation - ba.correlation) < 1e-12
+    assert ab.mismatch_fraction == ba.mismatch_fraction
 
 
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_metrics_invariant_under_joint_pixel_permutation(seed):
-    img_a = make_fixture("random", 8, 8, seed=seed)
-    img_b = make_fixture("random", 8, 8, seed=seed + 1)
+    img_a, img_b = random_pair(8, 8, seed)
     order = np.argsort(unit_array(seed, np.arange(64, dtype=np.uint64), 9))
     perm_a = BinaryImage(8, 8, img_a.bits[order])
     perm_b = BinaryImage(8, 8, img_b.bits[order])
 
-    a, b = grids(img_a, img_b)
-    pa, pb = grids(perm_a, perm_b)
-    assert mse(a, b) == mse(pa, pb)
-    assert abs(ssim_global(a, b) - ssim_global(pa, pb)) < 1e-12
-    assert mismatch_fraction(img_a, img_b) == mismatch_fraction(perm_a, perm_b)
+    plain, permuted = report(img_a, img_b), report(perm_a, perm_b)
+    assert plain.mse == permuted.mse
+    assert abs(plain.ssim - permuted.ssim) < 1e-12
+    assert plain.mismatch_fraction == permuted.mismatch_fraction
 
 
 # ------------------------------------------------------------------- report
