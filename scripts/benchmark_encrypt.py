@@ -9,16 +9,15 @@ import argparse
 import time
 
 from qvmss.imaging import make_fixture
-from qvmss.scheme import SchemeConfig, decrypt_all, encrypt
+from qvmss.scheme import decrypt_all, encrypt
 
 
 def run_case(size, arity, threads, seed, repeats):
     secrets = [make_fixture("random", size, size, seed=seed + i) for i in range(arity)]
-    config = SchemeConfig(arity_n=arity, master_seed=seed)
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        share_set = encrypt(secrets, config, threads=threads)
+        share_set = encrypt(secrets, seed, threads=threads)
         best = min(best, time.perf_counter() - started)
     assert decrypt_all(share_set) == secrets, "round trip failed"
     return best

@@ -11,12 +11,12 @@ import sys
 
 from qvmss.imaging import make_fixture
 from qvmss.metrics import report
-from qvmss.scheme import SchemeConfig, encrypt
+from qvmss.scheme import encrypt
 
 
 def sweep_once(seed, size):
     secrets = [make_fixture("random", size, size, seed=seed * 1000 + i) for i in range(2)]
-    share_set = encrypt(secrets, SchemeConfig(arity_n=2, master_seed=seed))
+    share_set = encrypt(secrets, seed)
     fractions = [share_set.unishare.ones_fraction()] + [
         s.ones_fraction() for s in share_set.shares
     ]

@@ -15,7 +15,6 @@ from .rng import RngStream
 from .scheme import (
     ConfigError,
     PixelOutcome,
-    SchemeConfig,
     ShareSet,
     classical_encrypt,
     decode_pixel,
@@ -36,7 +35,6 @@ __all__ = [
     "PbmVariant",
     "PixelOutcome",
     "RngStream",
-    "SchemeConfig",
     "ShapeMismatchError",
     "ShareSet",
     "classical_encrypt",

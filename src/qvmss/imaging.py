@@ -204,13 +204,17 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
 
 def write_pbm(image: BinaryImage, variant: PbmVariant = PbmVariant.P4_PACKED) -> bytes:
     """Serialize to PBM bytes; output is canonical and byte-reproducible."""
-    header = f"{'P1' if variant is PbmVariant.P1_ASCII else 'P4'}\n{image.width} {image.height}\n"
+    magic = "P1" if variant is PbmVariant.P1_ASCII else "P4"
+    header = f"{magic}\n{image.width} {image.height}\n".encode("ascii")
     grid = image.as_grid()
     if variant is PbmVariant.P1_ASCII:
-        body = "\n".join(" ".join(str(b) for b in row) for row in grid)
-        return (header + body + "\n").encode("ascii")
+        # Each row is "b b ... b\n": a digit then a space or, last, a newline.
+        text = np.full((image.height, 2 * image.width), ord(" "), dtype=np.uint8)
+        text[:, 0::2] = grid + ord("0")
+        text[:, -1] = ord("\n")
+        return header + text.tobytes()
     packed = np.packbits(grid, axis=1)  # zero-padded to whole bytes per row
-    return header.encode("ascii") + packed.tobytes()
+    return header + packed.tobytes()
 
 
 # 3x5 glyphs for the text_glyphs fixture, 1 = opaque.

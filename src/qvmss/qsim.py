@@ -4,12 +4,13 @@ Conventions used throughout the package:
 
 * Basis index bit order: qubit 0 is the MOST significant bit, so for a
   3-qubit register the basis state |q0 q1 q2> = |110> has index 6.
-* Gate set is exactly what the share scheme needs: Pauli-X, Pauli-Z,
-  Hadamard, and CNOT, with the standard matrices
-  H = (1/sqrt 2) [[1, 1], [1, -1]], X = [[0, 1], [1, 0]], Z = [[1, 0], [0, -1]].
+* Gate set is exactly what the share scheme needs: Pauli-X, Hadamard and
+  CNOT, with the standard matrices H = (1/sqrt 2) [[1, 1], [1, -1]] and
+  X = [[0, 1], [1, 0]].
 * Measurement samples the Born distribution from a caller-supplied
   RngStream and does not return a collapsed state; registers here are
-  single-use.
+  single-use.  It takes states of at most two nonzero amplitudes, which is
+  all an H/CNOT circuit on a basis state can produce.
 
 Registers are capped at 24 qubits (the statevector has 2^k amplitudes).
 """
@@ -32,12 +33,11 @@ NORM_TOLERANCE = 1e-9
 
 
 class StateError(ValueError):
-    """Raised when a register violates the normalization contract."""
+    """Raised when a register is not normalized or has too wide a support to measure."""
 
 
 class GateKind(Enum):
     PAULI_X = "x"
-    PAULI_Z = "z"
     HADAMARD = "h"
     CNOT = "cnot"
 
@@ -66,10 +66,6 @@ class GateOp:
 
 def pauli_x(target: int) -> GateOp:
     return GateOp(GateKind.PAULI_X, target)
-
-
-def pauli_z(target: int) -> GateOp:
-    return GateOp(GateKind.PAULI_Z, target)
 
 
 def hadamard(target: int) -> GateOp:
@@ -107,9 +103,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def norm_sq(self) -> float:
-        return float(self.probabilities().sum())
-
 
 def new_register(num_qubits: int) -> StateVector:
     """Fresh register with every qubit in |0>."""
@@ -137,11 +130,6 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 
     if gate.kind is GateKind.PAULI_X:
         out = np.flip(psi, axis=gate.target).copy()
-    elif gate.kind is GateKind.PAULI_Z:
-        out = psi.copy()
-        sel: list = [slice(None)] * k
-        sel[gate.target] = 1
-        out[tuple(sel)] *= -1.0
     elif gate.kind is GateKind.HADAMARD:
         lo: list = [slice(None)] * k
         hi: list = [slice(None)] * k
@@ -152,7 +140,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         out[tuple(hi)] = (a0 - a1) * INV_SQRT2
     else:  # CNOT: flip target within the control=1 subspace
         out = psi.copy()
-        sel = [slice(None)] * k
+        sel: list = [slice(None)] * k
         sel[gate.control] = 1
         sub_target = gate.target - 1 if gate.target > gate.control else gate.target
         out[tuple(sel)] = np.flip(psi[tuple(sel)], axis=sub_target)
@@ -163,9 +151,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 def measure_all(state: StateVector, rng: RngStream) -> str:
     """Sample a full computational-basis outcome, q0 first in the bitstring.
 
-    Consumes exactly one uniform variate: a two-branch pick when at most two
-    amplitudes are nonzero (the common case here), inverse-CDF over basis
-    order otherwise.
+    Consumes exactly one uniform variate and picks between the (at most
+    two) nonzero amplitudes, lower basis index first.  A wider support is
+    refused before any variate is drawn.
     """
     probs = state.probabilities()
     total = probs.sum()
@@ -173,21 +161,8 @@ def measure_all(state: StateVector, rng: RngStream) -> str:
         raise StateError(f"state norm^2 = {total!r} deviates from 1 beyond {NORM_TOLERANCE}")
 
     support = np.flatnonzero(probs)
-    u = rng.next_unit()
-    if support.size <= 2:
-        first = int(support[0])
-        outcome = first if u < probs[first] else int(support[-1])
-    else:
-        cdf = np.cumsum(probs)
-        outcome = int(np.searchsorted(cdf, u, side="right"))
-        if outcome > support[-1]:
-            outcome = int(support[-1])
+    if support.size > 2:
+        raise StateError(f"measurement takes at most two branches, got {support.size}")
+    first = int(support[0])
+    outcome = first if rng.next_unit() < probs[first] else int(support[-1])
     return format(outcome, f"0{state.num_qubits}b")
-
-
-def nonzero_support(state: StateVector, epsilon: float) -> list[tuple[int, float]]:
-    """Basis states with probability strictly above epsilon, sorted by index."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    probs = state.probabilities()
-    return [(int(i), float(probs[i])) for i in np.flatnonzero(probs > epsilon)]

@@ -19,7 +19,6 @@ _MIX2 = 0x94D049BB133111EB
 # Same constants for the vectorized path; uint64 array arithmetic wraps mod 2^64.
 _NP_MIX1 = np.uint64(_MIX1)
 _NP_MIX2 = np.uint64(_MIX2)
-_NP_GOLDEN = np.uint64(_GOLDEN)
 _UNIT_SCALE = 2.0**-53
 
 
@@ -51,9 +50,8 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
 def u64_array(master_seed: int, stream_indices: np.ndarray, cursor: int) -> np.ndarray:
     """Vectorized draw_u64 over many streams at a fixed cursor."""
     streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
-    x = np.full(streams.shape, (master_seed + _GOLDEN) & _MASK64, dtype=np.uint64)
-    x = _mix_array(x)
-    x = _mix_array(x ^ streams)
+    # The seed's mix is one value for every stream, so it is computed once.
+    x = _mix_array(streams ^ np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)))
     return _mix_array(x ^ np.uint64(cursor & _MASK64))
 
 

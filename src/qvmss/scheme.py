@@ -5,8 +5,8 @@ secret bits into qubits 1..n, then `encoding_circuit` puts qubit 0 (the
 universal-share bit) into superposition with a Hadamard and entangles it
 with a CNOT onto each secret qubit.  Measuring collapses the register to
 one of two complementary branches, yielding the UniShare bit u and share
-bits s_k = g_k XOR u.  Decryption XORs the UniShare back; `decode_pixel`
-can also run the receiver-side CNOT circuit.
+bits s_k = g_k XOR u.  `decrypt` XORs the UniShare back; `decode_pixel`
+runs the receiver-side CNOT circuit, as the per-pixel reference.
 
 The circuit is Clifford on a basis state, so its state never has more
 than two nonzero amplitudes.  `encrypt` therefore runs the same
@@ -50,18 +50,12 @@ _BLOCK_PIXELS = 1 << 16
 
 
 class ConfigError(ValueError):
-    """Invalid scheme configuration (arity out of range, wrong secret count)."""
+    """Arity out of range: the number of secrets or shares is not in 1..MAX_ARITY."""
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    arity_n: int
-    master_seed: int
-
-    def __post_init__(self):
-        if not 1 <= self.arity_n <= MAX_ARITY:
-            raise ConfigError(f"arity_n must be in 1..{MAX_ARITY}, got {self.arity_n}")
-        object.__setattr__(self, "master_seed", self.master_seed & ((1 << 64) - 1))
+def _check_arity(count: int, what: str) -> None:
+    if not 1 <= count <= MAX_ARITY:
+        raise ConfigError(f"need 1..{MAX_ARITY} {what}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -74,32 +68,29 @@ class PixelOutcome:
 
 @dataclass(frozen=True)
 class ShareSet:
-    """One UniShare plus the n share images produced by `encrypt`."""
+    """One UniShare plus the n same-sized share images produced by `encrypt`."""
 
-    arity_n: int
     unishare: BinaryImage
     shares: tuple[BinaryImage, ...]
-    width: int
-    height: int
 
     def __post_init__(self):
         object.__setattr__(self, "shares", tuple(self.shares))
-        if self.arity_n < 1 or len(self.shares) != self.arity_n:
-            raise ConfigError(
-                f"expected {self.arity_n} shares, got {len(self.shares)}"
-            )
-        for image in (self.unishare, *self.shares):
-            if image.width != self.width or image.height != self.height:
-                raise ConfigError(
-                    f"share set dimensions {self.width}x{self.height} do not match "
-                    f"image {image.width}x{image.height}"
-                )
+        _check_arity(len(self.shares), "shares")
+        for share in self.shares:
+            require_same_shape(self.unishare, share)
+
+    @property
+    def width(self) -> int:
+        return self.unishare.width
+
+    @property
+    def height(self) -> int:
+        return self.unishare.height
 
 
 def _validated_bits(secret_bits: Sequence[int]) -> tuple[int, ...]:
     g = tuple(int(b) for b in secret_bits)
-    if not 1 <= len(g) <= MAX_ARITY:
-        raise ConfigError(f"need 1..{MAX_ARITY} secret bits, got {len(g)}")
+    _check_arity(len(g), "secret bits")
     if any(b not in (0, 1) for b in g):
         raise ValueError(f"secret bits must be 0 or 1, got {g}")
     return g
@@ -136,20 +127,18 @@ def encode_pixel(secret_bits: Sequence[int], stream: rng.RngStream) -> PixelOutc
     return PixelOutcome(u=int(bits[0]), s=tuple(int(b) for b in bits[1:]))
 
 
-def decode_pixel(u: int, s_k: int, use_circuit: bool = False) -> int:
-    """Recover one secret bit as s_k XOR u, optionally via the receiver circuit."""
+def decode_pixel(u: int, s_k: int) -> int:
+    """Recover one secret bit by running the receiver circuit: CNOT from u onto s_k."""
     if u not in (0, 1) or s_k not in (0, 1):
         raise ValueError(f"decode_pixel expects bits, got u={u!r} s_k={s_k!r}")
-    if use_circuit:
-        state = new_register(2)
-        if u:
-            state = apply_gate(state, pauli_x(0))
-        if s_k:
-            state = apply_gate(state, pauli_x(1))
-        state = apply_gate(state, cnot(0, 1))
-        # Basis-state input, so the measurement is deterministic.
-        return int(measure_all(state, rng.RngStream(0, 0))[1])
-    return u ^ s_k
+    state = new_register(2)
+    if u:
+        state = apply_gate(state, pauli_x(0))
+    if s_k:
+        state = apply_gate(state, pauli_x(1))
+    state = apply_gate(state, cnot(0, 1))
+    # Basis-state input, so the measurement is deterministic.
+    return int(measure_all(state, rng.RngStream(0, 0))[1])
 
 
 def _run_sparse(
@@ -161,7 +150,8 @@ def _run_sparse(
     one at the start, two once an H splits it.  CNOT is a masked XOR on the
     indices; H is only defined here on a single basis branch.
     """
-    branches = [(start, np.ones(start.shape, dtype=np.complex128))]
+    # The H/CNOT program is real, and np.where on float64 costs a third of complex128.
+    branches = [(start, np.ones(start.shape))]
     for gate in program:
         target = num_qubits - 1 - gate.target
         if gate.kind is GateKind.CNOT:
@@ -197,7 +187,7 @@ def _encode_block(
         start = (start << 1) | row
 
     (i0, a0), (i1, a1) = _run_sparse(program, n + 1, start)
-    p0, p1 = np.abs(a0) ** 2, np.abs(a1) ** 2
+    p0, p1 = a0 * a0, a1 * a1
     if np.any(np.abs(p0 + p1 - 1.0) > NORM_TOLERANCE):
         raise StateError("simulated pixel state drifted off unit norm")
 
@@ -212,21 +202,18 @@ def _encode_block(
 
 
 def encrypt(
-    secrets: Sequence[BinaryImage], config: SchemeConfig, *, threads: int = 1
+    secrets: Sequence[BinaryImage], master_seed: int, *, threads: int = 1
 ) -> ShareSet:
     """Encrypt n same-sized secrets into a UniShare plus n share images.
 
-    Pixel p uses RNG stream p, so the result is bit-exact reproducible from
-    config.master_seed regardless of `threads`.  Threads split the work at
-    block boundaries, so an image of one block runs inline.
+    n is len(secrets), 1..MAX_ARITY.  Pixel p uses RNG stream p, so the
+    result is bit-exact reproducible from master_seed (taken mod 2^64)
+    regardless of `threads`.  Threads split the work at block boundaries,
+    so an image of one block runs inline.
     """
     secrets = list(secrets)
-    if not secrets:
-        raise ConfigError("need at least one secret image")
-    if len(secrets) != config.arity_n:
-        raise ConfigError(
-            f"config.arity_n = {config.arity_n} but {len(secrets)} secrets given"
-        )
+    n = len(secrets)
+    _check_arity(n, "secret images")
     for other in secrets[1:]:
         require_same_shape(secrets[0], other)
 
@@ -235,9 +222,9 @@ def encrypt(
     secret_grid = np.stack([img.bits for img in secrets])
 
     u_out = np.empty(num_pixels, dtype=np.uint8)
-    s_out = np.empty((config.arity_n, num_pixels), dtype=np.uint8)
-    encode = partial(_encode_block, encoding_circuit(config.arity_n), secret_grid,
-                     config.master_seed, u_out=u_out, s_out=s_out)
+    s_out = np.empty((n, num_pixels), dtype=np.uint8)
+    encode = partial(_encode_block, encoding_circuit(n), secret_grid, master_seed,
+                     u_out=u_out, s_out=s_out)
     starts = range(0, num_pixels, _BLOCK_PIXELS)
     threads = min(threads, len(starts))
     if threads <= 1:
@@ -247,9 +234,8 @@ def encrypt(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(encode, starts))
 
-    unishare = BinaryImage(width, height, u_out)
-    shares = tuple(BinaryImage(width, height, s_out[j]) for j in range(config.arity_n))
-    return ShareSet(config.arity_n, unishare, shares, width, height)
+    shares = tuple(BinaryImage(width, height, row) for row in s_out)
+    return ShareSet(BinaryImage(width, height, u_out), shares)
 
 
 def classical_encrypt(

@@ -4,12 +4,12 @@ import json
 import math
 import time
 
+import numpy as np
+
 from qvmss.cli import main
 from qvmss.imaging import make_fixture
 from qvmss.metrics import report
-from qvmss.qsim import nonzero_support
 from qvmss.scheme import (
-    SchemeConfig,
     classical_encrypt,
     decrypt,
     decrypt_all,
@@ -30,7 +30,7 @@ def test_criterion_1_lossless_recovery():
     for n, size in cases:
         for seed in SEEDS:
             secrets = random_images(n, size, seed)
-            share_set = encrypt(secrets, SchemeConfig(arity_n=n, master_seed=seed))
+            share_set = encrypt(secrets, seed)
             recovered = decrypt_all(share_set)
             assert recovered == secrets, f"round trip broke at n={n} size={size} seed={seed}"
             for original, back in zip(secrets, recovered):
@@ -46,7 +46,7 @@ def test_criterion_1_lossless_recovery():
 def test_criterion_2_circuit_matches_classical_oracle():
     for seed in SEEDS:
         secrets = random_images(2, 64, seed)
-        share_set = encrypt(secrets, SchemeConfig(arity_n=2, master_seed=seed))
+        share_set = encrypt(secrets, seed)
         oracle = classical_encrypt(secrets, share_set.unishare)
         assert list(share_set.shares) == oracle
     print("\nPASS criterion 2: simulated circuit shares == XOR oracle for 10 seeds")
@@ -57,11 +57,12 @@ def test_criterion_3_two_branch_transmitter_states():
         full_mask = (1 << (n + 1)) - 1
         for value in range(1 << n):
             g = [(value >> (n - 1 - j)) & 1 for j in range(n)]
-            support = nonzero_support(transmitter_state(g), 0.0)
+            probs = transmitter_state(g).probabilities()
+            support = np.flatnonzero(probs)
             assert len(support) == 2
-            (i0, p0), (i1, p1) = support
+            i0, i1 = support
             assert i0 ^ i1 == full_mask, "branches must complement in every bit"
-            assert abs(p0 - 0.5) <= 1e-12 and abs(p1 - 0.5) <= 1e-12
+            assert np.all(np.abs(probs[support] - 0.5) <= 1e-12)
     print("\nPASS criterion 3: all transmitter states are two complementary 0.5 branches")
 
 
@@ -71,7 +72,7 @@ def test_criterion_4_share_uniformity():
     failures = 0
     for seed in SEEDS:
         secrets = random_images(2, size, seed)
-        share_set = encrypt(secrets, SchemeConfig(arity_n=2, master_seed=seed))
+        share_set = encrypt(secrets, seed)
         fractions = [share_set.unishare.ones_fraction()]
         fractions += [s.ones_fraction() for s in share_set.shares]
         if any(abs(f - 0.5) > bound for f in fractions):
@@ -83,7 +84,7 @@ def test_criterion_4_share_uniformity():
 
 def test_criterion_5_secrecy_statistics():
     secrets = random_images(2, 256, seed=77)
-    share_set = encrypt(secrets, SchemeConfig(arity_n=2, master_seed=77))
+    share_set = encrypt(secrets, 77)
     for k, secret in enumerate(secrets):
         for j, share in enumerate(share_set.shares):
             rep = report(secret, share)
@@ -95,7 +96,7 @@ def test_criterion_5_secrecy_statistics():
 
 def test_criterion_6_wrong_key_noise():
     secrets = random_images(1, 256, seed=31)
-    share_set = encrypt(secrets, SchemeConfig(arity_n=1, master_seed=31))
+    share_set = encrypt(secrets, 31)
     wrong_unishare = make_fixture("random", 256, 256, seed=87654)
     garbage = decrypt(wrong_unishare, share_set.shares[0])
     m = report(garbage, secrets[0]).mismatch_fraction
@@ -107,7 +108,7 @@ def test_criterion_7_pairwise_xor_identity():
     for n, size in [(2, 8), (2, 64), (3, 32), (4, 16)]:
         for seed in SEEDS[:5]:
             secrets = random_images(n, size, seed)
-            share_set = encrypt(secrets, SchemeConfig(arity_n=n, master_seed=seed))
+            share_set = encrypt(secrets, seed)
             for j in range(n):
                 for k in range(j + 1, n):
                     assert (share_set.shares[j] ^ share_set.shares[k]) == (
@@ -144,9 +145,8 @@ def test_criterion_9_demo_determinism(tmp_path):
 
 def test_criterion_10_encryption_performance():
     secrets = random_images(2, 512, seed=5)
-    config = SchemeConfig(arity_n=2, master_seed=5)
     started = time.perf_counter()
-    share_set = encrypt(secrets, config, threads=1)
+    share_set = encrypt(secrets, 5, threads=1)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"512x512 n=2 encryption took {elapsed:.2f}s"
     assert share_set.width == 512 and len(share_set.shares) == 2

@@ -67,6 +67,15 @@ def test_encrypt_single_secret_gives_random_grid_pair(tmp_path, secret_files):
     assert names == ["S1.pbm", "U.pbm", "manifest.json"]
 
 
+def test_encrypt_too_many_secrets_exits_2(tmp_path, secret_files, capsys):
+    rc = main(["encrypt", *[str(secret_files[0])] * 17, "-o", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 1..16 secret images, got 17")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_encrypt_dimension_mismatch_names_file(tmp_path, capsys):
     small = tmp_path / "small.pbm"
     big = tmp_path / "big.pbm"

@@ -194,6 +194,11 @@ def test_write_p1_minimal_file():
     assert write_pbm(BinaryImage(1, 1, [1]), PbmVariant.P1_ASCII) == b"P1\n1 1\n1\n"
 
 
+def test_write_p1_golden_3x2():
+    img = BinaryImage.from_rows([[1, 0, 1], [0, 1, 1]])
+    assert write_pbm(img, PbmVariant.P1_ASCII) == b"P1\n3 2\n1 0 1\n0 1 1\n"
+
+
 def test_write_p4_packs_rows_with_zero_padding():
     data = write_pbm(BinaryImage(9, 1, [1] * 9), PbmVariant.P4_PACKED)
     assert data == b"P4\n9 1\n" + bytes([0xFF, 0x80])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
 from qvmss.metrics import report
 from qvmss.rng import unit_array
-from qvmss.scheme import SchemeConfig, encrypt
+from qvmss.scheme import encrypt
 
 
 def random_pair(width, height, seed):
@@ -140,7 +140,7 @@ def test_mismatch_extremes():
 
 def test_mismatch_secret_vs_share_is_half():
     secret = make_fixture("random", 256, 256, seed=6)
-    share_set = encrypt([secret], SchemeConfig(arity_n=1, master_seed=7))
+    share_set = encrypt([secret], 7)
     assert report(secret, share_set.shares[0]).mismatch_fraction == pytest.approx(0.5, abs=0.02)
 
 
@@ -222,7 +222,7 @@ def test_report_complement_images():
 
 def test_report_secret_vs_share_statistics():
     secret = make_fixture("random", 256, 256, seed=9)
-    share_set = encrypt([secret], SchemeConfig(arity_n=1, master_seed=10))
+    share_set = encrypt([secret], 10)
     rep = report(secret, share_set.shares[0])
     assert rep.psnr_db == pytest.approx(3.01, abs=0.3)
     assert abs(rep.correlation) < 0.05

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
-from qvmss.qsim import cnot, hadamard, nonzero_support
+from qvmss.qsim import cnot, hadamard
 from qvmss.rng import RngStream, draw_unit
 from qvmss.scheme import (
     MAX_ARITY,
     ConfigError,
-    SchemeConfig,
     ShareSet,
     classical_encrypt,
     decode_pixel,
@@ -40,15 +40,15 @@ def random_images(n, width, height, seed):
 # -------------------------------------------------------- transmitter state
 
 def test_transmitter_state_two_secret_zeros_is_ghz_form():
-    support = nonzero_support(transmitter_state([0, 0]), 1e-12)
-    assert [i for i, _ in support] == [0, 7]
-    assert all(abs(p - 0.5) < 1e-12 for _, p in support)
+    probs = transmitter_state([0, 0]).probabilities()
+    assert np.flatnonzero(probs).tolist() == [0, 7]
+    assert np.allclose(probs[[0, 7]], 0.5, rtol=0, atol=1e-12)
 
 
 def test_transmitter_state_single_one():
-    support = nonzero_support(transmitter_state([1]), 1e-12)
-    assert [i for i, _ in support] == [1, 2]  # |01> and |10>
-    assert all(abs(p - 0.5) < 1e-12 for _, p in support)
+    probs = transmitter_state([1]).probabilities()
+    assert np.flatnonzero(probs).tolist() == [1, 2]  # |01> and |10>
+    assert np.allclose(probs[[1, 2]], 0.5, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -56,11 +56,12 @@ def test_transmitter_state_support_is_two_complementary_branches(n):
     full_mask = (1 << (n + 1)) - 1
     for value in range(1 << n):
         g = [(value >> (n - 1 - j)) & 1 for j in range(n)]
-        support = nonzero_support(transmitter_state(g), 1e-12)
+        probs = transmitter_state(g).probabilities()
+        support = np.flatnonzero(probs)
         assert len(support) == 2
-        (i0, p0), (i1, p1) = support
+        i0, i1 = support
         assert i0 ^ i1 == full_mask
-        assert abs(p0 - 0.5) < 1e-12 and abs(p1 - 0.5) < 1e-12
+        assert np.allclose(probs[support], 0.5, rtol=0, atol=1e-12)
         # low branch carries g verbatim behind a 0 UniShare bit
         assert i0 == value
 
@@ -121,14 +122,14 @@ def test_encode_pixel_share_is_secret_xor_unishare(bits, seed, stream):
 
 def test_encrypt_all_zero_secret_share_equals_unishare():
     g = [make_fixture("all_zero", 4, 4)]
-    share_set = encrypt(g, SchemeConfig(arity_n=1, master_seed=5))
+    share_set = encrypt(g, 5)
     assert share_set.shares[0] == share_set.unishare
 
 
 def test_encrypt_pairwise_xor_identity_small():
     g1 = BinaryImage.from_rows([[0, 1], [1, 0]])
     g2 = BinaryImage.from_rows([[1, 1], [0, 0]])
-    share_set = encrypt([g1, g2], SchemeConfig(arity_n=2, master_seed=31))
+    share_set = encrypt([g1, g2], 31)
     s1, s2 = share_set.shares
     assert (s1 ^ s2) == (g1 ^ g2)
     assert (s1 ^ s2) == BinaryImage.from_rows([[1, 0], [1, 0]])
@@ -136,17 +137,15 @@ def test_encrypt_pairwise_xor_identity_small():
 
 def test_encrypt_round_trip_64():
     secrets = random_images(2, 64, 64, seed=400)
-    config = SchemeConfig(arity_n=2, master_seed=42)
-    recovered = decrypt_all(encrypt(secrets, config))
+    recovered = decrypt_all(encrypt(secrets, 42))
     assert recovered[0] == secrets[0]
     assert recovered[1] == secrets[1]
 
 
 def test_encrypt_is_reproducible():
     secrets = random_images(2, 32, 32, seed=88)
-    config = SchemeConfig(arity_n=2, master_seed=1313)
-    a = encrypt(secrets, config)
-    b = encrypt(secrets, config)
+    a = encrypt(secrets, 1313)
+    b = encrypt(secrets, 1313)
     assert a.unishare == b.unishare
     assert a.shares == b.shares
 
@@ -154,21 +153,19 @@ def test_encrypt_is_reproducible():
 def test_encrypt_threads_match_serial():
     # 300x300 spans two engine blocks, so threads > 1 reach the pool.
     secrets = random_images(3, 300, 300, seed=9)
-    config = SchemeConfig(arity_n=3, master_seed=777)
-    serial = encrypt(secrets, config, threads=1)
+    serial = encrypt(secrets, 777, threads=1)
     for threads in (2, 3):
-        parallel = encrypt(secrets, config, threads=threads)
+        parallel = encrypt(secrets, 777, threads=threads)
         assert serial.unishare == parallel.unishare
         assert serial.shares == parallel.shares
 
 
 def test_encrypt_threads_capped_at_block_count(pool_sizes):
-    config = SchemeConfig(arity_n=1, master_seed=4)
     one_block = random_images(1, 256, 256, seed=3)
-    assert encrypt(one_block, config, threads=8) == encrypt(one_block, config)
+    assert encrypt(one_block, 4, threads=8) == encrypt(one_block, 4)
     assert pool_sizes == []
     three_blocks = random_images(1, 256, 600, seed=3)
-    assert encrypt(three_blocks, config, threads=8) == encrypt(three_blocks, config)
+    assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
     assert pool_sizes == [3]
 
 
@@ -190,7 +187,7 @@ def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
     images and the dense encode_pixel reference on sampled pixels."""
     for n in range(1, MAX_ARITY + 1):
         secrets = random_images(n, width, height, seed=(seed + n) % 2**32)
-        share_set = encrypt(secrets, SchemeConfig(arity_n=n, master_seed=seed))
+        share_set = encrypt(secrets, seed)
         assert classical_encrypt(secrets, share_set.unishare) == list(share_set.shares)
         for pick in picks:
             p = pick % (width * height)
@@ -202,28 +199,42 @@ def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
 
 def test_encrypt_rejects_empty_and_mismatched_input():
     with pytest.raises(ConfigError):
-        encrypt([], SchemeConfig(arity_n=1, master_seed=0))
-    secrets = random_images(2, 8, 8, seed=1)
-    with pytest.raises(ConfigError):
-        encrypt(secrets, SchemeConfig(arity_n=3, master_seed=0))
+        encrypt([], 0)
     ragged = [make_fixture("random", 8, 8, seed=0), make_fixture("random", 8, 9, seed=0)]
     with pytest.raises(ShapeMismatchError):
-        encrypt(ragged, SchemeConfig(arity_n=2, master_seed=0))
+        encrypt(ragged, 0)
 
 
 def test_scheme_config_arity_bounds():
     with pytest.raises(ConfigError):
-        SchemeConfig(arity_n=0, master_seed=0)
+        encrypt([], 0)
     with pytest.raises(ConfigError):
-        SchemeConfig(arity_n=17, master_seed=0)
+        encrypt(random_images(MAX_ARITY + 1, 2, 2, seed=0), 0)
+
+
+def test_encrypt_reduces_seed_mod_2_64():
+    secrets = random_images(2, 16, 16, seed=8)
+    base = encrypt(secrets, 12345)
+    assert encrypt(secrets, 12345 + 2**64) == base
+    assert encrypt(secrets, 12345 - 2**64) == base
 
 
 def test_share_set_validates_consistency():
     img = make_fixture("random", 4, 4, seed=0)
+    with pytest.raises(ShapeMismatchError):
+        ShareSet(img, (img, make_fixture("random", 5, 4, seed=0)))
     with pytest.raises(ConfigError):
-        ShareSet(2, img, (img,), 4, 4)
+        ShareSet(img, ())
     with pytest.raises(ConfigError):
-        ShareSet(1, img, (make_fixture("random", 5, 4, seed=0),), 4, 4)
+        ShareSet(img, (img,) * (MAX_ARITY + 1))
+
+
+def test_share_set_size_comes_from_the_images():
+    img = make_fixture("random", 5, 3, seed=0)
+    share_set = ShareSet(img, [img, img])
+    assert (share_set.width, share_set.height) == (5, 3)
+    assert share_set.shares == (img, img)
+    assert [f.name for f in dataclasses.fields(ShareSet)] == ["unishare", "shares"]
 
 
 # ----------------------------------------------------------- classical oracle
@@ -238,17 +249,17 @@ def test_classical_encrypt_identity_and_complement_masks():
 
 def test_classical_encrypt_matches_circuit_encrypt():
     secrets = random_images(2, 32, 32, seed=14)
-    share_set = encrypt(secrets, SchemeConfig(arity_n=2, master_seed=99))
+    share_set = encrypt(secrets, 99)
     assert classical_encrypt(secrets, share_set.unishare) == list(share_set.shares)
 
 
 # ------------------------------------------------------------------- decode
 
 def test_decode_pixel_truth_table_both_paths():
+    # decode_pixel has one path, the receiver CNOT circuit; it must equal XOR.
     for u in (0, 1):
         for s in (0, 1):
             assert decode_pixel(u, s) == u ^ s
-            assert decode_pixel(u, s, use_circuit=True) == u ^ s
 
 
 def test_decode_pixel_branch_table():
@@ -265,14 +276,14 @@ def test_decode_pixel_rejects_non_bits():
 
 
 def test_decrypt_with_unishare_itself_gives_zeros():
-    share_set = encrypt(random_images(1, 8, 8, seed=5), SchemeConfig(arity_n=1, master_seed=6))
+    share_set = encrypt(random_images(1, 8, 8, seed=5), 6)
     u = share_set.unishare
     assert decrypt(u, u) == make_fixture("all_zero", 8, 8)
 
 
 def test_decrypt_wrong_unishare_yields_noise():
     secrets = random_images(1, 64, 64, seed=30)
-    share_set = encrypt(secrets, SchemeConfig(arity_n=1, master_seed=31))
+    share_set = encrypt(secrets, 31)
     wrong = make_fixture("random", 64, 64, seed=999)
     garbage = decrypt(wrong, share_set.shares[0])
     mismatch = float(np.mean(garbage.bits != secrets[0].bits))
@@ -280,19 +291,18 @@ def test_decrypt_wrong_unishare_yields_noise():
 
 
 def test_decrypt_shape_mismatch():
-    share_set = encrypt(random_images(1, 8, 8, seed=1), SchemeConfig(arity_n=1, master_seed=1))
+    share_set = encrypt(random_images(1, 8, 8, seed=1), 1)
     with pytest.raises(ShapeMismatchError):
         decrypt(make_fixture("random", 9, 8, seed=1), share_set.shares[0])
 
 
 def test_decrypt_all_preserves_order_and_reduces_to_random_grid():
     secrets = random_images(4, 16, 16, seed=50)
-    config = SchemeConfig(arity_n=4, master_seed=51)
-    recovered = decrypt_all(encrypt(secrets, config))
+    recovered = decrypt_all(encrypt(secrets, 51))
     assert recovered == secrets
 
     single = [secrets[0]]
-    pair = encrypt(single, SchemeConfig(arity_n=1, master_seed=52))
+    pair = encrypt(single, 52)
     assert (pair.unishare ^ pair.shares[0]) == secrets[0]
     assert decrypt_all(pair) == single
 
@@ -304,7 +314,7 @@ def test_unishare_and_share_uniformity():
         make_fixture("all_one", 256, 256),   # extreme, non-random content
         make_fixture("text_glyphs", 256, 256),
     ]
-    share_set = encrypt(secrets, SchemeConfig(arity_n=2, master_seed=60))
+    share_set = encrypt(secrets, 60)
     bound = 4.0 * 0.5 / 256.0
     assert abs(share_set.unishare.ones_fraction() - 0.5) <= bound
     for share in share_set.shares:
@@ -315,7 +325,6 @@ def test_unishare_and_share_uniformity():
 @given(seed=st.integers(0, 2**64 - 1))
 def test_round_trip_and_pairwise_xor_property(seed):
     secrets = random_images(2, 12, 12, seed=seed % (2**32))
-    config = SchemeConfig(arity_n=2, master_seed=seed)
-    share_set = encrypt(secrets, config)
+    share_set = encrypt(secrets, seed)
     assert decrypt_all(share_set) == secrets
     assert (share_set.shares[0] ^ share_set.shares[1]) == (secrets[0] ^ secrets[1])

@@ -1,0 +1,31 @@
+"""Smoke tests: each script in scripts/ runs to completion on small inputs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+
+
+def test_benchmark_encrypt_runs():
+    proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1", "2",
+                      "--threads", "1", "2", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["size", "arity", "threads", "seconds", "Mpixel/s"]
+    assert len(lines) == 1 + 2 * 2
+
+
+def test_run_security_sweep_runs():
+    proc = run_script("run_security_sweep.py", "--runs", "2", "--size", "32")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("sweep: 2 runs at 32x32")
+    assert proc.stdout.splitlines()[-1].endswith("of 2 runs outside the uniformity bound")
