@@ -9,7 +9,7 @@ manifest.json is renamed last.  manifest.json records
 `{"seed", "arity", "width", "height", "files": {name: sha256-hex}}`.
 
 Exit codes: 0 success, 1 selftest property failure, 2 I/O or parse
-failure, 3 image dimension mismatch.
+failure (a closed stdout included), 3 image dimension mismatch.
 """
 from __future__ import annotations
 
@@ -110,16 +110,51 @@ def _write_outputs(out_dir: str, artifacts: dict[str, bytes]) -> None:
         raise _Failure(EXIT_IO, f"{out_dir}: {exc}")
 
 
-def _manifest_bytes(seed: int, arity: int, width: int, height: int,
-                    digests: dict[str, str]) -> bytes:
-    manifest = {
-        "seed": seed,
-        "arity": arity,
-        "width": width,
-        "height": height,
-        "files": dict(sorted(digests.items())),
-    }
-    return (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("ascii")
+def _publish(out_dir: str, images: dict[str, BinaryImage], fmt: str,
+             extra: dict[str, bytes] | None = None, manifest: dict | None = None) -> list[str]:
+    """Write `images` as `fmt` PBM files, then the `extra` payloads, to out_dir.
+
+    With a `manifest`, also write manifest.json: its fields plus the
+    SHA-256 of every file.  Returns the file names in write order.
+    """
+    variant = PbmVariant(fmt)
+    artifacts = {name: write_pbm(image, variant) for name, image in images.items()}
+    artifacts.update(extra or {})
+    if manifest is not None:
+        files = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
+        text = json.dumps({**manifest, "files": files}, indent=2, sort_keys=True) + "\n"
+        artifacts["manifest.json"] = text.encode("ascii")
+    _write_outputs(out_dir, artifacts)
+    return list(artifacts)
+
+
+def _print_written(args, names: list[str], **fields) -> None:
+    if args.json:
+        print(json.dumps({**fields, "out_dir": args.out_dir, "files": sorted(names)}))
+        return
+    for key, value in fields.items():
+        print(f"{key}: {value}")
+    for name in names:
+        print(f"wrote {Path(args.out_dir) / name}")
+
+
+def _numbered(pattern: str, images) -> dict[str, BinaryImage]:
+    return {pattern.format(i): image for i, image in enumerate(images, start=1)}
+
+
+def _share_files(share_set: scheme.ShareSet) -> dict[str, BinaryImage]:
+    """The images `encrypt` writes: U.pbm, then S1.pbm .. Sn.pbm."""
+    return {"U.pbm": share_set.unishare, **_numbered("S{}.pbm", share_set.shares)}
+
+
+def _recovered_files(unishare: BinaryImage, shares) -> dict[str, BinaryImage]:
+    """The images `decrypt` writes: G1_rec.pbm .. Gn_rec.pbm."""
+    return _numbered("G{}_rec.pbm", [decrypt(unishare, share) for share in shares])
+
+
+def _run_manifest(seed: int, share_set: scheme.ShareSet) -> dict:
+    return {"seed": seed, "arity": len(share_set.shares),
+            "width": share_set.width, "height": share_set.height}
 
 
 def _thread_count(text: str) -> int:
@@ -140,49 +175,20 @@ def _demo_size(text: str) -> int:
     return value
 
 
-def _variant(name: str) -> PbmVariant:
-    return PbmVariant.P1_ASCII if name == "p1" else PbmVariant.P4_PACKED
-
-
 def cmd_encrypt(args) -> int:
     seed = _resolve_seed(args.seed)
     secrets = _load_matching_images(args.secrets)
     share_set = encrypt(secrets, seed, threads=args.threads)
-
-    variant = _variant(args.format)
-    artifacts = {"U.pbm": write_pbm(share_set.unishare, variant)}
-    for i, share in enumerate(share_set.shares, start=1):
-        artifacts[f"S{i}.pbm"] = write_pbm(share, variant)
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
-    artifacts["manifest.json"] = _manifest_bytes(
-        seed, len(secrets), share_set.width, share_set.height, digests
-    )
-    _write_outputs(args.out_dir, artifacts)
-
-    if args.json:
-        print(json.dumps({"seed": seed, "out_dir": args.out_dir, "files": sorted(artifacts)}))
-    else:
-        print(f"seed: {seed}")
-        for name in artifacts:
-            print(f"wrote {Path(args.out_dir) / name}")
+    names = _publish(args.out_dir, _share_files(share_set), args.format,
+                     manifest=_run_manifest(seed, share_set))
+    _print_written(args, names, seed=seed)
     return EXIT_OK
 
 
 def cmd_decrypt(args) -> int:
-    images = _load_matching_images([args.unishare, *args.shares])
-    unishare, shares = images[0], images[1:]
-
-    variant = _variant(args.format)
-    artifacts = {}
-    for i, share in enumerate(shares, start=1):
-        artifacts[f"G{i}_rec.pbm"] = write_pbm(decrypt(unishare, share), variant)
-    _write_outputs(args.out_dir, artifacts)
-
-    if args.json:
-        print(json.dumps({"out_dir": args.out_dir, "files": sorted(artifacts)}))
-    else:
-        for name in artifacts:
-            print(f"wrote {Path(args.out_dir) / name}")
+    unishare, *shares = _load_matching_images([args.unishare, *args.shares])
+    names = _publish(args.out_dir, _recovered_files(unishare, shares), args.format)
+    _print_written(args, names)
     return EXIT_OK
 
 
@@ -191,23 +197,27 @@ def _pair_entry(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage) -> dic
     return {"a": name_a, "b": name_b, **metrics.report(a, b).to_dict()}
 
 
+def _pair_grid(secrets: list[tuple[str, BinaryImage]], shares: list[tuple[str, BinaryImage]],
+               unishare: tuple[str, BinaryImage] | None) -> list[dict]:
+    """Every secret x share pair, then, with a UniShare, every secret and share against it."""
+    entries = [_pair_entry(gn, g, sn, s) for gn, g in secrets for sn, s in shares]
+    if unishare is not None:
+        entries += [_pair_entry(name, image, *unishare) for name, image in [*secrets, *shares]]
+    return entries
+
+
 def cmd_metrics(args) -> int:
     if args.pairs:
-        if not args.secrets or not args.shares:
-            raise _Failure(EXIT_IO, "--pairs needs --secrets and --shares")
+        if args.images or not args.secrets or not args.shares:
+            raise _Failure(EXIT_IO, "--pairs needs --secrets and --shares, not positional images")
         secrets = [(p, _load_image(p)) for p in args.secrets]
         shares = [(p, _load_image(p)) for p in args.shares]
         unishare = (args.unishare, _load_image(args.unishare)) if args.unishare else None
-        entries = [
-            _pair_entry(gn, g, sn, s) for gn, g in secrets for sn, s in shares
-        ]
-        if unishare is not None:
-            un, u = unishare
-            entries += [_pair_entry(gn, g, un, u) for gn, g in secrets]
-            entries += [_pair_entry(sn, s, un, u) for sn, s in shares]
-        print(json.dumps(entries, indent=2))
+        print(json.dumps(_pair_grid(secrets, shares, unishare), indent=2))
         return EXIT_OK
 
+    if args.secrets or args.shares or args.unishare:
+        raise _Failure(EXIT_IO, "--secrets, --shares and --unishare need --pairs")
     if len(args.images) != 2:
         raise _Failure(EXIT_IO, "metrics needs exactly two images (or --pairs)")
     name_a, name_b = args.images
@@ -218,46 +228,27 @@ def cmd_metrics(args) -> int:
 
 
 def _format_metric(value) -> str:
-    if value is None:
-        return "     n/a"
-    if isinstance(value, float) and math.isinf(value):
-        return "     inf"
+    """An 8-wide table cell for a report value: None is n/a, and PSNR may be "inf"."""
+    if value is None or value == "inf":
+        return f"{value or 'n/a':>8}"
     return f"{value:8.4f}"
 
 
 def cmd_demo(args) -> int:
     seed = _resolve_seed(args.seed)
-    size = args.size
-    g1 = make_fixture("text_glyphs", size, size)
-    g2 = make_fixture("checkerboard", size, size)
+    fixtures = [make_fixture(k, args.size, args.size) for k in ("text_glyphs", "checkerboard")]
+    share_set = encrypt(fixtures, seed, threads=args.threads)
+    secrets = _numbered("G{}.pbm", fixtures)
+    share_files = _share_files(share_set)
+    recovered = _recovered_files(share_set.unishare, share_set.shares)
 
-    share_set = encrypt([g1, g2], seed, threads=args.threads)
-    recovered = decrypt_all(share_set)
-
-    named = {
-        "G1.pbm": g1,
-        "G2.pbm": g2,
-        "U.pbm": share_set.unishare,
-        "S1.pbm": share_set.shares[0],
-        "S2.pbm": share_set.shares[1],
-        "G1_rec.pbm": recovered[0],
-        "G2_rec.pbm": recovered[1],
-    }
-    pairs = [
-        ("G1.pbm", "G1_rec.pbm"), ("G2.pbm", "G2_rec.pbm"),
-        ("G1.pbm", "S1.pbm"), ("G1.pbm", "S2.pbm"),
-        ("G2.pbm", "S1.pbm"), ("G2.pbm", "S2.pbm"),
-        ("G1.pbm", "U.pbm"), ("G2.pbm", "U.pbm"),
-        ("S1.pbm", "U.pbm"), ("S2.pbm", "U.pbm"),
-    ]
-    entries = [_pair_entry(a, named[a], b, named[b]) for a, b in pairs]
-
-    variant = _variant(args.format)
-    artifacts = {name: write_pbm(img, variant) for name, img in named.items()}
-    artifacts["metrics_pairs.json"] = (json.dumps(entries, indent=2) + "\n").encode("ascii")
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
-    artifacts["manifest.json"] = _manifest_bytes(seed, 2, size, size, digests)
-    _write_outputs(args.out_dir, artifacts)
+    unishare, *shares = share_files.items()
+    entries = [_pair_entry(*g, *r) for g, r in zip(secrets.items(), recovered.items())]
+    entries += _pair_grid(list(secrets.items()), shares, unishare)
+    pairs_json = (json.dumps(entries, indent=2) + "\n").encode("ascii")
+    artifacts = _publish(args.out_dir, {**secrets, **share_files, **recovered}, args.format,
+                         extra={"metrics_pairs.json": pairs_json},
+                         manifest=_run_manifest(seed, share_set))
 
     if args.json:
         print(json.dumps({"seed": seed, "out_dir": args.out_dir, "pairs": entries}))
@@ -270,11 +261,9 @@ def cmd_demo(args) -> int:
     print("-" * len(header))
     for entry in entries:
         label = f"{entry['a'][:-4]} vs {entry['b'][:-4]}"
-        psnr_db = math.inf if entry["psnr_db"] == "inf" else entry["psnr_db"]
-        print(
-            f"{label:<24} {_format_metric(psnr_db)} {_format_metric(entry['ssim'])}"
-            f" {_format_metric(entry['correlation'])} {_format_metric(entry['mismatch_fraction'])}"
-        )
+        cells = [_format_metric(entry[key])
+                 for key in ("psnr_db", "ssim", "correlation", "mismatch_fraction")]
+        print(f"{label:<24} {' '.join(cells)}")
     return EXIT_OK
 
 
@@ -367,9 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_default: str):
+    def add_encoding(p):
         p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
                        help="64-bit master seed (default: QVMSS_SEED or OS entropy)")
+        p.add_argument("--threads", type=_thread_count, default=1,
+                       help="worker threads for pixel encoding (capped at the CPU count)")
+
+    def add_common(p, out_default: str):
         p.add_argument("-o", "--out-dir", default=out_default, help="output directory")
         p.add_argument("--format", choices=["p1", "p4"], default="p4",
                        help="PBM variant for written images")
@@ -377,9 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enc = sub.add_parser("encrypt", help="encrypt n secrets into U.pbm and S1..Sn.pbm")
     p_enc.add_argument("secrets", nargs="+", help="secret images (PBM)")
+    add_encoding(p_enc)
     add_common(p_enc, ".")
-    p_enc.add_argument("--threads", type=_thread_count, default=1,
-                       help="worker threads for pixel encoding (capped at the CPU count)")
     p_enc.set_defaults(handler=cmd_encrypt)
 
     p_dec = sub.add_parser("decrypt", help="recover secrets from the UniShare plus shares")
@@ -398,11 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.set_defaults(handler=cmd_metrics)
 
     p_demo = sub.add_parser("demo", help="end-to-end pipeline on built-in fixtures")
+    add_encoding(p_demo)
     add_common(p_demo, "qvmss_demo")
     p_demo.add_argument("--size", type=_demo_size, default=512,
                         help="fixture edge length in pixels")
-    p_demo.add_argument("--threads", type=_thread_count, default=1,
-                        help="worker threads for pixel encoding (capped at the CPU count)")
     p_demo.set_defaults(handler=cmd_demo)
 
     p_self = sub.add_parser("selftest", help="run the scheme property suite")
@@ -418,7 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nobody reads stdout; send what is still buffered to devnull so the
+        # interpreter's exit-time flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except _Failure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

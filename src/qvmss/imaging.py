@@ -7,6 +7,7 @@ canonical output format).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -19,6 +20,15 @@ MAX_DIMENSION = 1 << 20
 MAX_PIXELS = 1 << 26
 
 _WHITESPACE = frozenset(b" \t\n\r\v\f")
+# Whitespace and `#` comments (to the line end) may sit between header tokens.
+_HEADER_FILLER = re.compile(rb"(?:[ \t\n\r\v\f]|#[^\n\r]*)*")
+_DIGITS = re.compile(rb"[0-9]*")
+
+# What each byte of a P1 raster is once its comments are blanked.
+_FILLER, _DIGIT, _STRAY = 0, 1, 2
+_P1_BYTE_KIND = np.full(256, _STRAY, dtype=np.uint8)
+_P1_BYTE_KIND[list(_WHITESPACE)] = _FILLER
+_P1_BYTE_KIND[list(b"01")] = _DIGIT
 
 
 class ShapeMismatchError(ValueError):
@@ -97,27 +107,12 @@ def require_same_shape(a: BinaryImage, b: BinaryImage) -> None:
         )
 
 
-def _skip_header_filler(data: bytes, pos: int) -> int:
-    """Advance past whitespace and # comments between header tokens."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    return pos
-
 def _read_dimension(data: bytes, pos: int, name: str) -> tuple[int, int]:
-    pos = _skip_header_filler(data, pos)
+    pos = _HEADER_FILLER.match(data, pos).end()
     if pos >= len(data):
         raise PbmParseError(f"unexpected end of input while reading {name}", pos)
     start = pos
-    while pos < len(data) and 0x30 <= data[pos] <= 0x39:
-        pos += 1
+    pos = _DIGITS.match(data, pos).end()
     if pos == start:
         raise PbmParseError(f"expected decimal {name}", start)
     digits = data[start:pos].lstrip(b"0")
@@ -163,27 +158,32 @@ def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:
             f"raster truncated: need at least {count} bytes, have {len(data) - pos}",
             len(data),
         )
-    bits = np.empty(count, dtype=np.uint8)
-    filled = 0
-    n = len(data)
-    while filled < count:
-        if pos >= n:
-            raise PbmParseError(
-                f"raster ended after {filled} of {count} pixels", pos
-            )
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#'
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        elif c in (0x30, 0x31):
-            bits[filled] = c - 0x30
-            filled += 1
-            pos += 1
-        else:
-            raise PbmParseError(f"unexpected raster byte {chr(c)!r}", pos)
-    return bits
+    raw = np.frombuffer(data, dtype=np.uint8, offset=pos)
+    if data.find(b"#", pos) >= 0:
+        raw = _blank_comments(raw)
+    kind = _P1_BYTE_KIND[raw]
+    is_digit = kind == _DIGIT
+    stray = int(kind.argmax())  # _STRAY is the largest kind: the first stray byte, if any
+    # Parsing stops at the count-th digit, so only a stray byte before it is an error.
+    if kind[stray] == _STRAY and np.count_nonzero(is_digit[:stray]) < count:
+        raise PbmParseError(f"unexpected raster byte {chr(raw[stray])!r}", pos + stray)
+    digits = raw[is_digit]
+    if digits.size < count:
+        raise PbmParseError(f"raster ended after {digits.size} of {count} pixels", len(data))
+    return digits[:count] - 0x30
+
+
+def _blank_comments(raw: np.ndarray) -> np.ndarray:
+    """Copy of `raw` with each `#` comment, up to its line end, turned into spaces."""
+    marks = np.flatnonzero((raw == 0x23) | (raw == 0x0A) | (raw == 0x0D))
+    is_hash = raw[marks] == 0x23
+    after_hash = np.concatenate(([False], is_hash[:-1]))
+    # A comment opens at a '#' not already inside one, and closes at the next line end.
+    edges = np.zeros(raw.size, dtype=np.int8)
+    edges[marks[is_hash & ~after_hash]] = 1
+    edges[marks[~is_hash & after_hash]] = -1
+    in_comment = np.cumsum(edges, dtype=np.int8).astype(bool)
+    return np.where(in_comment, np.uint8(0x20), raw)
 
 
 def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarray:

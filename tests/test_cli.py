@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qvmss
 from qvmss.cli import main
 from qvmss.imaging import make_fixture, read_pbm, write_pbm
 
@@ -168,6 +171,14 @@ def test_decrypt_single_share_recovers_single_secret(tmp_path, secret_files):
     assert read_pbm((rec / "G1_rec.pbm").read_bytes()) == read_pbm(secret_files[1].read_bytes())
 
 
+def test_decrypt_has_no_seed_flag(tmp_path, secret_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decrypt", "--seed", "1", "-u", str(secret_files[0]), str(secret_files[1]),
+              "-o", str(tmp_path / "rec")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "rec").exists()
+
+
 def test_decrypt_wrong_size_unishare_exits_3(tmp_path, secret_files, capsys):
     out = tmp_path / "out"
     assert main(["encrypt", "--seed", "9", *map(str, secret_files), "-o", str(out)]) == 0
@@ -232,6 +243,14 @@ def test_metrics_pairs_needs_inputs(capsys):
     assert main(["metrics", "--pairs"]) == 2
 
 
+@pytest.mark.parametrize("mode", ["pairs", "unishare"])
+def test_metrics_rejects_mixed_modes(secret_files, capsys, mode):
+    g1, g2 = map(str, secret_files)
+    extra = ["--pairs", "--secrets", g1, "--shares", g2] if mode == "pairs" else ["--unishare", g2]
+    assert main(["metrics", g1, g2, *extra]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # --------------------------------------------------------------------- demo
 
 def test_demo_round_trip_and_artifacts(tmp_path, capsys):
@@ -259,6 +278,16 @@ def test_demo_deterministic_across_runs_and_threads(tmp_path):
                      "--threads", threads, "-o", str(out)]) == 0
         trees.append(read_tree(out))
     assert trees[0] == trees[1] == trees[2]
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("p4", "9c614406240f32860ddba5c657d5fd4b3dd0eb7482c8f5c0debcb13bc3b6a7c6"),
+    ("p1", "5846310339fee8ee686e615b1b7cd059f4d8bbb6770149c1ebc0dfd9e188cb90"),
+])
+def test_demo_manifest_golden(tmp_path, fmt, digest):
+    out = tmp_path / "demo"
+    assert main(["demo", "--seed", "7", "--size", "64", "--format", fmt, "-o", str(out)]) == 0
+    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command", ["encrypt", "demo"])
@@ -328,13 +357,28 @@ def test_selftest_json_mode(capsys):
 
 # ----------------------------------------------------------- console script
 
+def run_cli(*args, **kwargs):
+    """`python -m qvmss.cli ARGS` in a child that imports this same package."""
+    src = str(Path(qvmss.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "qvmss.cli", *args], text=True, env=env, **kwargs)
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_cli("selftest", "--seed", "1", stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
 def test_module_entry_point_runs(tmp_path, secret_files):
     out = tmp_path / "out"
-    proc = subprocess.run(
-        [sys.executable, "-m", "qvmss.cli", "encrypt", "--seed", "2",
-         str(secret_files[0]), "-o", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = run_cli("encrypt", "--seed", "2", str(secret_files[0]), "-o", str(out),
+                   capture_output=True)
     assert proc.returncode == 0
     assert "seed: 2" in proc.stdout
     assert (out / "manifest.json").exists()

@@ -188,6 +188,82 @@ def test_read_p1_rejects_stray_raster_bytes():
         read_pbm(b"P1\n2 2\n0 1\n1 7\n")
 
 
+def test_read_p1_comment_in_raster_hides_rest_of_line():
+    assert read_pbm(b"P1\n2 1\n1 #0 0\n0") == BinaryImage(2, 1, [1, 0])
+
+
+def test_read_p1_ignores_bytes_after_last_pixel():
+    assert read_pbm(b"P1\n1 1\n1 garbage") == BinaryImage(1, 1, [1])
+
+
+def test_read_p1_stray_byte_after_comment_reports_its_offset():
+    data = b"P1\n2 1\n1 # 0 #\nx0"
+    with pytest.raises(PbmParseError, match="unexpected raster byte 'x'") as excinfo:
+        read_pbm(data)
+    assert excinfo.value.offset == data.index(b"x")
+
+
+def test_read_p1_comment_at_end_of_data_reports_pixels_read():
+    data = b"P1\n3 1\n1 0 # and no third pixel"
+    with pytest.raises(PbmParseError, match="raster ended after 2 of 3 pixels") as excinfo:
+        read_pbm(data)
+    assert excinfo.value.offset == len(data)
+
+
+def _reference_p1_raster(data, pos, count):
+    """The byte-at-a-time P1 raster parser: the bits, or the (message, offset) it raises."""
+    if len(data) - pos < count:
+        return f"raster truncated: need at least {count} bytes, have {len(data) - pos}", len(data)
+    bits = []
+    while len(bits) < count:
+        if pos >= len(data):
+            return f"raster ended after {len(bits)} of {count} pixels", pos
+        c = data[pos]
+        if c == 0x23:  # '#'
+            while pos < len(data) and data[pos] not in b"\n\r":
+                pos += 1
+        elif c in b"01":
+            bits.append(c - 0x30)
+            pos += 1
+        elif c in b" \t\n\r\v\f":
+            pos += 1
+        else:
+            return f"unexpected raster byte {chr(c)!r}", pos
+    return bits
+
+
+@settings(max_examples=300)
+@given(width=st.integers(1, 6), height=st.integers(1, 3), raster=st.lists(
+    st.sampled_from([b"0", b"1", b" ", b"\n", b"\r", b"\t", b"#", b"# 1 #", b"x", b"\xff"]),
+    max_size=40,
+).map(b"".join))
+def test_read_p1_matches_byte_loop_reference(width, height, raster):
+    header = f"P1\n{width} {height}".encode()
+    data = header + b"\n" + raster
+    expected = _reference_p1_raster(data, len(header), width * height)
+    try:
+        got = read_pbm(data).bits.tolist()
+    except PbmParseError as exc:
+        got = (str(exc), exc.offset)
+        expected = (f"{expected[0]} (byte offset {expected[1]})", expected[1])
+    assert got == expected
+
+
+_p1_filler = st.lists(st.one_of(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\v", b"\f"]),
+    st.builds(lambda text, eol: b"#" + text.translate(None, b"\n\r") + eol,
+              st.binary(max_size=8), st.sampled_from([b"\n", b"\r"])),
+)).map(b"".join)
+
+
+@settings(max_examples=100)
+@given(img=image_strategy(max_side=8), data=st.data())
+def test_read_p1_with_random_filler_between_digits(img, data):
+    raster = b"".join(data.draw(_p1_filler) + bytes([0x30 + bit]) for bit in img.bits)
+    text = f"P1\n{img.width} {img.height}\n".encode() + raster + data.draw(_p1_filler)
+    assert read_pbm(text) == img
+
+
 # -------------------------------------------------------------- PBM writing
 
 def test_write_p1_minimal_file():
