@@ -2,25 +2,42 @@
 """Benchmark the batch encryption engine behind `encrypt`.
 
 Times `encrypt` across image sizes, arities, and thread counts, and verifies
-each run round-trips before reporting it.  Useful for checking the desk-scale
-performance target (512x512, n=2, single thread, well under 10 s).
+each run round-trips before reporting it.  `floor_x` is the engine's time over
+its floor: one `rng.unit_array` draw over every pixel plus the XOR oracle
+`classical_encrypt`, timed in one thread on the same inputs.
 """
 import argparse
 import time
 
+import numpy as np
+
+from qvmss import rng
 from qvmss.imaging import make_fixture
-from qvmss.scheme import decrypt_all, encrypt
+from qvmss.scheme import classical_encrypt, decrypt_all, encrypt
 
 
-def run_case(size, arity, threads, seed, repeats):
-    secrets = [make_fixture("random", size, size, seed=seed + i) for i in range(arity)]
+def best_of(repeats, fn):
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        share_set = encrypt(secrets, seed, threads=threads)
+        fn()
         best = min(best, time.perf_counter() - started)
-    assert decrypt_all(share_set) == secrets, "round trip failed"
     return best
+
+
+def run_case(size, arity, threads, seed, repeats):
+    """Best encrypt time and best floor time, in seconds."""
+    secrets = [make_fixture("random", size, size, seed=seed + i) for i in range(arity)]
+    share_set = encrypt(secrets, seed, threads=threads)
+    assert decrypt_all(share_set) == secrets, "round trip failed"
+    seconds = best_of(repeats, lambda: encrypt(secrets, seed, threads=threads))
+    streams = np.arange(size * size, dtype=np.uint64)
+
+    def floor():
+        rng.unit_array(seed, streams, 0)
+        classical_encrypt(secrets, share_set.unishare)
+
+    return seconds, best_of(repeats, floor)
 
 
 def main():
@@ -32,13 +49,14 @@ def main():
     parser.add_argument("--repeats", type=int, default=3, help="keep the best of N runs")
     args = parser.parse_args()
 
-    print(f"{'size':>6} {'arity':>5} {'threads':>7} {'seconds':>9} {'Mpixel/s':>9}")
+    print(f"{'size':>6} {'arity':>5} {'threads':>7} {'seconds':>9} {'Mpixel/s':>9} {'floor_x':>7}")
     for size in args.sizes:
         for arity in args.arities:
             for threads in args.threads:
-                seconds = run_case(size, arity, threads, args.seed, args.repeats)
+                seconds, floor = run_case(size, arity, threads, args.seed, args.repeats)
                 rate = size * size / seconds / 1e6
-                print(f"{size:>6} {arity:>5} {threads:>7} {seconds:>9.3f} {rate:>9.2f}")
+                print(f"{size:>6} {arity:>5} {threads:>7} {seconds:>9.3f} {rate:>9.2f}"
+                      f" {seconds / floor:>7.2f}")
 
 
 if __name__ == "__main__":

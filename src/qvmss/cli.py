@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--seed", type=lambda s: int(s, 0), default=None)
     p_self.add_argument("--inject-fault", action="store_true",
                         help="flip one share bit to exercise the failure path")
-    p_self.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
+    p_self.add_argument("--json", action="store_true", help="machine-readable output")
     p_self.set_defaults(handler=cmd_selftest)
 
     return parser

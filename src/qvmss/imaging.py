@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +17,10 @@ from . import rng
 
 MAX_DIMENSION = 1 << 20
 MAX_PIXELS = 1 << 26
+# The random fixture draws from streams with the top bit set.  `encrypt` keys
+# pixel p to stream p < MAX_PIXELS, so a fixture never reuses a draw that
+# `encrypt` makes under the same seed.
+_FIXTURE_STREAMS = np.uint64(1 << 63)
 
 _WHITESPACE = frozenset(b" \t\n\r\v\f")
 # Whitespace and `#` comments (to the line end) may sit between header tokens.
@@ -29,6 +32,8 @@ _FILLER, _DIGIT, _STRAY = 0, 1, 2
 _P1_BYTE_KIND = np.full(256, _STRAY, dtype=np.uint8)
 _P1_BYTE_KIND[list(_WHITESPACE)] = _FILLER
 _P1_BYTE_KIND[list(b"01")] = _DIGIT
+# Bytes of a P1 raster scanned per step when blanking comments.
+_COMMENT_CHUNK = 1 << 16
 
 
 class ShapeMismatchError(ValueError):
@@ -82,22 +87,12 @@ class BinaryImage:
         require_same_shape(self, other)
         return BinaryImage(self.width, self.height, self.bits ^ other.bits)
 
-    def complement(self) -> "BinaryImage":
-        return BinaryImage(self.width, self.height, self.bits ^ 1)
-
     def ones_fraction(self) -> float:
         return float(self.bits.mean())
 
     def as_grid(self) -> np.ndarray:
         """(height, width) view of the bits."""
         return self.bits.reshape(self.height, self.width)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BinaryImage":
-        grid = np.asarray(rows, dtype=np.uint8)
-        if grid.ndim != 2:
-            raise ValueError("from_rows expects a 2-D row layout")
-        return cls(grid.shape[1], grid.shape[0], grid.reshape(-1))
 
 
 def require_same_shape(a: BinaryImage, b: BinaryImage) -> None:
@@ -175,15 +170,23 @@ def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:
 
 def _blank_comments(raw: np.ndarray) -> np.ndarray:
     """Copy of `raw` with each `#` comment, up to its line end, turned into spaces."""
-    marks = np.flatnonzero((raw == 0x23) | (raw == 0x0A) | (raw == 0x0D))
-    is_hash = raw[marks] == 0x23
-    after_hash = np.concatenate(([False], is_hash[:-1]))
-    # A comment opens at a '#' not already inside one, and closes at the next line end.
-    edges = np.zeros(raw.size, dtype=np.int8)
-    edges[marks[is_hash & ~after_hash]] = 1
-    edges[marks[~is_hash & after_hash]] = -1
-    in_comment = np.cumsum(edges, dtype=np.int8).astype(bool)
-    return np.where(in_comment, np.uint8(0x20), raw)
+    out = raw.copy()
+    in_comment = False  # whether a comment runs on from the previous chunk
+    # Chunks bound the int64 mark indices to a fixed size, however many comments there are.
+    for lo in range(0, out.size, _COMMENT_CHUNK):
+        chunk = out[lo:lo + _COMMENT_CHUNK]
+        marks = np.flatnonzero((chunk == 0x23) | (chunk == 0x0A) | (chunk == 0x0D))
+        is_hash = chunk[marks] == 0x23
+        after_hash = np.concatenate(([in_comment], is_hash[:-1]))
+        # A comment opens at a '#' not already inside one, and closes at the next line end.
+        edges = np.zeros(chunk.size, dtype=np.int8)
+        edges[marks[is_hash & ~after_hash]] = 1
+        edges[marks[~is_hash & after_hash]] = -1
+        edges[0] += in_comment  # a comment carried over starts the count at 1
+        blank = np.cumsum(edges, dtype=np.int8).astype(bool)
+        in_comment = bool(blank[-1])
+        chunk[blank] = 0x20
+    return out
 
 
 def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
@@ -250,7 +253,8 @@ def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryIma
         y, x = np.indices((height, width), dtype=np.uint32)
         bits = ((x + y) & 1).astype(np.uint8).reshape(-1)
     elif kind == "random":
-        draws = rng.u64_array(seed, np.arange(width * height, dtype=np.uint64), 0)
+        streams = np.arange(width * height, dtype=np.uint64) | _FIXTURE_STREAMS
+        draws = rng.u64_array(seed, streams, 0)
         bits = (draws >> np.uint64(63)).astype(np.uint8)
     elif kind == "text_glyphs":
         tile = _text_tile()

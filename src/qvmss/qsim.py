@@ -12,7 +12,8 @@ Conventions used throughout the package:
   single-use.  It takes states of at most two nonzero amplitudes, which is
   all an H/CNOT circuit on a basis state can produce.
 
-Registers are capped at 24 qubits (the statevector has 2^k amplitudes).
+Registers are capped at MAX_QUBITS = 17, the widest the package builds: the
+UniShare qubit plus 16 secret qubits (the statevector has 2^k amplitudes).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .rng import RngStream
 
-MAX_QUBITS = 24
+MAX_QUBITS = 17
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

@@ -10,10 +10,12 @@ runs the receiver-side CNOT circuit, as the per-pixel reference.
 
 The circuit is Clifford on a basis state, so its state never has more
 than two nonzero amplitudes.  `encrypt` therefore runs the same
-`encoding_circuit` program on a sparse batch engine that keeps each
-pixel's support as two (basis index, amplitude) arrays, in blocks of
-pixels, instead of looping the dense reference `encode_pixel`; both draw
-the same per-pixel random variate and are bit-identical.
+`encoding_circuit` program on a bit-plane batch engine instead of looping
+the dense reference `encode_pixel`: one bit plane per qubit over a block
+of pixels, where the secret images are the X layer and CNOT is a plane
+XOR.  The H splits the state into two branches that differ in a set of
+qubits shared by every pixel, so the measured planes are the shares.
+Both routes draw the same per-pixel random variate and are bit-identical.
 `classical_encrypt` is the plain XOR oracle kept separate for
 cross-checking the circuit route.
 """
@@ -30,6 +32,7 @@ from . import rng
 from .imaging import BinaryImage, require_same_shape
 from .qsim import (
     INV_SQRT2,
+    MAX_QUBITS,
     NORM_TOLERANCE,
     GateKind,
     GateOp,
@@ -43,7 +46,8 @@ from .qsim import (
     pauli_x,
 )
 
-MAX_ARITY = 16
+# One qubit per secret plus the UniShare qubit.
+MAX_ARITY = MAX_QUBITS - 1
 
 # Pixels per engine block: bounds the scratch arrays and is the unit of thread work.
 _BLOCK_PIXELS = 1 << 16
@@ -141,64 +145,52 @@ def decode_pixel(u: int, s_k: int) -> int:
     return int(measure_all(state, rng.RngStream(0, 0))[1])
 
 
-def _run_sparse(
-    program: Sequence[GateOp], num_qubits: int, start: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Apply an H/CNOT program to one basis state per pixel.
-
-    The support is a list of (basis-index array, amplitude array) branches:
-    one at the start, two once an H splits it.  CNOT is a masked XOR on the
-    indices; H is only defined here on a single basis branch.
-    """
-    # The H/CNOT program is real, and np.where on float64 costs a third of complex128.
-    branches = [(start, np.ones(start.shape))]
-    for gate in program:
-        target = num_qubits - 1 - gate.target
-        if gate.kind is GateKind.CNOT:
-            control = num_qubits - 1 - gate.control
-            branches = [(idx ^ (((idx >> control) & 1) << target), amp)
-                        for idx, amp in branches]
-        elif gate.kind is GateKind.HADAMARD and len(branches) == 1:
-            ((idx, amp),) = branches
-            low = amp * INV_SQRT2
-            high = np.where((idx >> target) & 1, -low, low)
-            bit = 1 << target
-            branches = [(idx & ~bit, low), (idx | bit, high)]
-        else:
-            raise ValueError(f"sparse engine cannot apply {gate} to {len(branches)} branches")
-    return branches
-
-
 def _encode_block(
-    program: Sequence[GateOp], secret_grid: np.ndarray, master_seed: int, lo: int,
+    program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int, lo: int,
     u_out: np.ndarray, s_out: np.ndarray,
 ) -> None:
     """Encode pixels lo..lo+_BLOCK_PIXELS into u_out and s_out.
 
-    Mirrors `encode_pixel` draw-for-draw: same gate arithmetic, same single
-    uniform variate per pixel from stream p.
+    Runs the H/CNOT program on one bit plane per qubit.  After the one H the
+    state has two branches: `planes`, and `planes` with the qubits in `flip`
+    negated; CNOT is linear, so `flip` is the same for every pixel.  Mirrors
+    `encode_pixel` draw-for-draw: same amplitudes, same single uniform
+    variate per pixel from stream p.
     """
-    secret_block = secret_grid[:, lo:lo + _BLOCK_PIXELS]
-    n, m = secret_block.shape
-
-    # X layer: the secret bits g_1..g_n are the starting basis index.
-    start = np.zeros(m, dtype=np.int64)
-    for row in secret_block:
-        start = (start << 1) | row
-
-    (i0, a0), (i1, a1) = _run_sparse(program, n + 1, start)
+    # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits, read in place.
+    secret_planes = [img.bits[lo:lo + _BLOCK_PIXELS] for img in secrets]
+    planes = [np.zeros_like(secret_planes[0]), *secret_planes]
+    m = planes[0].size
+    flip: set[int] = set()
+    for gate in program:
+        t = gate.target
+        if gate.kind is GateKind.CNOT:
+            # Not in place: the secret planes are read-only views of the images.
+            planes[t] = planes[t] ^ planes[gate.control]
+            if gate.control in flip:
+                flip ^= {t}
+        elif gate.kind is GateKind.HADAMARD and not flip:
+            # The H/CNOT program is real, so float64 amplitudes suffice.
+            a0 = np.full(m, INV_SQRT2)
+            a1 = np.where(planes[t], -a0, a0)
+            planes[t] = np.zeros(m, dtype=np.uint8)
+            flip = {t}
+        else:
+            raise ValueError(f"bit-plane engine cannot apply {gate} to {1 + bool(flip)} branches")
     p0, p1 = a0 * a0, a1 * a1
     if np.any(np.abs(p0 + p1 - 1.0) > NORM_TOLERANCE):
         raise StateError("simulated pixel state drifted off unit norm")
 
-    # Born sampling, one variate per pixel: lower basis index first.
-    p_first = np.where(i0 < i1, p0, p1)
+    # Born sampling, one variate per pixel, lower basis index first.  The
+    # branches first differ at the most significant qubit in `flip`, so
+    # branch 0 is the lower one where its bit there is 0.
+    zero_is_lower = planes[min(flip)] == 0
+    p_lower = np.where(zero_is_lower, p0, p1)
     u = rng.unit_array(master_seed, np.arange(lo, lo + m, dtype=np.uint64), 0)
-    outcome = np.where(u < p_first, np.minimum(i0, i1), np.maximum(i0, i1))
+    take_flipped = ((u >= p_lower) == zero_is_lower).view(np.uint8)
 
-    u_out[lo:lo + m] = (outcome >> n) & 1
-    for j in range(n):
-        s_out[j, lo:lo + m] = (outcome >> (n - 1 - j)) & 1
+    for q, out in enumerate([u_out[lo:lo + m], *s_out[:, lo:lo + m]]):
+        np.bitwise_xor(planes[q], take_flipped if q in flip else 0, out=out)
 
 
 def encrypt(
@@ -219,11 +211,10 @@ def encrypt(
 
     width, height = secrets[0].width, secrets[0].height
     num_pixels = width * height
-    secret_grid = np.stack([img.bits for img in secrets])
 
     u_out = np.empty(num_pixels, dtype=np.uint8)
     s_out = np.empty((n, num_pixels), dtype=np.uint8)
-    encode = partial(_encode_block, encoding_circuit(n), secret_grid, master_seed,
+    encode = partial(_encode_block, encoding_circuit(n), secrets, master_seed,
                      u_out=u_out, s_out=s_out)
     starts = range(0, num_pixels, _BLOCK_PIXELS)
     threads = min(threads, len(starts))

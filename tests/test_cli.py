@@ -355,6 +355,12 @@ def test_selftest_json_mode(capsys):
     assert len(payload["results"]) == 7
 
 
+def test_selftest_help_lists_json(capsys):
+    with pytest.raises(SystemExit):
+        main(["selftest", "--help"])
+    assert "--json" in capsys.readouterr().out
+
+
 # ----------------------------------------------------------- console script
 
 def run_cli(*args, **kwargs):

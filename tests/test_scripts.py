@@ -20,7 +20,7 @@ def test_benchmark_encrypt_runs():
                       "--threads", "1", "2", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["size", "arity", "threads", "seconds", "Mpixel/s"]
+    assert lines[0].split() == ["size", "arity", "threads", "seconds", "Mpixel/s", "floor_x"]
     assert len(lines) == 1 + 2 * 2
 
 
