@@ -1,5 +1,5 @@
 """Universal-share (n, n+1) visual multi-secret sharing of binary images,
-backed by per-pixel statevector circuit simulation."""
+encrypted by running the per-pixel circuit on a bit-plane engine."""
 
 from .imaging import (
     BinaryImage,

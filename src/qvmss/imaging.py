@@ -64,11 +64,13 @@ class BinaryImage:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"dimensions must be positive, got {self.width}x{self.height}")
-        bits = np.array(self.bits, dtype=np.uint8)
+        raw = np.asarray(self.bits)
+        # A cast to uint8 would wrap or truncate other dtypes, so check them first.
+        if raw.dtype not in (np.uint8, np.bool_) and not ((raw == 0) | (raw == 1)).all():
+            raise ValueError("bits must be 0 or 1")
+        bits = np.array(raw, dtype=np.uint8)
         if bits.shape != (self.width * self.height,):
-            raise ValueError(
-                f"expected {self.width * self.height} bits, got shape {bits.shape}"
-            )
+            raise ValueError(f"expected {self.width * self.height} bits, got shape {bits.shape}")
         if bits.max(initial=0) > 1:
             raise ValueError("bits must be 0 or 1")
         bits.flags.writeable = False
@@ -157,15 +159,15 @@ def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:
     if data.find(b"#", pos) >= 0:
         raw = _blank_comments(raw)
     kind = _P1_BYTE_KIND[raw]
-    is_digit = kind == _DIGIT
     stray = int(kind.argmax())  # _STRAY is the largest kind: the first stray byte, if any
+    is_digit = np.equal(kind, _DIGIT, out=kind.view(np.bool_))  # reuses kind's buffer
     # Parsing stops at the count-th digit, so only a stray byte before it is an error.
-    if kind[stray] == _STRAY and np.count_nonzero(is_digit[:stray]) < count:
+    if _P1_BYTE_KIND[raw[stray]] == _STRAY and np.count_nonzero(is_digit[:stray]) < count:
         raise PbmParseError(f"unexpected raster byte {chr(raw[stray])!r}", pos + stray)
-    digits = raw[is_digit]
+    digits = raw[is_digit][:count]
     if digits.size < count:
         raise PbmParseError(f"raster ended after {digits.size} of {count} pixels", len(data))
-    return digits[:count] - 0x30
+    return np.subtract(digits, 0x30, out=digits)
 
 
 def _blank_comments(raw: np.ndarray) -> np.ndarray:

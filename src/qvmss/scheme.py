@@ -11,13 +11,13 @@ runs the receiver-side CNOT circuit, as the per-pixel reference.
 The circuit is Clifford on a basis state, so its state never has more
 than two nonzero amplitudes.  `encrypt` therefore runs the same
 `encoding_circuit` program on a bit-plane batch engine instead of looping
-the dense reference `encode_pixel`: one bit plane per qubit over a block
-of pixels, where the secret images are the X layer and CNOT is a plane
-XOR.  The H splits the state into two branches that differ in a set of
-qubits shared by every pixel, so the measured planes are the shares.
-Both routes draw the same per-pixel random variate and are bit-identical.
-`classical_encrypt` is the plain XOR oracle kept separate for
-cross-checking the circuit route.
+the dense reference `encode_pixel`.  Its per-pixel state is bits only: one
+plane per qubit over a block of pixels, where the secret images are the X
+layer and CNOT is a plane XOR.  The H splits the state into two branches,
+each with one scalar amplitude, that differ in a set of qubits shared by
+every pixel, so the measured planes are the shares.  Both routes draw the
+same per-pixel random variate and are bit-identical.  `classical_encrypt`
+is the plain XOR oracle kept separate for cross-checking the circuit route.
 """
 from __future__ import annotations
 
@@ -151,17 +151,17 @@ def _encode_block(
 ) -> None:
     """Encode pixels lo..lo+_BLOCK_PIXELS into u_out and s_out.
 
-    Runs the H/CNOT program on one bit plane per qubit.  After the one H the
-    state has two branches: `planes`, and `planes` with the qubits in `flip`
-    negated; CNOT is linear, so `flip` is the same for every pixel.  Mirrors
-    `encode_pixel` draw-for-draw: same amplitudes, same single uniform
-    variate per pixel from stream p.
+    Runs the H/CNOT program on one bit plane per qubit, the only per-pixel
+    state.  After the one H the state has two branches: `planes`, and
+    `planes` with the qubits in `flip` negated.  CNOT is linear, so `flip`
+    and the two scalar branch amplitudes are the same at every pixel.
+    Mirrors `encode_pixel` draw-for-draw: one variate per pixel p, from stream p.
     """
     # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits, read in place.
     secret_planes = [img.bits[lo:lo + _BLOCK_PIXELS] for img in secrets]
     planes = [np.zeros_like(secret_planes[0]), *secret_planes]
     m = planes[0].size
-    flip: set[int] = set()
+    a0, a1, flip = 1.0, 0.0, set()  # one branch of amplitude 1 until the H splits it
     for gate in program:
         t = gate.target
         if gate.kind is GateKind.CNOT:
@@ -170,24 +170,22 @@ def _encode_block(
             if gate.control in flip:
                 flip ^= {t}
         elif gate.kind is GateKind.HADAMARD and not flip:
-            # The H/CNOT program is real, so float64 amplitudes suffice.
-            a0 = np.full(m, INV_SQRT2)
-            a1 = np.where(planes[t], -a0, a0)
+            # |b> -> (|0> + (-1)^b |1>)/sqrt2; the sign shows only under a second H, refused below.
+            a0 = a1 = a0 * INV_SQRT2
             planes[t] = np.zeros(m, dtype=np.uint8)
             flip = {t}
         else:
             raise ValueError(f"bit-plane engine cannot apply {gate} to {1 + bool(flip)} branches")
     p0, p1 = a0 * a0, a1 * a1
-    if np.any(np.abs(p0 + p1 - 1.0) > NORM_TOLERANCE):
+    if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
         raise StateError("simulated pixel state drifted off unit norm")
 
     # Born sampling, one variate per pixel, lower basis index first.  The
     # branches first differ at the most significant qubit in `flip`, so
     # branch 0 is the lower one where its bit there is 0.
-    zero_is_lower = planes[min(flip)] == 0
-    p_lower = np.where(zero_is_lower, p0, p1)
+    zero_is_lower = planes[min(flip, default=0)] == 0
     u = rng.unit_array(master_seed, np.arange(lo, lo + m, dtype=np.uint64), 0)
-    take_flipped = ((u >= p_lower) == zero_is_lower).view(np.uint8)
+    take_flipped = np.where(zero_is_lower, u >= p0, u < p1).view(np.uint8)
 
     for q, out in enumerate([u_out[lo:lo + m], *s_out[:, lo:lo + m]]):
         np.bitwise_xor(planes[q], take_flipped if q in flip else 0, out=out)

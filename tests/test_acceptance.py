@@ -150,4 +150,4 @@ def test_criterion_10_encryption_performance():
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"512x512 n=2 encryption took {elapsed:.2f}s"
     assert share_set.width == 512 and len(share_set.shares) == 2
-    print(f"\nPASS criterion 10: 512x512 n=2 per-pixel statevector encryption in {elapsed:.2f}s")
+    print(f"\nPASS criterion 10: 512x512 n=2 bit-plane engine encryption in {elapsed:.2f}s")

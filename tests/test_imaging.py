@@ -46,6 +46,25 @@ def test_binary_image_rejects_non_bits():
         BinaryImage(2, 1, [0, 2])
 
 
+@pytest.mark.parametrize("bits", [
+    [0.5, 1.9],
+    np.array([256, 257]),
+    np.array([-255, 257]),
+], ids=["fractions", "wrap_to_bits", "negative"])
+def test_binary_image_rejects_values_a_uint8_cast_would_turn_into_bits(bits):
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        BinaryImage(2, 1, bits)
+
+
+@pytest.mark.parametrize("bits", [
+    [True, False],
+    np.array([1, 0], dtype=np.uint64),
+    np.array([1.0, 0.0]),
+])
+def test_binary_image_accepts_bits_of_any_dtype(bits):
+    assert BinaryImage(2, 1, bits) == BinaryImage(2, 1, [1, 0])
+
+
 def test_binary_image_rejects_empty_dimensions():
     with pytest.raises(ValueError):
         BinaryImage(0, 4, [])
@@ -265,6 +284,20 @@ def test_read_p1_comment_heavy_payload_peaks_below_4x(header, line, tail):
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(data)
+
+
+@pytest.mark.parametrize("comment", [b"", b" # row"], ids=["plain", "comment_per_row"])
+def test_read_p1_ordinary_file_peaks_below_3x(comment):
+    image = make_fixture("random", 1024, 1024, seed=6)
+    header, raster = write_pbm(image, PbmVariant.P1_ASCII).split(b"\n", 2)[1:]
+    data = b"P1\n" + header + b"\n" + raster.replace(b"\n", comment + b"\n")
+    tracemalloc.start()
+    try:
+        assert read_pbm(data) == image
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(data)
 
 
 _p1_filler = st.lists(st.one_of(

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qvmss import scheme
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
-from qvmss.qsim import cnot, hadamard
+from qvmss.qsim import StateError, cnot, hadamard, pauli_x
 from qvmss.rng import RngStream, draw_unit, u64_array
 from qvmss.scheme import (
     MAX_ARITY,
@@ -213,7 +214,7 @@ def test_encoding_circuit_is_hadamard_then_cnot_fanout():
 )
 @example(seed=2**64 - 1, width=300, height=300, picks=[65535, 65536, 89999])
 def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
-    """At every arity, the sparse batch engine equals the XOR oracle on whole
+    """At every arity, the bit-plane engine equals the XOR oracle on whole
     images and the dense encode_pixel reference on sampled pixels."""
     for n in range(1, MAX_ARITY + 1):
         secrets = random_images(n, width, height, seed=(seed + n) % 2**32)
@@ -225,6 +226,31 @@ def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
             outcome = encode_pixel(g, RngStream(seed, p))
             assert outcome.u == share_set.unishare.bits[p]
             assert outcome.s == tuple(int(s.bits[p]) for s in share_set.shares)
+
+
+@pytest.mark.parametrize("program", [
+    [hadamard(0), hadamard(1)],
+    [pauli_x(1), hadamard(0)],
+], ids=["second_hadamard", "pauli_x"])
+def test_engine_refuses_a_program_it_cannot_run(program):
+    secret = make_fixture("random", 4, 4, seed=0)
+    u_out, s_out = np.empty(16, dtype=np.uint8), np.empty((1, 16), dtype=np.uint8)
+    with pytest.raises(ValueError, match="cannot apply"):
+        scheme._encode_block(program, [secret], 0, 0, u_out, s_out)
+
+
+def test_engine_measures_a_program_without_hadamard_deterministically():
+    secret = make_fixture("random", 4, 4, seed=0)
+    u_out, s_out = np.empty(16, dtype=np.uint8), np.empty((1, 16), dtype=np.uint8)
+    scheme._encode_block([cnot(0, 1)], [secret], 0, 0, u_out, s_out)
+    assert not u_out.any()
+    assert np.array_equal(s_out[0], secret.bits)
+
+
+def test_engine_norm_check_uses_the_branch_amplitudes(monkeypatch):
+    monkeypatch.setattr(scheme, "INV_SQRT2", 0.6)
+    with pytest.raises(StateError):
+        encrypt([make_fixture("random", 4, 4, seed=0)], 0)
 
 
 def test_encrypt_rejects_empty_and_mismatched_input():
