@@ -16,9 +16,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1FE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Same constants for the vectorized path; uint64 array arithmetic wraps mod 2^64.
-_NP_MIX1 = np.uint64(_MIX1)
-_NP_MIX2 = np.uint64(_MIX2)
 _UNIT_SCALE = 2.0**-53
 
 
@@ -41,23 +38,37 @@ def draw_unit(master_seed: int, stream_index: int, cursor: int) -> float:
     return (draw_u64(master_seed, stream_index, cursor) >> 11) * _UNIT_SCALE
 
 
-def _mix_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _NP_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _NP_MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer over z, in place (uint64 arithmetic wraps mod 2^64);
+    tmp is working space of z's shape."""
+    for shift, factor in ((30, np.uint64(_MIX1)), (27, np.uint64(_MIX2)), (31, None)):
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=tmp), out=z)
+        if factor is not None:
+            np.multiply(z, factor, out=z)
 
 
-def u64_array(master_seed: int, stream_indices: np.ndarray, cursor: int) -> np.ndarray:
-    """Vectorized draw_u64 over many streams at a fixed cursor."""
+def u64_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
+              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized draw_u64 over many streams at a fixed cursor, in the uint64
+    buffers `out` (may be stream_indices) and `scratch` if given."""
     streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
     # The seed's mix is one value for every stream, so it is computed once.
-    x = _mix_array(streams ^ np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)))
-    return _mix_array(x ^ np.uint64(cursor & _MASK64))
+    x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)), out=out)
+    tmp = np.empty_like(x) if scratch is None else scratch
+    _mix_array(x, tmp)
+    _mix_array(np.bitwise_xor(x, np.uint64(cursor & _MASK64), out=x), tmp)
+    return x
 
 
-def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int) -> np.ndarray:
-    """Vectorized draw_unit over many streams at a fixed cursor."""
-    return (u64_array(master_seed, stream_indices, cursor) >> np.uint64(11)) * _UNIT_SCALE
+def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
+               out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized draw_unit over many streams at a fixed cursor; given `out`
+    (float64) and `scratch` (uint64, may be stream_indices), it allocates nothing."""
+    out = np.empty(np.shape(stream_indices)) if out is None else out
+    x = u64_array(master_seed, stream_indices, cursor, scratch, out.view(np.uint64))
+    # A plain cast needs no buffer; a multiply that mixes uint64 and float64 would.
+    np.copyto(out, np.right_shift(x, np.uint64(11), out=x))
+    return np.multiply(out, _UNIT_SCALE, out=out)
 
 
 @dataclass

@@ -8,16 +8,12 @@ one of two complementary branches, yielding the UniShare bit u and share
 bits s_k = g_k XOR u.  `decrypt` XORs the UniShare back; `decode_pixel`
 runs the receiver-side CNOT circuit, as the per-pixel reference.
 
-The circuit is Clifford on a basis state, so its state never has more
-than two nonzero amplitudes.  `encrypt` therefore runs the same
-`encoding_circuit` program on a bit-plane batch engine instead of looping
-the dense reference `encode_pixel`.  Its per-pixel state is bits only: one
-plane per qubit over a block of pixels, where the secret images are the X
-layer and CNOT is a plane XOR.  The H splits the state into two branches,
-each with one scalar amplitude, that differ in a set of qubits shared by
-every pixel, so the measured planes are the shares.  Both routes draw the
-same per-pixel random variate and are bit-identical.  `classical_encrypt`
-is the plain XOR oracle kept separate for cross-checking the circuit route.
+The circuit is Clifford on a basis state, so `encrypt` runs the same
+`encoding_circuit` program on a bit-plane engine instead of looping the
+dense reference `encode_pixel`: its per-pixel state is bits only, one plane
+per qubit, and its two branch amplitudes are scalars (`_encode_blocks`).
+Both routes draw the same per-pixel variate and are bit-identical.
+`classical_encrypt` is the plain XOR oracle kept to cross-check them.
 """
 from __future__ import annotations
 
@@ -145,50 +141,56 @@ def decode_pixel(u: int, s_k: int) -> int:
     return int(measure_all(state, rng.RngStream(0, 0))[1])
 
 
-def _encode_block(
-    program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int, lo: int,
-    u_out: np.ndarray, s_out: np.ndarray,
+def _encode_blocks(
+    program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
+    starts: Sequence[int], u_out: np.ndarray, s_out: np.ndarray,
 ) -> None:
-    """Encode pixels lo..lo+_BLOCK_PIXELS into u_out and s_out.
+    """Encode the pixel blocks that begin at `starts` into u_out and s_out.
 
-    Runs the H/CNOT program on one bit plane per qubit, the only per-pixel
-    state.  After the one H the state has two branches: `planes`, and
-    `planes` with the qubits in `flip` negated.  CNOT is linear, so `flip`
-    and the two scalar branch amplitudes are the same at every pixel.
-    Mirrors `encode_pixel` draw-for-draw: one variate per pixel p, from stream p.
+    The per-pixel state is one bit plane per qubit, kept with the variates in
+    buffers that every block reuses, so a block's cost does not follow the C
+    allocator.  After the H the branches are `planes` and `planes` with the
+    qubits in `flip` negated; CNOT is linear, so `flip` and both scalar branch
+    amplitudes are shared by all pixels.  Pixel p draws from stream p.
     """
-    # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits, read in place.
-    secret_planes = [img.bits[lo:lo + _BLOCK_PIXELS] for img in secrets]
-    planes = [np.zeros_like(secret_planes[0]), *secret_planes]
-    m = planes[0].size
-    a0, a1, flip = 1.0, 0.0, set()  # one branch of amplitude 1 until the H splits it
-    for gate in program:
-        t = gate.target
-        if gate.kind is GateKind.CNOT:
-            # Not in place: the secret planes are read-only views of the images.
-            planes[t] = planes[t] ^ planes[gate.control]
-            if gate.control in flip:
-                flip ^= {t}
-        elif gate.kind is GateKind.HADAMARD and not flip:
-            # |b> -> (|0> + (-1)^b |1>)/sqrt2; the sign shows only under a second H, refused below.
-            a0 = a1 = a0 * INV_SQRT2
-            planes[t] = np.zeros(m, dtype=np.uint8)
-            flip = {t}
-        else:
-            raise ValueError(f"bit-plane engine cannot apply {gate} to {1 + bool(flip)} branches")
-    p0, p1 = a0 * a0, a1 * a1
-    if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
-        raise StateError("simulated pixel state drifted off unit norm")
-
-    # Born sampling, one variate per pixel, lower basis index first.  The
-    # branches first differ at the most significant qubit in `flip`, so
-    # branch 0 is the lower one where its bit there is 0.
-    zero_is_lower = planes[min(flip, default=0)] == 0
-    u = rng.unit_array(master_seed, np.arange(lo, lo + m, dtype=np.uint64), 0)
-    take_flipped = np.where(zero_is_lower, u >= p0, u < p1).view(np.uint8)
-
-    for q, out in enumerate([u_out[lo:lo + m], *s_out[:, lo:lo + m]]):
-        np.bitwise_xor(planes[q], take_flipped if q in flip else 0, out=out)
+    owned = np.empty((len(secrets) + 1, _BLOCK_PIXELS), dtype=np.uint8)  # one plane per qubit
+    masks = np.empty((2, _BLOCK_PIXELS), dtype=bool)
+    offsets = np.arange(_BLOCK_PIXELS, dtype=np.uint64)
+    streams, draws = np.empty_like(offsets), np.empty(_BLOCK_PIXELS)
+    for lo in starts:
+        m = min(_BLOCK_PIXELS, u_out.size - lo)
+        zero_is_lower, take_flipped, u = masks[0, :m], masks[1, :m], draws[:m]
+        # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits, read in place.
+        planes = [owned[0, :m], *(img.bits[lo:lo + m] for img in secrets)]
+        planes[0].fill(0)
+        a0, a1, flip = 1.0, 0.0, set()  # one branch of amplitude 1 until the H splits it
+        for gate in program:
+            t = gate.target
+            if gate.kind is GateKind.CNOT:
+                # Into t's own plane: the secret planes are read-only views of the images.
+                planes[t] = np.bitwise_xor(planes[t], planes[gate.control], out=owned[t, :m])
+                if gate.control in flip:
+                    flip ^= {t}
+            elif gate.kind is GateKind.HADAMARD and not flip:
+                # |b> -> (|0> + (-1)^b |1>)/sqrt2; the sign would show only under a second H.
+                a0 = a1 = a0 * INV_SQRT2
+                planes[t] = owned[t, :m]
+                planes[t].fill(0)
+                flip = {t}
+            else:
+                raise ValueError(f"engine cannot apply {gate} to {1 + bool(flip)} branches")
+        p0, p1 = a0 * a0, a1 * a1
+        if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
+            raise StateError("simulated pixel state drifted off unit norm")
+        # Born sampling, lower basis index first: the branches first differ at the
+        # most significant qubit in `flip`, so branch 0 is lower where that bit is 0.
+        np.equal(planes[min(flip, default=0)], 0, out=zero_is_lower)
+        block_streams = np.add(offsets[:m], np.uint64(lo), out=streams[:m])
+        rng.unit_array(master_seed, block_streams, 0, out=u, scratch=block_streams)
+        np.less(u, p1, out=take_flipped)
+        np.greater_equal(u, p0, out=take_flipped, where=zero_is_lower)
+        for q, out in enumerate([u_out[lo:lo + m], *s_out[:, lo:lo + m]]):
+            np.bitwise_xor(planes[q], take_flipped.view(np.uint8) if q in flip else 0, out=out)
 
 
 def encrypt(
@@ -212,16 +214,15 @@ def encrypt(
 
     u_out = np.empty(num_pixels, dtype=np.uint8)
     s_out = np.empty((n, num_pixels), dtype=np.uint8)
-    encode = partial(_encode_block, encoding_circuit(n), secrets, master_seed,
+    encode = partial(_encode_blocks, encoding_circuit(n), secrets, master_seed,
                      u_out=u_out, s_out=s_out)
     starts = range(0, num_pixels, _BLOCK_PIXELS)
     threads = min(threads, len(starts))
     if threads <= 1:
-        for lo in starts:
-            encode(lo)
+        encode(starts)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(encode, starts))
+            list(pool.map(encode, [starts[k::threads] for k in range(threads)]))
 
     shares = tuple(BinaryImage(width, height, row) for row in s_out)
     return ShareSet(BinaryImage(width, height, u_out), shares)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,21 @@ def test_vectorized_matches_scalar(seed, start, cursor):
     vec_unit = unit_array(seed, streams, cursor)
     ref_unit = np.array([draw_unit(seed, int(i), cursor) for i in streams])
     assert np.array_equal(vec_unit, ref_unit)
+
+
+def test_unit_array_into_buffers_allocates_nothing():
+    streams = np.arange(7, 7 + (1 << 16), dtype=np.uint64)
+    expected = unit_array(99, streams, 3)
+    out = np.empty(streams.size)
+    tracemalloc.start()
+    try:
+        # The stream indices may double as the scratch buffer.
+        result = unit_array(99, streams, 3, out=out, scratch=streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is out and np.array_equal(out, expected)
+    assert peak < 4096
 
 
 def test_unit_draws_roughly_uniform():

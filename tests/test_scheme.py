@@ -236,13 +236,13 @@ def test_engine_refuses_a_program_it_cannot_run(program):
     secret = make_fixture("random", 4, 4, seed=0)
     u_out, s_out = np.empty(16, dtype=np.uint8), np.empty((1, 16), dtype=np.uint8)
     with pytest.raises(ValueError, match="cannot apply"):
-        scheme._encode_block(program, [secret], 0, 0, u_out, s_out)
+        scheme._encode_blocks(program, [secret], 0, [0], u_out, s_out)
 
 
 def test_engine_measures_a_program_without_hadamard_deterministically():
     secret = make_fixture("random", 4, 4, seed=0)
     u_out, s_out = np.empty(16, dtype=np.uint8), np.empty((1, 16), dtype=np.uint8)
-    scheme._encode_block([cnot(0, 1)], [secret], 0, 0, u_out, s_out)
+    scheme._encode_blocks([cnot(0, 1)], [secret], 0, [0], u_out, s_out)
     assert not u_out.any()
     assert np.array_equal(s_out[0], secret.bits)
 
