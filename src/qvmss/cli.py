@@ -158,11 +158,11 @@ def _run_manifest(seed: int, share_set: scheme.ShareSet) -> dict:
 
 
 def _thread_count(text: str) -> int:
-    """--threads value: at least 1, clamped to the CPU count."""
+    """--threads value: at least 1 (`encrypt` caps it at the CPU count)."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return min(value, os.cpu_count() or 1)
+    return value
 
 
 def _demo_size(text: str) -> int:

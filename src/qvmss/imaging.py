@@ -203,8 +203,8 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
             len(data),
         )
     packed = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos)
-    rows = np.unpackbits(packed.reshape(height, row_bytes), axis=1)[:, :width]
-    return np.ascontiguousarray(rows).reshape(-1)
+    # `count` drops each row's padding bits and leaves a contiguous (height, width) array.
+    return np.unpackbits(packed.reshape(height, row_bytes), axis=1, count=width).reshape(-1)
 
 
 def write_pbm(image: BinaryImage, variant: PbmVariant = PbmVariant.P4_PACKED) -> bytes:

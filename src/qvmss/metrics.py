@@ -38,17 +38,8 @@ class MetricsReport:
     height: int
 
     def to_dict(self) -> dict:
-        return {
-            "mse": self.mse,
-            "psnr_db": "inf" if math.isinf(self.psnr_db) else self.psnr_db,
-            "ssim": self.ssim,
-            "correlation": self.correlation,
-            "mismatch_fraction": self.mismatch_fraction,
-            "ones_fraction_a": self.ones_fraction_a,
-            "ones_fraction_b": self.ones_fraction_b,
-            "width": self.width,
-            "height": self.height,
-        }
+        # Field order is the JSON key order; JSON has no infinity, so PSNR says "inf".
+        return dict(vars(self), psnr_db="inf" if math.isinf(self.psnr_db) else self.psnr_db)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -10,13 +10,15 @@ runs the receiver-side CNOT circuit, as the per-pixel reference.
 
 The circuit is Clifford on a basis state, so `encrypt` runs the same
 `encoding_circuit` program on a bit-plane engine instead of looping the
-dense reference `encode_pixel`: its per-pixel state is bits only, one plane
-per qubit, and its two branch amplitudes are scalars (`_encode_blocks`).
-Both routes draw the same per-pixel variate and are bit-identical.
+dense reference `encode_pixel`: its per-pixel state is one bit plane per
+qubit, kept in the output row its measured bit fills, and two scalar branch
+amplitudes (`_encode_blocks`).  Both routes draw the same per-pixel variate
+and are bit-identical.
 `classical_encrypt` is the plain XOR oracle kept to cross-check them.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -143,38 +145,37 @@ def decode_pixel(u: int, s_k: int) -> int:
 
 def _encode_blocks(
     program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
-    starts: Sequence[int], u_out: np.ndarray, s_out: np.ndarray,
+    starts: Sequence[int], out: np.ndarray,
 ) -> None:
-    """Encode the pixel blocks that begin at `starts` into u_out and s_out.
+    """Encode the pixel blocks that begin at `starts` into the rows of `out`.
 
-    The per-pixel state is one bit plane per qubit, kept with the variates in
-    buffers that every block reuses, so a block's cost does not follow the C
-    allocator.  After the H the branches are `planes` and `planes` with the
-    qubits in `flip` negated; CNOT is linear, so `flip` and both scalar branch
-    amplitudes are shared by all pixels.  Pixel p draws from stream p.
+    Qubit q's plane is the block's slice of row q (U, then S_1..S_n), or a
+    read-only view of secret q until a gate writes it.  After the H the
+    branches are `planes` and `planes` with the qubits in `flip` negated;
+    CNOT is linear, so `flip` and both scalar branch amplitudes are shared by
+    all pixels.  Pixel p draws from stream p, into buffers every block reuses.
     """
-    owned = np.empty((len(secrets) + 1, _BLOCK_PIXELS), dtype=np.uint8)  # one plane per qubit
     masks = np.empty((2, _BLOCK_PIXELS), dtype=bool)
     offsets = np.arange(_BLOCK_PIXELS, dtype=np.uint64)
     streams, draws = np.empty_like(offsets), np.empty(_BLOCK_PIXELS)
     for lo in starts:
-        m = min(_BLOCK_PIXELS, u_out.size - lo)
+        m = min(_BLOCK_PIXELS, out.shape[1] - lo)
         zero_is_lower, take_flipped, u = masks[0, :m], masks[1, :m], draws[:m]
+        rows = list(out[:, lo:lo + m])
         # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits, read in place.
-        planes = [owned[0, :m], *(img.bits[lo:lo + m] for img in secrets)]
+        planes = [rows[0], *(img.bits[lo:lo + m] for img in secrets)]
         planes[0].fill(0)
         a0, a1, flip = 1.0, 0.0, set()  # one branch of amplitude 1 until the H splits it
         for gate in program:
             t = gate.target
             if gate.kind is GateKind.CNOT:
-                # Into t's own plane: the secret planes are read-only views of the images.
-                planes[t] = np.bitwise_xor(planes[t], planes[gate.control], out=owned[t, :m])
+                planes[t] = np.bitwise_xor(planes[t], planes[gate.control], out=rows[t])
                 if gate.control in flip:
                     flip ^= {t}
             elif gate.kind is GateKind.HADAMARD and not flip:
                 # |b> -> (|0> + (-1)^b |1>)/sqrt2; the sign would show only under a second H.
                 a0 = a1 = a0 * INV_SQRT2
-                planes[t] = owned[t, :m]
+                planes[t] = rows[t]
                 planes[t].fill(0)
                 flip = {t}
             else:
@@ -189,8 +190,9 @@ def _encode_blocks(
         rng.unit_array(master_seed, block_streams, 0, out=u, scratch=block_streams)
         np.less(u, p1, out=take_flipped)
         np.greater_equal(u, p0, out=take_flipped, where=zero_is_lower)
-        for q, out in enumerate([u_out[lo:lo + m], *s_out[:, lo:lo + m]]):
-            np.bitwise_xor(planes[q], take_flipped.view(np.uint8) if q in flip else 0, out=out)
+        for q, (plane, row) in enumerate(zip(planes, rows)):
+            if q in flip or plane is not row:  # an unwritten qubit copies its secret plane
+                np.bitwise_xor(plane, take_flipped.view(np.uint8) if q in flip else 0, out=row)
 
 
 def encrypt(
@@ -200,8 +202,8 @@ def encrypt(
 
     n is len(secrets), 1..MAX_ARITY.  Pixel p uses RNG stream p, so the
     result is bit-exact reproducible from master_seed (taken mod 2^64)
-    regardless of `threads`.  Threads split the work at block boundaries,
-    so an image of one block runs inline.
+    regardless of `threads`, which is capped at the CPU and block counts:
+    threads split the work at block boundaries, so one block runs inline.
     """
     secrets = list(secrets)
     n = len(secrets)
@@ -210,22 +212,19 @@ def encrypt(
         require_same_shape(secrets[0], other)
 
     width, height = secrets[0].width, secrets[0].height
-    num_pixels = width * height
+    out = np.empty((n + 1, width * height), dtype=np.uint8)  # row q is qubit q measured
 
-    u_out = np.empty(num_pixels, dtype=np.uint8)
-    s_out = np.empty((n, num_pixels), dtype=np.uint8)
-    encode = partial(_encode_blocks, encoding_circuit(n), secrets, master_seed,
-                     u_out=u_out, s_out=s_out)
-    starts = range(0, num_pixels, _BLOCK_PIXELS)
-    threads = min(threads, len(starts))
+    encode = partial(_encode_blocks, encoding_circuit(n), secrets, master_seed, out=out)
+    starts = range(0, out.shape[1], _BLOCK_PIXELS)
+    threads = min(threads, os.cpu_count() or 1, len(starts))
     if threads <= 1:
         encode(starts)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(encode, [starts[k::threads] for k in range(threads)]))
 
-    shares = tuple(BinaryImage(width, height, row) for row in s_out)
-    return ShareSet(BinaryImage(width, height, u_out), shares)
+    unishare, *shares = (BinaryImage(width, height, row) for row in out)
+    return ShareSet(unishare, shares)
 
 
 def classical_encrypt(

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,13 +164,21 @@ def test_encrypt_threads_match_serial():
         assert serial.shares == parallel.shares
 
 
-def test_encrypt_threads_capped_at_block_count(pool_sizes):
+def test_encrypt_threads_capped_at_block_count(pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so only the block count limits
     one_block = random_images(1, 256, 256, seed=3)
     assert encrypt(one_block, 4, threads=8) == encrypt(one_block, 4)
     assert pool_sizes == []
     three_blocks = random_images(1, 256, 600, seed=3)
     assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
     assert pool_sizes == [3]
+
+
+def test_encrypt_threads_capped_at_cpu_count(pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    three_blocks = random_images(1, 256, 600, seed=3)
+    assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
+    assert pool_sizes == [2]
 
 
 # SHA-256 over the bits of U, S_1, ..., S_n from encrypt(seed 7) on a 300x300
@@ -234,17 +244,42 @@ def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
 ], ids=["second_hadamard", "pauli_x"])
 def test_engine_refuses_a_program_it_cannot_run(program):
     secret = make_fixture("random", 4, 4, seed=0)
-    u_out, s_out = np.empty(16, dtype=np.uint8), np.empty((1, 16), dtype=np.uint8)
+    out = np.empty((2, 16), dtype=np.uint8)
     with pytest.raises(ValueError, match="cannot apply"):
-        scheme._encode_blocks(program, [secret], 0, [0], u_out, s_out)
+        scheme._encode_blocks(program, [secret], 0, [0], out)
 
 
 def test_engine_measures_a_program_without_hadamard_deterministically():
     secret = make_fixture("random", 4, 4, seed=0)
-    u_out, s_out = np.empty(16, dtype=np.uint8), np.empty((1, 16), dtype=np.uint8)
-    scheme._encode_blocks([cnot(0, 1)], [secret], 0, [0], u_out, s_out)
-    assert not u_out.any()
-    assert np.array_equal(s_out[0], secret.bits)
+    out = np.empty((2, 16), dtype=np.uint8)
+    scheme._encode_blocks([cnot(0, 1)], [secret], 0, [0], out)
+    assert not out[0].any()
+    assert np.array_equal(out[1], secret.bits)
+
+
+def test_engine_copies_a_qubit_no_gate_writes():
+    secrets = random_images(2, 4, 4, seed=0)
+    out = np.empty((3, 16), dtype=np.uint8)
+    scheme._encode_blocks([hadamard(0), cnot(0, 1)], secrets, 0, [0], out)
+    assert np.array_equal(out[1], out[0] ^ secrets[0].bits)
+    assert np.array_equal(out[2], secrets[1].bits)
+
+
+def one_block_engine_peak(n):
+    """tracemalloc peak of `_encode_blocks` over one full block at arity n."""
+    secrets = random_images(n, 256, 256, seed=5)
+    out = np.empty((n + 1, 256 * 256), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        scheme._encode_blocks(encoding_circuit(n), secrets, 3, [0], out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_engine_scratch_does_not_grow_with_arity():
+    # The qubit planes are rows of the caller's output; only the draw buffers are scratch.
+    assert one_block_engine_peak(16) - one_block_engine_peak(1) <= 16 * 1024
 
 
 def test_engine_norm_check_uses_the_branch_amplitudes(monkeypatch):
