@@ -277,9 +277,9 @@ def _selftest_properties(seed: int, inject_fault: bool):
     share_set = encrypt([g1, g2], seed)
     s1, s2 = share_set.shares
     if inject_fault:
-        flipped = s1.bits.copy()
-        flipped[0] ^= 1
-        s1 = BinaryImage(s1.width, s1.height, flipped)
+        flipped = s1.rows.copy()
+        flipped[0, 0] ^= 0x80  # the first pixel is the top bit of the first byte
+        s1 = BinaryImage.from_rows(s1.width, s1.height, flipped)
         share_set = scheme.ShareSet(share_set.unishare, (s1, s2))
 
     yield _check_two_branch_support()

@@ -3,7 +3,9 @@
 Bit value 1 is an opaque/black pixel and 0 is transparent/white, which is
 exactly PBM's polarity, so nothing in the pipeline ever inverts pixel values.
 Both netpbm variants are supported: P1 (ASCII) and P4 (bit-packed, the
-canonical output format).
+canonical output format).  A `BinaryImage` holds its pixels as P4 rows, so a
+P4 read is a header parse plus one buffer copy, a P4 write is the header plus
+the rows' bytes, and only P1 packs on read and unpacks on write.
 """
 from __future__ import annotations
 
@@ -53,28 +55,62 @@ class PbmVariant(Enum):
     P4_PACKED = "p4"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BinaryImage:
-    """Width x height grid of bits stored flat in row-major order."""
+    """Width x height grid of bits, held as read-only packed P4 rows.
+
+    `rows` is a C-contiguous `(height, (width + 7) // 8)` uint8 array: row y
+    holds pixels y*width .. y*width + width - 1, eight to a byte, most
+    significant bit first, and the padding bits after the last pixel of a
+    row are always 0.  So XOR, equality and popcounts run on the bytes as
+    they are.  `BinaryImage(width, height, bits)` packs flat row-major 0/1
+    bits; `from_rows` wraps rows that are already packed, without a copy.
+    """
 
     width: int
     height: int
-    bits: np.ndarray
+    rows: np.ndarray
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"dimensions must be positive, got {self.width}x{self.height}")
-        raw = np.asarray(self.bits)
+    def __init__(self, width: int, height: int, bits) -> None:
+        _check_dimensions(width, height)
+        raw = np.asarray(bits)
         # A cast to uint8 would wrap or truncate other dtypes, so check them first.
         if raw.dtype not in (np.uint8, np.bool_) and not ((raw == 0) | (raw == 1)).all():
             raise ValueError("bits must be 0 or 1")
-        bits = np.array(raw, dtype=np.uint8)
-        if bits.shape != (self.width * self.height,):
-            raise ValueError(f"expected {self.width * self.height} bits, got shape {bits.shape}")
-        if bits.max(initial=0) > 1:
+        flat = raw.astype(np.uint8, copy=False)
+        if flat.shape != (width * height,):
+            raise ValueError(f"expected {width * height} bits, got shape {flat.shape}")
+        if flat.max(initial=0) > 1:
             raise ValueError("bits must be 0 or 1")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        # packbits writes a fresh array, zero-padded to whole bytes per row.
+        self._hold(width, height, np.packbits(flat.reshape(height, width), axis=1))
+
+    @classmethod
+    def from_rows(cls, width: int, height: int, rows: np.ndarray) -> "BinaryImage":
+        """Image over packed P4 rows, held as a read-only view, not a copy.
+
+        `rows` must be `(height, (width + 7) // 8)` uint8 with zero padding
+        bits.  The caller must not write to `rows` afterwards.
+        """
+        _check_dimensions(width, height)
+        rows = np.asarray(rows)
+        if rows.dtype != np.uint8 or rows.shape != (height, _row_bytes(width)):
+            raise ValueError(
+                f"expected ({height}, {_row_bytes(width)}) uint8 rows, "
+                f"got {rows.shape} {rows.dtype}"
+            )
+        if (rows[:, -1] & ~_last_byte_mask(width)).any():
+            raise ValueError("row padding bits must be 0")
+        image = object.__new__(cls)
+        image._hold(width, height, rows)
+        return image
+
+    def _hold(self, width: int, height: int, rows: np.ndarray) -> None:
+        rows = np.ascontiguousarray(rows).view()  # a view, so the caller's array stays writable
+        rows.flags.writeable = False
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "rows", rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryImage):
@@ -82,19 +118,42 @@ class BinaryImage:
         return (
             self.width == other.width
             and self.height == other.height
-            and np.array_equal(self.bits, other.bits)
+            and np.array_equal(self.rows, other.rows)
         )
 
     def __xor__(self, other: "BinaryImage") -> "BinaryImage":
         require_same_shape(self, other)
-        return BinaryImage(self.width, self.height, self.bits ^ other.bits)
+        return BinaryImage.from_rows(self.width, self.height, self.rows ^ other.rows)
 
     def ones_fraction(self) -> float:
-        return float(self.bits.mean())
+        return count_ones(self.rows) / (self.width * self.height)
 
     def as_grid(self) -> np.ndarray:
-        """(height, width) view of the bits."""
-        return self.bits.reshape(self.height, self.width)
+        """The bits unpacked into a new (height, width) uint8 array."""
+        return np.unpackbits(self.rows, axis=1, count=self.width)
+
+
+def _row_bytes(width: int) -> int:
+    """Bytes per packed P4 row of `width` pixels."""
+    return (width + 7) // 8
+
+
+def _last_byte_mask(width: int) -> np.uint8:
+    """The pixel bits of a row's last byte; the rest are padding."""
+    return np.uint8((0xFF00 >> (1 + (width - 1) % 8)) & 0xFF)
+
+
+def count_ones(packed: np.ndarray) -> int:
+    """Set bits in a uint8 array, popcounted 8 bytes at a time where the size allows."""
+    flat = packed.reshape(-1)  # a copy only if `packed` is not contiguous
+    if flat.size % 8 == 0:
+        flat = flat.view(np.uint64)
+    return int(np.bitwise_count(flat).sum())
+
+
+def _check_dimensions(width: int, height: int) -> None:
+    if width < 1 or height < 1:
+        raise ValueError(f"dimensions must be positive, got {width}x{height}")
 
 
 def require_same_shape(a: BinaryImage, b: BinaryImage) -> None:
@@ -126,7 +185,7 @@ def read_pbm(data: bytes) -> BinaryImage:
     """Parse a P1 or P4 PBM file into a BinaryImage.
 
     Header comments and arbitrary whitespace are accepted; P4 row padding
-    bits are ignored.  Raises PbmParseError (with a byte offset) on bad
+    bits are ignored (cleared).  Raises PbmParseError (with a byte offset) on bad
     magic, malformed dimensions, or truncated payload.
     """
     if len(data) < 2 or data[0] != 0x50 or data[1] not in (0x31, 0x34):
@@ -143,9 +202,10 @@ def read_pbm(data: bytes) -> BinaryImage:
 
     if variant is PbmVariant.P1_ASCII:
         bits = _read_p1_raster(data, pos, width * height)
+        rows = np.packbits(bits.reshape(height, width), axis=1)
     else:
-        bits = _read_p4_raster(data, pos, width, height)
-    return BinaryImage(width, height, bits)
+        rows = _read_p4_raster(data, pos, width, height)
+    return BinaryImage.from_rows(width, height, rows)
 
 
 def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:
@@ -195,31 +255,29 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise PbmParseError("expected single whitespace before packed raster", pos)
     pos += 1
-    row_bytes = (width + 7) // 8
-    needed = row_bytes * height
+    needed = _row_bytes(width) * height
     if len(data) - pos < needed:
         raise PbmParseError(
             f"packed raster truncated: need {needed} bytes, have {len(data) - pos}",
             len(data),
         )
-    packed = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos)
-    # `count` drops each row's padding bits and leaves a contiguous (height, width) array.
-    return np.unpackbits(packed.reshape(height, row_bytes), axis=1, count=width).reshape(-1)
+    rows = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos).reshape(height, -1)
+    rows = rows.copy()  # frees the image from `data` and makes it writable for the mask
+    rows[:, -1] &= _last_byte_mask(width)  # the file's padding bits may be anything
+    return rows
 
 
 def write_pbm(image: BinaryImage, variant: PbmVariant = PbmVariant.P4_PACKED) -> bytes:
     """Serialize to PBM bytes; output is canonical and byte-reproducible."""
     magic = "P1" if variant is PbmVariant.P1_ASCII else "P4"
     header = f"{magic}\n{image.width} {image.height}\n".encode("ascii")
-    grid = image.as_grid()
     if variant is PbmVariant.P1_ASCII:
         # Each row is "b b ... b\n": a digit then a space or, last, a newline.
         text = np.full((image.height, 2 * image.width), ord(" "), dtype=np.uint8)
-        text[:, 0::2] = grid + ord("0")
+        text[:, 0::2] = image.as_grid() + ord("0")
         text[:, -1] = ord("\n")
         return header + text.tobytes()
-    packed = np.packbits(grid, axis=1)  # zero-padded to whole bytes per row
-    return header + packed.tobytes()
+    return header + image.rows.tobytes()  # already P4 rows with zero padding
 
 
 # 3x5 glyphs for the text_glyphs fixture, 1 = opaque.

@@ -6,7 +6,8 @@ magnitudes land in the familiar regime.  For two bit images every metric is
 a closed form in the 2x2 contingency counts: the pixel count N, the ones
 counts n_a and n_b, and the joint ones count n_11.  Moments are population
 (1/N), SSIM is the single-window whole-image form (Wang et al., IEEE TIP
-2004), and a 1-pixel image is allowed.
+2004), and a 1-pixel image is allowed.  The counts are popcounts over the
+images' packed rows.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import BinaryImage, require_same_shape
+from .imaging import BinaryImage, count_ones, require_same_shape
 
 PEAK = 255
 SSIM_C1 = (0.01 * PEAK) ** 2
@@ -48,15 +49,22 @@ class MetricsReport:
 def report(a: BinaryImage, b: BinaryImage) -> MetricsReport:
     """Every metric for a pair of equal-sized binary images.
 
+    The counts are popcounts over the packed rows, whose padding bits are
+    0 and so count nothing.
+    """
+    require_same_shape(a, b)
+    n_11 = count_ones(np.bitwise_and(a.rows, b.rows))
+    return from_counts(a.width, a.height, count_ones(a.rows), count_ones(b.rows), n_11)
+
+
+def from_counts(width: int, height: int, n_a: int, n_b: int, n_11: int) -> MetricsReport:
+    """Every metric from a pair's 2x2 contingency counts.
+
     Numerators are exact integers and each float is one division, so MSE
     and the fractions are correctly rounded, and identical images score an
     SSIM (and, unless constant, a correlation) of exactly 1.0.
     """
-    require_same_shape(a, b)
-    n = a.bits.size
-    n_a = int(np.count_nonzero(a.bits))
-    n_b = int(np.count_nonzero(b.bits))
-    n_11 = int(np.count_nonzero(a.bits & b.bits))
+    n = width * height
     mismatches = n_a + n_b - 2 * n_11
 
     peak2 = PEAK * PEAK
@@ -81,6 +89,6 @@ def report(a: BinaryImage, b: BinaryImage) -> MetricsReport:
         mismatch_fraction=mismatches / n,
         ones_fraction_a=n_a / n,
         ones_fraction_b=n_b / n,
-        width=a.width,
-        height=a.height,
+        width=width,
+        height=height,
     )

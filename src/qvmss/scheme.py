@@ -10,10 +10,10 @@ runs the receiver-side CNOT circuit, as the per-pixel reference.
 
 The circuit is Clifford on a basis state, so `encrypt` runs the same
 `encoding_circuit` program on a bit-plane engine instead of looping the
-dense reference `encode_pixel`: its per-pixel state is one bit plane per
-qubit, kept in the output row its measured bit fills, and two scalar branch
-amplitudes (`_encode_blocks`).  Both routes draw the same per-pixel variate
-and are bit-identical.
+dense reference `encode_pixel`: its state is one packed P4 bit plane per
+qubit, kept in the output plane its measured bit fills, and two scalar
+branch amplitudes shared by every pixel (`_encode_blocks`).  Both routes
+draw the same per-pixel variate and are bit-identical.
 `classical_encrypt` is the plain XOR oracle kept to cross-check them.
 """
 from __future__ import annotations
@@ -47,7 +47,8 @@ from .qsim import (
 # One qubit per secret plus the UniShare qubit.
 MAX_ARITY = MAX_QUBITS - 1
 
-# Pixels per engine block: bounds the scratch arrays and is the unit of thread work.
+# Pixels per engine band, rounded down to whole image rows (at least one): bounds
+# the scratch arrays, and a band is the unit of thread work.
 _BLOCK_PIXELS = 1 << 16
 
 
@@ -143,27 +144,41 @@ def decode_pixel(u: int, s_k: int) -> int:
     return int(measure_all(state, rng.RngStream(0, 0))[1])
 
 
+def _band_rows(width: int) -> int:
+    """Image rows per engine band: about `_BLOCK_PIXELS` pixels, and at least one row."""
+    return max(1, _BLOCK_PIXELS // width)
+
+
+def _pack(bits: np.ndarray, width: int) -> np.ndarray:
+    """Flat row-major bits, `width` to a row, as packed P4 rows."""
+    return np.packbits(bits.reshape(-1, width), axis=1)
+
+
 def _encode_blocks(
     program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
     starts: Sequence[int], out: np.ndarray,
 ) -> None:
-    """Encode the pixel blocks that begin at `starts` into the rows of `out`.
+    """Encode the row bands that begin at rows `starts` into the planes of `out`.
 
-    Qubit q's plane is the block's slice of row q (U, then S_1..S_n), or a
-    read-only view of secret q until a gate writes it.  After the H the
-    branches are `planes` and `planes` with the qubits in `flip` negated;
-    CNOT is linear, so `flip` and both scalar branch amplitudes are shared by
-    all pixels.  Pixel p draws from stream p, into buffers every block reuses.
+    `out` is `(n + 1, height, row_bytes)`: qubit q's plane is packed P4
+    rows, and the band's slice of plane q (U, then S_1..S_n) holds it, or a
+    read-only view of secret q's rows does until a gate writes it.  So a
+    CNOT is a byte XOR.  After the H the branches are `planes` and `planes`
+    with the qubits in `flip` negated; CNOT is linear, so `flip` and both
+    scalar branch amplitudes are shared by all pixels.  Pixel y*width + x
+    draws from that stream, into buffers every band reuses.
     """
-    masks = np.empty((2, _BLOCK_PIXELS), dtype=bool)
-    offsets = np.arange(_BLOCK_PIXELS, dtype=np.uint64)
-    streams, draws = np.empty_like(offsets), np.empty(_BLOCK_PIXELS)
-    for lo in starts:
-        m = min(_BLOCK_PIXELS, out.shape[1] - lo)
-        zero_is_lower, take_flipped, u = masks[0, :m], masks[1, :m], draws[:m]
-        rows = list(out[:, lo:lo + m])
+    width = secrets[0].width
+    band = _band_rows(width)
+    offsets = np.arange(band * width, dtype=np.uint64)
+    streams, draws = np.empty_like(offsets), np.empty(offsets.size)
+    compared = np.empty(offsets.size, dtype=bool)
+    for y in starts:
+        rows_in_band = min(band, out.shape[1] - y)
+        m = rows_in_band * width
+        rows = list(out[:, y:y + rows_in_band])
         # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits, read in place.
-        planes = [rows[0], *(img.bits[lo:lo + m] for img in secrets)]
+        planes = [rows[0], *(img.rows[y:y + rows_in_band] for img in secrets)]
         planes[0].fill(0)
         a0, a1, flip = 1.0, 0.0, set()  # one branch of amplitude 1 until the H splits it
         for gate in program:
@@ -183,16 +198,21 @@ def _encode_blocks(
         p0, p1 = a0 * a0, a1 * a1
         if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
             raise StateError("simulated pixel state drifted off unit norm")
+        band_streams = np.add(offsets[:m], np.uint64(y * width), out=streams[:m])
+        u = rng.unit_array(master_seed, band_streams, 0, out=draws[:m], scratch=band_streams)
         # Born sampling, lower basis index first: the branches first differ at the
-        # most significant qubit in `flip`, so branch 0 is lower where that bit is 0.
-        np.equal(planes[min(flip, default=0)], 0, out=zero_is_lower)
-        block_streams = np.add(offsets[:m], np.uint64(lo), out=streams[:m])
-        rng.unit_array(master_seed, block_streams, 0, out=u, scratch=block_streams)
-        np.less(u, p1, out=take_flipped)
-        np.greater_equal(u, p0, out=take_flipped, where=zero_is_lower)
+        # most significant qubit in `flip`.  Where that bit is 0, branch 0 is lower
+        # and the flipped branch is taken when u >= p0; where it is 1, the flipped
+        # branch is lower and is taken when u < p1.  Both tests are packed like the
+        # planes, and the bit picks between them.
+        take_flipped = _pack(np.greater_equal(u, p0, out=compared[:m]), width)
+        where_one = _pack(np.less(u, p1, out=compared[:m]), width)
+        where_one ^= take_flipped
+        where_one &= planes[min(flip, default=0)]
+        take_flipped ^= where_one
         for q, (plane, row) in enumerate(zip(planes, rows)):
             if q in flip or plane is not row:  # an unwritten qubit copies its secret plane
-                np.bitwise_xor(plane, take_flipped.view(np.uint8) if q in flip else 0, out=row)
+                np.bitwise_xor(plane, take_flipped if q in flip else 0, out=row)
 
 
 def encrypt(
@@ -202,8 +222,10 @@ def encrypt(
 
     n is len(secrets), 1..MAX_ARITY.  Pixel p uses RNG stream p, so the
     result is bit-exact reproducible from master_seed (taken mod 2^64)
-    regardless of `threads`, which is capped at the CPU and block counts:
-    threads split the work at block boundaries, so one block runs inline.
+    regardless of `threads`, which is capped at the CPU and band counts:
+    threads split the work at band boundaries, so one band runs inline.
+    The UniShare and the shares are read-only views of one packed
+    `(n + 1, height, row_bytes)` array.
     """
     secrets = list(secrets)
     n = len(secrets)
@@ -212,10 +234,10 @@ def encrypt(
         require_same_shape(secrets[0], other)
 
     width, height = secrets[0].width, secrets[0].height
-    out = np.empty((n + 1, width * height), dtype=np.uint8)  # row q is qubit q measured
+    out = np.empty((n + 1, *secrets[0].rows.shape), dtype=np.uint8)  # plane q is qubit q
 
     encode = partial(_encode_blocks, encoding_circuit(n), secrets, master_seed, out=out)
-    starts = range(0, out.shape[1], _BLOCK_PIXELS)
+    starts = range(0, height, _band_rows(width))
     threads = min(threads, os.cpu_count() or 1, len(starts))
     if threads <= 1:
         encode(starts)
@@ -223,7 +245,7 @@ def encrypt(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(encode, [starts[k::threads] for k in range(threads)]))
 
-    unishare, *shares = (BinaryImage(width, height, row) for row in out)
+    unishare, *shares = (BinaryImage.from_rows(width, height, plane) for plane in out)
     return ShareSet(unishare, shares)
 
 

@@ -17,6 +17,7 @@ from qvmss.imaging import (
     require_same_shape,
     write_pbm,
 )
+from qvmss.metrics import report
 
 
 def image_strategy(max_side=24):
@@ -73,13 +74,39 @@ def test_binary_image_rejects_empty_dimensions():
 def test_binary_image_is_immutable():
     img = BinaryImage(2, 1, [0, 1])
     with pytest.raises(ValueError):
-        img.bits[0] = 1
+        img.rows[0, 0] = 0xC0
 
 
 def test_binary_image_does_not_freeze_caller_array():
     source = np.array([0, 1, 1, 0], dtype=np.uint8)
     BinaryImage(2, 2, source)
     source[0] = 1  # caller's buffer stays writable
+
+
+def test_binary_image_packs_rows_msb_first_with_zero_padding():
+    img = BinaryImage(9, 2, [1, 0, 0, 0, 0, 0, 0, 1, 1] + [0] * 8 + [1])
+    assert img.rows.dtype == np.uint8
+    assert img.rows.tolist() == [[0x81, 0x80], [0x00, 0x80]]
+    assert imaging.count_ones(img.rows) == 4
+
+
+def test_from_rows_wraps_packed_rows_without_a_copy():
+    rows = np.array([[0x81, 0x80], [0x00, 0x80]], dtype=np.uint8)
+    img = BinaryImage.from_rows(9, 2, rows)
+    assert img == BinaryImage(9, 2, [1, 0, 0, 0, 0, 0, 0, 1, 1] + [0] * 8 + [1])
+    assert np.shares_memory(img.rows, rows)
+    assert not img.rows.flags.writeable
+    rows[0, 0] = 0  # the caller's array stays writable
+
+
+@pytest.mark.parametrize("rows, message", [
+    (np.zeros((2, 1), dtype=np.uint8), "expected"),
+    (np.zeros((2, 2), dtype=np.int64), "expected"),
+    (np.array([[0, 0x40], [0, 0]], dtype=np.uint8), "padding"),
+], ids=["shape", "dtype", "padding_bit"])
+def test_from_rows_rejects_rows_that_are_not_clean_p4(rows, message):
+    with pytest.raises(ValueError, match=message):
+        BinaryImage.from_rows(9, 2, rows)
 
 
 def test_xor_and_complement():
@@ -117,6 +144,28 @@ def test_read_p4_hand_packed_row():
 def test_read_p4_padding_bits_are_ignored():
     img = read_pbm(b"P4\n9 1\n" + bytes([0xFF, 0xFF]))
     assert img == BinaryImage(9, 1, [1] * 9)
+
+
+def padding_bits(rows, width):
+    """The bits after the last pixel of each packed row."""
+    return np.unpackbits(rows, axis=1)[:, width:]
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_read_p4_clears_set_padding_bits(width):
+    clean = make_fixture("random", width, 3, seed=width)
+    header = f"P4\n{width} 3\n".encode()
+    dirty_rows = clean.rows.copy()
+    dirty_rows[:, -1] |= (1 << (-width % 8)) - 1  # every padding bit of each row set
+    dirty = read_pbm(header + dirty_rows.tobytes())
+    assert dirty == clean
+    assert report(dirty, clean).mismatch_fraction == 0.0
+    flipped = dirty ^ make_fixture("all_one", width, 3)
+    assert flipped == BinaryImage(width, 3, clean.as_grid().reshape(-1) ^ 1)
+    assert not padding_bits(flipped.rows, width).any()
+    written = np.frombuffer(write_pbm(dirty)[len(header):], dtype=np.uint8)
+    assert np.array_equal(written.reshape(3, -1), clean.rows)
+    assert not padding_bits(written.reshape(3, -1), width).any()
 
 
 def test_read_rejects_grayscale_magic():
@@ -264,7 +313,7 @@ def test_read_p1_matches_byte_loop_reference(width, height, raster, chunk):
     try:
         # Small chunks put comments across the boundaries of the blanking pass.
         with mock.patch.object(imaging, "_COMMENT_CHUNK", chunk):
-            got = read_pbm(data).bits.tolist()
+            got = read_pbm(data).as_grid().reshape(-1).tolist()
     except PbmParseError as exc:
         got = (str(exc), exc.offset)
         expected = (f"{expected[0]} (byte offset {expected[1]})", expected[1])
@@ -310,7 +359,8 @@ _p1_filler = st.lists(st.one_of(
 @settings(max_examples=100)
 @given(img=image_strategy(max_side=8), data=st.data())
 def test_read_p1_with_random_filler_between_digits(img, data):
-    raster = b"".join(data.draw(_p1_filler) + bytes([0x30 + bit]) for bit in img.bits)
+    bits = img.as_grid().reshape(-1)
+    raster = b"".join(data.draw(_p1_filler) + bytes([0x30 + bit]) for bit in bits)
     text = f"P1\n{img.width} {img.height}\n".encode() + raster + data.draw(_p1_filler)
     assert read_pbm(text) == img
 

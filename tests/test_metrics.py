@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
-from qvmss.metrics import report
+from qvmss.metrics import from_counts, report
 from qvmss.rng import unit_array
 from qvmss.scheme import encrypt
 
 
+def flat_bits(img):
+    """The image's bits unpacked, flat in row-major order."""
+    return img.as_grid().reshape(-1)
+
+
 def inverted(img):
-    return BinaryImage(img.width, img.height, img.bits ^ 1)
+    return BinaryImage(img.width, img.height, flat_bits(img) ^ 1)
 
 
 def random_pair(width, height, seed):
@@ -39,9 +44,9 @@ def textbook_metrics(a, b):
         "ssim": ((2 * mu_x * mu_y + c1) * (2 * cov + c2))
         / ((mu_x**2 + mu_y**2 + c1) * (var_x + var_y + c2)),
         "correlation": None if var_x == 0.0 or var_y == 0.0 else cov / math.sqrt(var_x * var_y),
-        "mismatch_fraction": float(np.mean(a.bits != b.bits)),
-        "ones_fraction_a": float(np.mean(a.bits)),
-        "ones_fraction_b": float(np.mean(b.bits)),
+        "mismatch_fraction": float(np.mean(flat_bits(a) != flat_bits(b))),
+        "ones_fraction_a": float(np.mean(flat_bits(a))),
+        "ones_fraction_b": float(np.mean(flat_bits(b))),
     }
 
 
@@ -194,13 +199,35 @@ def test_metrics_are_symmetric(seed, width, height):
 def test_metrics_invariant_under_joint_pixel_permutation(seed):
     img_a, img_b = random_pair(8, 8, seed)
     order = np.argsort(unit_array(seed, np.arange(64, dtype=np.uint64), 9))
-    perm_a = BinaryImage(8, 8, img_a.bits[order])
-    perm_b = BinaryImage(8, 8, img_b.bits[order])
+    perm_a = BinaryImage(8, 8, flat_bits(img_a)[order])
+    perm_b = BinaryImage(8, 8, flat_bits(img_b)[order])
 
     plain, permuted = report(img_a, img_b), report(perm_a, perm_b)
     assert plain.mse == permuted.mse
     assert abs(plain.ssim - permuted.ssim) < 1e-12
     assert plain.mismatch_fraction == permuted.mismatch_fraction
+
+
+@settings(max_examples=150)
+@given(
+    width=st.sampled_from([1, 7, 9, 63, 65]),
+    height=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+    density_a=st.floats(0.0, 1.0),
+    density_b=st.floats(0.0, 1.0),
+)
+def test_packed_report_equals_closed_forms_of_unpacked_counts(
+    width, height, seed, density_a, density_b
+):
+    # Widths off a multiple of 8 leave padding bits in each packed row.
+    bits = np.random.default_rng(seed).random((2, width * height)) < [[density_a], [density_b]]
+    a, b = (BinaryImage(width, height, row) for row in bits)
+    expected = from_counts(
+        width, height,
+        np.count_nonzero(bits[0]), np.count_nonzero(bits[1]),
+        np.count_nonzero(bits[0] & bits[1]),
+    )
+    assert report(a, b) == expected
 
 
 # ------------------------------------------------------------------- report

@@ -41,6 +41,11 @@ def random_images(n, width, height, seed):
     return [make_fixture("random", width, height, seed=seed + i) for i in range(n)]
 
 
+def flat_bits(img):
+    """The image's bits unpacked, flat in row-major order."""
+    return img.as_grid().reshape(-1)
+
+
 # -------------------------------------------------------- transmitter state
 
 def test_transmitter_state_two_secret_zeros_is_ghz_form():
@@ -199,8 +204,37 @@ def test_encrypt_output_is_pinned(n, threads):
     share_set = encrypt(secrets, 7, threads=threads)
     digest = hashlib.sha256()
     for img in (share_set.unishare, *share_set.shares):
-        digest.update(img.bits.tobytes())
+        digest.update(flat_bits(img).tobytes())
     assert digest.hexdigest() == ENGINE_GOLDEN[n]
+
+
+def test_encrypt_images_are_read_only_views_of_one_packed_output():
+    secrets = random_images(3, 37, 20, seed=4)
+    share_set = encrypt(secrets, 5)
+    images = [share_set.unishare, *share_set.shares]
+    out = images[0].rows.base
+    assert out.shape == (4, 20, 5)
+    for q, img in enumerate(images):
+        assert img.rows.base is out
+        assert np.shares_memory(img.rows, out[q])
+        assert not img.rows.flags.writeable
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch(threads):
+    side, n = 2048, 16
+    secret = make_fixture("random", side, side, seed=2)
+    output = (n + 1) * side * side // 8
+    # Per thread: stream offsets, streams and draws (8 bytes a pixel), one bool
+    # test (1 byte a pixel) and the packed tests, over one band of pixels.
+    scratch = 32 * scheme._BLOCK_PIXELS * threads
+    tracemalloc.start()
+    try:
+        encrypt([secret] * n, 3, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= output + scratch
 
 
 def test_random_fixture_does_not_reuse_the_encryption_draws():
@@ -230,12 +264,14 @@ def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
         secrets = random_images(n, width, height, seed=(seed + n) % 2**32)
         share_set = encrypt(secrets, seed)
         assert classical_encrypt(secrets, share_set.unishare) == list(share_set.shares)
+        g_bits = [flat_bits(img) for img in secrets]
+        u_bits = flat_bits(share_set.unishare)
+        s_bits = [flat_bits(s) for s in share_set.shares]
         for pick in picks:
             p = pick % (width * height)
-            g = [int(img.bits[p]) for img in secrets]
-            outcome = encode_pixel(g, RngStream(seed, p))
-            assert outcome.u == share_set.unishare.bits[p]
-            assert outcome.s == tuple(int(s.bits[p]) for s in share_set.shares)
+            outcome = encode_pixel([int(g[p]) for g in g_bits], RngStream(seed, p))
+            assert outcome.u == u_bits[p]
+            assert outcome.s == tuple(int(s[p]) for s in s_bits)
 
 
 @pytest.mark.parametrize("program", [
@@ -244,31 +280,31 @@ def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
 ], ids=["second_hadamard", "pauli_x"])
 def test_engine_refuses_a_program_it_cannot_run(program):
     secret = make_fixture("random", 4, 4, seed=0)
-    out = np.empty((2, 16), dtype=np.uint8)
+    out = np.empty((2, 4, 1), dtype=np.uint8)
     with pytest.raises(ValueError, match="cannot apply"):
         scheme._encode_blocks(program, [secret], 0, [0], out)
 
 
 def test_engine_measures_a_program_without_hadamard_deterministically():
     secret = make_fixture("random", 4, 4, seed=0)
-    out = np.empty((2, 16), dtype=np.uint8)
+    out = np.empty((2, 4, 1), dtype=np.uint8)
     scheme._encode_blocks([cnot(0, 1)], [secret], 0, [0], out)
     assert not out[0].any()
-    assert np.array_equal(out[1], secret.bits)
+    assert np.array_equal(out[1], secret.rows)
 
 
 def test_engine_copies_a_qubit_no_gate_writes():
     secrets = random_images(2, 4, 4, seed=0)
-    out = np.empty((3, 16), dtype=np.uint8)
+    out = np.empty((3, 4, 1), dtype=np.uint8)
     scheme._encode_blocks([hadamard(0), cnot(0, 1)], secrets, 0, [0], out)
-    assert np.array_equal(out[1], out[0] ^ secrets[0].bits)
-    assert np.array_equal(out[2], secrets[1].bits)
+    assert np.array_equal(out[1], out[0] ^ secrets[0].rows)
+    assert np.array_equal(out[2], secrets[1].rows)
 
 
 def one_block_engine_peak(n):
-    """tracemalloc peak of `_encode_blocks` over one full block at arity n."""
+    """tracemalloc peak of `_encode_blocks` over one full band at arity n."""
     secrets = random_images(n, 256, 256, seed=5)
-    out = np.empty((n + 1, 256 * 256), dtype=np.uint8)
+    out = np.empty((n + 1, 256, 32), dtype=np.uint8)
     tracemalloc.start()
     try:
         scheme._encode_blocks(encoding_circuit(n), secrets, 3, [0], out)
@@ -335,7 +371,7 @@ def test_classical_encrypt_identity_and_complement_masks():
     zero = make_fixture("all_zero", 8, 8)
     ones = make_fixture("all_one", 8, 8)
     assert classical_encrypt(g, zero) == g
-    assert classical_encrypt(g, ones) == [BinaryImage(8, 8, img.bits ^ 1) for img in g]
+    assert classical_encrypt(g, ones) == [BinaryImage(8, 8, flat_bits(img) ^ 1) for img in g]
 
 
 def test_classical_encrypt_matches_circuit_encrypt():
@@ -377,7 +413,7 @@ def test_decrypt_wrong_unishare_yields_noise():
     share_set = encrypt(secrets, 31)
     wrong = make_fixture("random", 64, 64, seed=999)
     garbage = decrypt(wrong, share_set.shares[0])
-    mismatch = float(np.mean(garbage.bits != secrets[0].bits))
+    mismatch = float(np.mean(garbage.as_grid() != secrets[0].as_grid()))
     assert abs(mismatch - 0.5) <= 0.04
 
 
