@@ -82,8 +82,7 @@ class BinaryImage:
             raise ValueError(f"expected {width * height} bits, got shape {flat.shape}")
         if flat.max(initial=0) > 1:
             raise ValueError("bits must be 0 or 1")
-        # packbits writes a fresh array, zero-padded to whole bytes per row.
-        self._hold(width, height, np.packbits(flat.reshape(height, width), axis=1))
+        self._hold(width, height, pack_rows(flat, width))
 
     @classmethod
     def from_rows(cls, width: int, height: int, rows: np.ndarray) -> "BinaryImage":
@@ -131,6 +130,15 @@ class BinaryImage:
     def as_grid(self) -> np.ndarray:
         """The bits unpacked into a new (height, width) uint8 array."""
         return np.unpackbits(self.rows, axis=1, count=self.width)
+
+
+def pack_rows(bits: np.ndarray, width: int) -> np.ndarray:
+    """Flat row-major 0/1 or bool bits, `width` to a row, as new packed P4 rows.
+
+    This is the one definition of the layout: most significant bit first,
+    and each row zero-padded to whole bytes.
+    """
+    return np.packbits(bits.reshape(-1, width), axis=1)
 
 
 def _row_bytes(width: int) -> int:
@@ -201,11 +209,8 @@ def read_pbm(data: bytes) -> BinaryImage:
         raise PbmParseError(f"image {width}x{height} exceeds {MAX_PIXELS} pixels", 2)
 
     if variant is PbmVariant.P1_ASCII:
-        bits = _read_p1_raster(data, pos, width * height)
-        rows = np.packbits(bits.reshape(height, width), axis=1)
-    else:
-        rows = _read_p4_raster(data, pos, width, height)
-    return BinaryImage.from_rows(width, height, rows)
+        return BinaryImage(width, height, _read_p1_raster(data, pos, width * height))
+    return BinaryImage.from_rows(width, height, _read_p4_raster(data, pos, width, height))
 
 
 def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:

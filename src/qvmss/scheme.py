@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .imaging import BinaryImage, require_same_shape
+from .imaging import BinaryImage, pack_rows, require_same_shape
 from .qsim import (
     INV_SQRT2,
     MAX_QUBITS,
@@ -149,11 +149,6 @@ def _band_rows(width: int) -> int:
     return max(1, _BLOCK_PIXELS // width)
 
 
-def _pack(bits: np.ndarray, width: int) -> np.ndarray:
-    """Flat row-major bits, `width` to a row, as packed P4 rows."""
-    return np.packbits(bits.reshape(-1, width), axis=1)
-
-
 def _encode_blocks(
     program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
     starts: Sequence[int], out: np.ndarray,
@@ -205,8 +200,8 @@ def _encode_blocks(
         # and the flipped branch is taken when u >= p0; where it is 1, the flipped
         # branch is lower and is taken when u < p1.  Both tests are packed like the
         # planes, and the bit picks between them.
-        take_flipped = _pack(np.greater_equal(u, p0, out=compared[:m]), width)
-        where_one = _pack(np.less(u, p1, out=compared[:m]), width)
+        take_flipped = pack_rows(np.greater_equal(u, p0, out=compared[:m]), width)
+        where_one = pack_rows(np.less(u, p1, out=compared[:m]), width)
         where_one ^= take_flipped
         where_one &= planes[min(flip, default=0)]
         take_flipped ^= where_one
@@ -224,7 +219,7 @@ def encrypt(
     result is bit-exact reproducible from master_seed (taken mod 2^64)
     regardless of `threads`, which is capped at the CPU and band counts:
     threads split the work at band boundaries, so one band runs inline.
-    The UniShare and the shares are read-only views of one packed
+    The UniShare and the shares are views of one packed, read-only
     `(n + 1, height, row_bytes)` array.
     """
     secrets = list(secrets)
@@ -244,6 +239,7 @@ def encrypt(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(encode, [starts[k::threads] for k in range(threads)]))
+    out.flags.writeable = False  # the images below are views of it
 
     unishare, *shares = (BinaryImage.from_rows(width, height, plane) for plane in out)
     return ShareSet(unishare, shares)

@@ -214,6 +214,7 @@ def test_encrypt_images_are_read_only_views_of_one_packed_output():
     images = [share_set.unishare, *share_set.shares]
     out = images[0].rows.base
     assert out.shape == (4, 20, 5)
+    assert not out.flags.writeable
     for q, img in enumerate(images):
         assert img.rows.base is out
         assert np.shares_memory(img.rows, out[q])
@@ -225,9 +226,14 @@ def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch(threads):
     side, n = 2048, 16
     secret = make_fixture("random", side, side, seed=2)
     output = (n + 1) * side * side // 8
-    # Per thread: stream offsets, streams and draws (8 bytes a pixel), one bool
-    # test (1 byte a pixel) and the packed tests, over one band of pixels.
-    scratch = 32 * scheme._BLOCK_PIXELS * threads
+    # Per thread, over one band of pixels: the stream offsets, the streams and
+    # the draws (8 bytes a pixel each), the bool test buffer (1 byte a pixel)
+    # and the two packed tests (1/8 byte a pixel each), which the XORs update
+    # in place: 25.25 bytes a pixel.  The fixed 1 MiB covers the interpreter's
+    # and numpy's own bookkeeping, which does not grow with the image; about
+    # 25 KB of it is used per thread.  Holding the unpacked output would add
+    # 7/8 byte per pixel and plane, 62 MB here.
+    scratch = 25.25 * scheme._BLOCK_PIXELS * threads + (1 << 20)
     tracemalloc.start()
     try:
         encrypt([secret] * n, 3, threads=threads)
