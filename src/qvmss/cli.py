@@ -87,19 +87,36 @@ def _load_matching_images(paths: list[str]) -> list[BinaryImage]:
     return images
 
 
-def _write_outputs(out_dir: str, artifacts: dict[str, bytes]) -> None:
-    """Stage every artifact under a unique name, then rename each into place
-    in order, so the last artifact (manifest.json) lands last."""
-    directory = Path(out_dir)
+def _publish(out_dir: str, images: dict[str, BinaryImage], fmt: str,
+             extra: dict[str, bytes] | None = None, manifest: dict | None = None) -> list[str]:
+    """Write `images` as `fmt` PBM files, then the `extra` payloads, to out_dir.
+
+    Each file is serialized, hashed and staged under a unique name in turn,
+    so only one is held in memory.  With a `manifest`, manifest.json (its
+    fields plus the SHA-256 of every file) is staged last.  Then each staged
+    file is renamed into place in order, so manifest.json lands last.
+    Returns the file names in write order.
+    """
+    directory, variant = Path(out_dir), PbmVariant(fmt)
+    digests, staged = {}, []
+
+    def stage(name: str, payload: bytes) -> None:
+        digests[name] = hashlib.sha256(payload).hexdigest()
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        staged.append((Path(tmp), directory / name))
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        staged = []
         try:
-            for name, payload in artifacts.items():
-                fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
-                staged.append((Path(tmp), directory / name))
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
+            for name, image in images.items():
+                stage(name, write_pbm(image, variant))
+            for name, payload in (extra or {}).items():
+                stage(name, payload)
+            if manifest is not None:
+                text = json.dumps({**manifest, "files": digests}, indent=2, sort_keys=True)
+                stage("manifest.json", (text + "\n").encode("ascii"))
             for tmp, final in staged:
                 os.replace(tmp, final)
         except OSError:
@@ -108,24 +125,7 @@ def _write_outputs(out_dir: str, artifacts: dict[str, bytes]) -> None:
             raise
     except OSError as exc:
         raise _Failure(EXIT_IO, f"{out_dir}: {exc}")
-
-
-def _publish(out_dir: str, images: dict[str, BinaryImage], fmt: str,
-             extra: dict[str, bytes] | None = None, manifest: dict | None = None) -> list[str]:
-    """Write `images` as `fmt` PBM files, then the `extra` payloads, to out_dir.
-
-    With a `manifest`, also write manifest.json: its fields plus the
-    SHA-256 of every file.  Returns the file names in write order.
-    """
-    variant = PbmVariant(fmt)
-    artifacts = {name: write_pbm(image, variant) for name, image in images.items()}
-    artifacts.update(extra or {})
-    if manifest is not None:
-        files = {name: hashlib.sha256(data).hexdigest() for name, data in artifacts.items()}
-        text = json.dumps({**manifest, "files": files}, indent=2, sort_keys=True) + "\n"
-        artifacts["manifest.json"] = text.encode("ascii")
-    _write_outputs(out_dir, artifacts)
-    return list(artifacts)
+    return [final.name for _, final in staged]
 
 
 def _print_written(args, names: list[str], **fields) -> None:

@@ -308,8 +308,7 @@ def _text_tile() -> np.ndarray:
 
 def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryImage:
     """Deterministic test image: checkerboard, all_zero, all_one, random, or text_glyphs."""
-    if width < 1 or height < 1:
-        raise ValueError(f"dimensions must be positive, got {width}x{height}")
+    _check_dimensions(width, height)
     if kind == "all_zero":
         bits = np.zeros(width * height, dtype=np.uint8)
     elif kind == "all_one":

@@ -10,8 +10,8 @@ runs the receiver-side CNOT circuit, as the per-pixel reference.
 
 The circuit is Clifford on a basis state, so `encrypt` runs the same
 `encoding_circuit` program on a bit-plane engine instead of looping the
-dense reference `encode_pixel`: its state is one packed P4 bit plane per
-qubit, kept in the output plane its measured bit fills, and two scalar
+dense reference `encode_pixel`: its state is the packed output itself, one
+P4 bit plane per qubit that every gate updates in place, and two scalar
 branch amplitudes shared by every pixel (`_encode_blocks`).  Both routes
 draw the same per-pixel variate and are bit-identical.
 `classical_encrypt` is the plain XOR oracle kept to cross-check them.
@@ -155,13 +155,13 @@ def _encode_blocks(
 ) -> None:
     """Encode the row bands that begin at rows `starts` into the planes of `out`.
 
-    `out` is `(n + 1, height, row_bytes)`: qubit q's plane is packed P4
-    rows, and the band's slice of plane q (U, then S_1..S_n) holds it, or a
-    read-only view of secret q's rows does until a gate writes it.  So a
-    CNOT is a byte XOR.  After the H the branches are `planes` and `planes`
-    with the qubits in `flip` negated; CNOT is linear, so `flip` and both
-    scalar branch amplitudes are shared by all pixels.  Pixel y*width + x
-    draws from that stream, into buffers every band reuses.
+    `out` is `(n + 1, height, row_bytes)`, and the band's slice of plane q
+    is qubit q's packed P4 rows (U, then S_1..S_n): the X layer loads the
+    secrets into it, and every gate acts on it in place, so a CNOT is a
+    byte XOR.  After the H the branches are `planes` and `planes` with the
+    qubits in `flip` negated; CNOT is linear, so `flip` and both scalar
+    branch amplitudes are shared by all pixels.  Pixel y*width + x draws
+    from that stream, into buffers every band reuses.
     """
     width = secrets[0].width
     band = _band_rows(width)
@@ -169,24 +169,23 @@ def _encode_blocks(
     streams, draws = np.empty_like(offsets), np.empty(offsets.size)
     compared = np.empty(offsets.size, dtype=bool)
     for y in starts:
-        rows_in_band = min(band, out.shape[1] - y)
-        m = rows_in_band * width
-        rows = list(out[:, y:y + rows_in_band])
-        # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits, read in place.
-        planes = [rows[0], *(img.rows[y:y + rows_in_band] for img in secrets)]
-        planes[0].fill(0)
+        planes = out[:, y:y + band]
+        m = planes.shape[1] * width
+        # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
+        planes[0] = 0
+        for k, img in enumerate(secrets, start=1):
+            planes[k] = img.rows[y:y + band]
         a0, a1, flip = 1.0, 0.0, set()  # one branch of amplitude 1 until the H splits it
         for gate in program:
             t = gate.target
             if gate.kind is GateKind.CNOT:
-                planes[t] = np.bitwise_xor(planes[t], planes[gate.control], out=rows[t])
+                planes[t] ^= planes[gate.control]
                 if gate.control in flip:
                     flip ^= {t}
             elif gate.kind is GateKind.HADAMARD and not flip:
                 # |b> -> (|0> + (-1)^b |1>)/sqrt2; the sign would show only under a second H.
                 a0 = a1 = a0 * INV_SQRT2
-                planes[t] = rows[t]
-                planes[t].fill(0)
+                planes[t] = 0
                 flip = {t}
             else:
                 raise ValueError(f"engine cannot apply {gate} to {1 + bool(flip)} branches")
@@ -198,16 +197,12 @@ def _encode_blocks(
         # Born sampling, lower basis index first: the branches first differ at the
         # most significant qubit in `flip`.  Where that bit is 0, branch 0 is lower
         # and the flipped branch is taken when u >= p0; where it is 1, the flipped
-        # branch is lower and is taken when u < p1.  Both tests are packed like the
-        # planes, and the bit picks between them.
+        # branch is lower and is taken when u < p1.  With a flip, the one H made
+        # p0 == p1, so u < p1 is not u >= p0, and the bit negates one packed test.
         take_flipped = pack_rows(np.greater_equal(u, p0, out=compared[:m]), width)
-        where_one = pack_rows(np.less(u, p1, out=compared[:m]), width)
-        where_one ^= take_flipped
-        where_one &= planes[min(flip, default=0)]
-        take_flipped ^= where_one
-        for q, (plane, row) in enumerate(zip(planes, rows)):
-            if q in flip or plane is not row:  # an unwritten qubit copies its secret plane
-                np.bitwise_xor(plane, take_flipped if q in flip else 0, out=row)
+        take_flipped ^= planes[min(flip, default=0)]
+        for q in flip:
+            planes[q] ^= take_flipped
 
 
 def encrypt(

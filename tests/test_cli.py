@@ -1,13 +1,17 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import qvmss
+from qvmss import scheme
 from qvmss.cli import main
 from qvmss.imaging import make_fixture, read_pbm, write_pbm
 
@@ -60,6 +64,49 @@ def test_encrypt_leaves_unrelated_tmp_files_alone(tmp_path, secret_files):
     assert sorted(p.name for p in out.iterdir()) == [
         "S1.pbm", "S2.pbm", "U.pbm", "U.pbm.tmp", "manifest.json",
     ]
+
+
+def test_encrypt_failed_write_keeps_the_previous_run(tmp_path, secret_files, monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(["encrypt", "--seed", "1", *map(str, secret_files), "-o", str(out)]) == 0
+    before = read_tree(out)
+    assert all(stat.S_IMODE((out / name).stat().st_mode) == 0o600 for name in before)
+
+    real_mkstemp, staged = tempfile.mkstemp, []
+
+    def third_write_fails(*args, **kwargs):
+        fd, path = real_mkstemp(*args, **kwargs)
+        staged.append(path)
+        if len(staged) == 3:
+            os.close(fd)
+            fd = os.open(path, os.O_RDONLY)  # so writing the payload raises OSError
+        return fd, path
+
+    monkeypatch.setattr(tempfile, "mkstemp", third_write_fails)
+    assert main(["encrypt", "--seed", "2", *map(str, secret_files), "-o", str(out)]) == 2
+    assert len(staged) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not list(out.glob(".*.tmp"))
+    assert read_tree(out) == before
+
+
+def test_encrypt_holds_one_serialized_file_at_a_time(tmp_path):
+    side, n = 2048, 16
+    path = tmp_path / "g.pbm"
+    path.write_bytes(write_pbm(make_fixture("text_glyphs", side, side)))
+    image = side * side // 8
+    # The packed input and output, one band of engine scratch (25.125 bytes a
+    # pixel), one serialized file and 1 MiB of bookkeeping.  Serializing every
+    # file before writing any would add n more images.
+    bound = (2 * n + 1) * image + 25.125 * scheme._BLOCK_PIXELS + image + (1 << 20)
+    tracemalloc.start()
+    try:
+        assert main(["encrypt", "--seed", "3", *[str(path)] * n,
+                     "-o", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_encrypt_single_secret_gives_random_grid_pair(tmp_path, secret_files):
@@ -280,13 +327,14 @@ def test_demo_deterministic_across_runs_and_threads(tmp_path):
     assert trees[0] == trees[1] == trees[2]
 
 
-@pytest.mark.parametrize("fmt, digest", [
-    ("p4", "9c614406240f32860ddba5c657d5fd4b3dd0eb7482c8f5c0debcb13bc3b6a7c6"),
-    ("p1", "5846310339fee8ee686e615b1b7cd059f4d8bbb6770149c1ebc0dfd9e188cb90"),
+@pytest.mark.parametrize("fmt, digest, size", [
+    ("p4", "9c614406240f32860ddba5c657d5fd4b3dd0eb7482c8f5c0debcb13bc3b6a7c6", "64"),
+    ("p1", "5846310339fee8ee686e615b1b7cd059f4d8bbb6770149c1ebc0dfd9e188cb90", "64"),
+    ("p4", "d47dae3629ef0baba09c6dc12a21fb4ddecf2cfc7154bcb6cc31f425424b73b7", "512"),
 ])
-def test_demo_manifest_golden(tmp_path, fmt, digest):
+def test_demo_manifest_golden(tmp_path, fmt, digest, size):
     out = tmp_path / "demo"
-    assert main(["demo", "--seed", "7", "--size", "64", "--format", fmt, "-o", str(out)]) == 0
+    assert main(["demo", "--seed", "7", "--size", size, "--format", fmt, "-o", str(out)]) == 0
     assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == digest
 
 

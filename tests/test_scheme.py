@@ -228,12 +228,12 @@ def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch(threads):
     output = (n + 1) * side * side // 8
     # Per thread, over one band of pixels: the stream offsets, the streams and
     # the draws (8 bytes a pixel each), the bool test buffer (1 byte a pixel)
-    # and the two packed tests (1/8 byte a pixel each), which the XORs update
-    # in place: 25.25 bytes a pixel.  The fixed 1 MiB covers the interpreter's
+    # and the one packed Born test (1/8 byte a pixel), which the XORs update
+    # in place: 25.125 bytes a pixel.  The fixed 1 MiB covers the interpreter's
     # and numpy's own bookkeeping, which does not grow with the image; about
     # 25 KB of it is used per thread.  Holding the unpacked output would add
     # 7/8 byte per pixel and plane, 62 MB here.
-    scratch = 25.25 * scheme._BLOCK_PIXELS * threads + (1 << 20)
+    scratch = 25.125 * scheme._BLOCK_PIXELS * threads + (1 << 20)
     tracemalloc.start()
     try:
         encrypt([secret] * n, 3, threads=threads)
@@ -305,6 +305,22 @@ def test_engine_copies_a_qubit_no_gate_writes():
     scheme._encode_blocks([hadamard(0), cnot(0, 1)], secrets, 0, [0], out)
     assert np.array_equal(out[1], out[0] ^ secrets[0].rows)
     assert np.array_equal(out[2], secrets[1].rows)
+
+
+@pytest.mark.parametrize("program, n", [
+    (encoding_circuit(1), 1),
+    (encoding_circuit(2), 2),
+    (encoding_circuit(16), 16),
+    ([cnot(0, 1)], 1),
+], ids=["n1", "n2", "n16", "no_hadamard"])
+def test_engine_output_does_not_depend_on_what_out_held(program, n):
+    # Width 37 leaves 3 padding bits in each row's last byte.
+    secrets = random_images(n, 37, 9, seed=n)
+    zeros = np.zeros((n + 1, 9, 5), dtype=np.uint8)
+    ones = np.full_like(zeros, 0xFF)
+    for out in (zeros, ones):
+        scheme._encode_blocks(program, secrets, 6, [0], out)
+    assert np.array_equal(zeros, ones)
 
 
 def one_block_engine_peak(n):
