@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from qvmss.imaging import make_fixture
-from qvmss.metrics import report
+from qvmss.metrics import report, uniformity_bound
 from qvmss.scheme import encrypt
 
 
@@ -33,7 +33,7 @@ def main():
     parser.add_argument("--seed", type=int, default=1, help="first seed of the sweep")
     args = parser.parse_args()
 
-    bound = 4.0 * 0.5 / (args.size * args.size) ** 0.5
+    bound = uniformity_bound(args.size * args.size)
     print(f"sweep: {args.runs} runs at {args.size}x{args.size}, "
           f"uniformity bound 0.5 +/- {bound:.6f}")
     print(f"{'seed':>6} {'U_ones':>8} {'S1_ones':>8} {'S2_ones':>8} "

@@ -8,6 +8,10 @@ temporary name and renamed into place, so it is replaced atomically;
 manifest.json is renamed last.  manifest.json records
 `{"seed", "arity", "width", "height", "files": {name: sha256-hex}}`.
 
+The seed is key material, as secret as U.pbm: the printed `seed:` line and
+manifest.json's `seed` rebuild U.pbm, and with it every secret, because
+the draws' SplitMix64 mixer is not a keyed pseudorandom function.
+
 Exit codes: 0 success, 1 selftest property failure, 2 I/O or parse
 failure (a closed stdout included), 3 image dimension mismatch.
 """
@@ -220,9 +224,7 @@ def cmd_metrics(args) -> int:
         raise _Failure(EXIT_IO, "--secrets, --shares and --unishare need --pairs")
     if len(args.images) != 2:
         raise _Failure(EXIT_IO, "metrics needs exactly two images (or --pairs)")
-    name_a, name_b = args.images
-    a, b = _load_image(name_a), _load_image(name_b)
-    _require_same_dims(name_a, a, name_b, b)
+    a, b = _load_matching_images(args.images)
     print(metrics.report(a, b).to_json(indent=2))
     return EXIT_OK
 
@@ -270,7 +272,7 @@ def cmd_demo(args) -> int:
 def _selftest_properties(seed: int, inject_fault: bool):
     """Yield (name, passed, detail) for each scheme property."""
     size = 256
-    bound = 4.0 * 0.5 / size  # 4 sigma for a size*size pixel Bernoulli(1/2) mean
+    bound = metrics.uniformity_bound(size * size)
 
     g1 = make_fixture("random", size, size, seed=seed ^ 0x5EC1)
     g2 = make_fixture("text_glyphs", size, size)

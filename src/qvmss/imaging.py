@@ -23,6 +23,7 @@ MAX_PIXELS = 1 << 26
 # pixel p to stream p < MAX_PIXELS, so a fixture never reuses a draw that
 # `encrypt` makes under the same seed.
 _FIXTURE_STREAMS = np.uint64(1 << 63)
+_FIXTURE_BAND_PIXELS = 1 << 16
 
 _WHITESPACE = frozenset(b" \t\n\r\v\f")
 # Whitespace and `#` comments (to the line end) may sit between header tokens.
@@ -317,9 +318,19 @@ def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryIma
         y, x = np.indices((height, width), dtype=np.uint32)
         bits = ((x + y) & 1).astype(np.uint8).reshape(-1)
     elif kind == "random":
-        streams = np.arange(width * height, dtype=np.uint64) | _FIXTURE_STREAMS
-        draws = rng.u64_array(seed, streams, 0)
-        bits = (draws >> np.uint64(63)).astype(np.uint8)
+        # Pixel p is 1 when stream p | _FIXTURE_STREAMS draws at least 1/2, that is
+        # when its draw's top bit is set.  Drawn by bands of rows into reused buffers.
+        rows = np.empty((height, _row_bytes(width)), dtype=np.uint8)
+        band = max(1, _FIXTURE_BAND_PIXELS // width)
+        offsets = np.arange(band * width, dtype=np.uint64) | _FIXTURE_STREAMS
+        streams, draws = np.empty_like(offsets), np.empty(offsets.size)
+        for y in range(0, height, band):
+            m = rows[y:y + band].shape[0] * width
+            # p < MAX_PIXELS never carries into the top bit, so adding keeps it set.
+            band_streams = np.add(offsets[:m], np.uint64(y * width), out=streams[:m])
+            u = rng.unit_array(seed, band_streams, 0, out=draws[:m], scratch=band_streams)
+            rows[y:y + band] = pack_rows(u >= 0.5, width)
+        return BinaryImage.from_rows(width, height, rows)
     elif kind == "text_glyphs":
         tile = _text_tile()
         scale = max(1, min(width, height) // 64)

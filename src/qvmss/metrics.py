@@ -24,6 +24,11 @@ SSIM_C1 = (0.01 * PEAK) ** 2
 SSIM_C2 = (0.03 * PEAK) ** 2
 
 
+def uniformity_bound(pixels: int) -> float:
+    """4 sigma for the ones fraction of `pixels` fair bits around 1/2."""
+    return 4.0 * 0.5 / math.sqrt(pixels)
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """All metrics for one image pair, JSON-serializable."""

@@ -3,7 +3,8 @@
 Every random decision in the pipeline is keyed by (master_seed, stream_index,
 draw counter) through a stateless 64-bit mixing function, so results are
 identical no matter how work is scheduled or batched.  One stream per pixel
-gives order-independent reproducibility under parallel encoding.
+gives order-independent reproducibility under parallel encoding.  The mixer
+is SplitMix64's finalizer, not a keyed PRF: the seed yields every draw.
 """
 from __future__ import annotations
 
@@ -33,11 +34,6 @@ def draw_u64(master_seed: int, stream_index: int, cursor: int) -> int:
     return _mix(x ^ (cursor & _MASK64))
 
 
-def draw_unit(master_seed: int, stream_index: int, cursor: int) -> float:
-    """Uniform double in [0, 1) using the top 53 bits of the draw."""
-    return (draw_u64(master_seed, stream_index, cursor) >> 11) * _UNIT_SCALE
-
-
 def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
     """SplitMix64 finalizer over z, in place (uint64 arithmetic wraps mod 2^64);
     tmp is working space of z's shape."""
@@ -47,25 +43,18 @@ def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
             np.multiply(z, factor, out=z)
 
 
-def u64_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
-              out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized draw_u64 over many streams at a fixed cursor, in the uint64
-    buffers `out` (may be stream_indices) and `scratch` if given."""
-    streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
-    # The seed's mix is one value for every stream, so it is computed once.
-    x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)), out=out)
-    tmp = np.empty_like(x) if scratch is None else scratch
-    _mix_array(x, tmp)
-    _mix_array(np.bitwise_xor(x, np.uint64(cursor & _MASK64), out=x), tmp)
-    return x
-
-
 def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized draw_unit over many streams at a fixed cursor; given `out`
-    (float64) and `scratch` (uint64, may be stream_indices), it allocates nothing."""
+    """Uniform doubles in [0, 1): the top 53 bits of draw_u64 over many streams
+    at a fixed cursor.  Given `out` (float64) and `scratch` (uint64, may be
+    stream_indices), it allocates nothing."""
     out = np.empty(np.shape(stream_indices)) if out is None else out
-    x = u64_array(master_seed, stream_indices, cursor, scratch, out.view(np.uint64))
+    streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
+    # The seed's mix is one value for every stream, so it is computed once.
+    x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)), out=scratch)
+    tmp = out.view(np.uint64)
+    _mix_array(x, tmp)
+    _mix_array(np.bitwise_xor(x, np.uint64(cursor & _MASK64), out=x), tmp)
     # A plain cast needs no buffer; a multiply that mixes uint64 and float64 would.
     np.copyto(out, np.right_shift(x, np.uint64(11), out=x))
     return np.multiply(out, _UNIT_SCALE, out=out)

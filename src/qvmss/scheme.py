@@ -6,7 +6,7 @@ universal-share bit) into superposition with a Hadamard and entangles it
 with a CNOT onto each secret qubit.  Measuring collapses the register to
 one of two complementary branches, yielding the UniShare bit u and share
 bits s_k = g_k XOR u.  `decrypt` XORs the UniShare back; `decode_pixel`
-runs the receiver-side CNOT circuit, as the per-pixel reference.
+runs the receiver-side `decoding_circuit`, as the per-pixel reference.
 
 The circuit is Clifford on a basis state, so `encrypt` runs the same
 `encoding_circuit` program on a bit-plane engine instead of looping the
@@ -91,14 +91,6 @@ class ShareSet:
         return self.unishare.height
 
 
-def _validated_bits(secret_bits: Sequence[int]) -> tuple[int, ...]:
-    g = tuple(int(b) for b in secret_bits)
-    _check_arity(len(g), "secret bits")
-    if any(b not in (0, 1) for b in g):
-        raise ValueError(f"secret bits must be 0 or 1, got {g}")
-    return g
-
-
 def encoding_circuit(n: int) -> list[GateOp]:
     """Gate program that follows the X layer loading the n secret bits.
 
@@ -108,20 +100,30 @@ def encoding_circuit(n: int) -> list[GateOp]:
     return [hadamard(0), *(cnot(0, j) for j in range(1, n + 1))]
 
 
+def decoding_circuit() -> list[GateOp]:
+    """Receiver gate program after the X layer loads (u, s_k): a CNOT from u onto s_k."""
+    return [cnot(0, 1)]
+
+
+def _run_dense(bits: tuple[int, ...], program: Sequence[GateOp]) -> StateVector:
+    """Dense reference: X gates load `bits` into qubits 0.., then `program` runs."""
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError(f"bits must be 0 or 1, got {bits}")
+    state = new_register(len(bits))
+    for gate in [pauli_x(q) for q, bit in enumerate(bits) if bit] + list(program):
+        state = apply_gate(state, gate)
+    return state
+
+
 def transmitter_state(secret_bits: Sequence[int]) -> StateVector:
     """Pre-measurement state of the encoding circuit for one pixel.
 
     Support is exactly two complementary basis states, |0, g_1..g_n> and
     |1, not(g_1)..not(g_n)>, each with probability 1/2.
     """
-    g = _validated_bits(secret_bits)
-    state = new_register(len(g) + 1)
-    for j, bit in enumerate(g):
-        if bit:
-            state = apply_gate(state, pauli_x(j + 1))
-    for gate in encoding_circuit(len(g)):
-        state = apply_gate(state, gate)
-    return state
+    g = tuple(secret_bits)
+    _check_arity(len(g), "secret bits")
+    return _run_dense((0, *g), encoding_circuit(len(g)))
 
 
 def encode_pixel(secret_bits: Sequence[int], stream: rng.RngStream) -> PixelOutcome:
@@ -132,16 +134,8 @@ def encode_pixel(secret_bits: Sequence[int], stream: rng.RngStream) -> PixelOutc
 
 def decode_pixel(u: int, s_k: int) -> int:
     """Recover one secret bit by running the receiver circuit: CNOT from u onto s_k."""
-    if u not in (0, 1) or s_k not in (0, 1):
-        raise ValueError(f"decode_pixel expects bits, got u={u!r} s_k={s_k!r}")
-    state = new_register(2)
-    if u:
-        state = apply_gate(state, pauli_x(0))
-    if s_k:
-        state = apply_gate(state, pauli_x(1))
-    state = apply_gate(state, cnot(0, 1))
     # Basis-state input, so the measurement is deterministic.
-    return int(measure_all(state, rng.RngStream(0, 0))[1])
+    return int(measure_all(_run_dense((u, s_k), decoding_circuit()), rng.RngStream(0, 0))[1])
 
 
 def _band_rows(width: int) -> int:
@@ -244,9 +238,6 @@ def classical_encrypt(
     secrets: Sequence[BinaryImage], mask: BinaryImage
 ) -> list[BinaryImage]:
     """XOR oracle: S_k = G_k XOR mask, pixelwise."""
-    secrets = list(secrets)
-    for img in secrets:
-        require_same_shape(img, mask)
     return [img ^ mask for img in secrets]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import stat
@@ -8,12 +9,14 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qvmss
-from qvmss import scheme
+from qvmss import rng, scheme
 from qvmss.cli import main
-from qvmss.imaging import make_fixture, read_pbm, write_pbm
+from qvmss.imaging import BinaryImage, make_fixture, pack_rows, read_pbm, write_pbm
+from qvmss.qsim import INV_SQRT2
 
 
 @pytest.fixture
@@ -46,6 +49,19 @@ def test_encrypt_writes_shares_and_manifest(tmp_path, secret_files, capsys):
     assert manifest["width"] == 32 and manifest["height"] == 32
     assert set(manifest["files"]) == {"U.pbm", "S1.pbm", "S2.pbm"}
     assert all(len(d) == 64 for d in manifest["files"].values())
+
+
+def test_printed_seed_rebuilds_the_unishare(tmp_path, secret_files):
+    # The seed is key material: with it, anyone can redraw U and decrypt every share.
+    out = tmp_path / "out"
+    assert main(["encrypt", "--seed", "1234", *map(str, secret_files), "-o", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    width, height = manifest["width"], manifest["height"]
+    u = rng.unit_array(manifest["seed"], np.arange(width * height, dtype=np.uint64), 0)
+    rebuilt = BinaryImage.from_rows(width, height, pack_rows(u >= INV_SQRT2 ** 2, width))
+    assert rebuilt == read_pbm((out / "U.pbm").read_bytes())
+    recovered = read_pbm((out / "S1.pbm").read_bytes()) ^ rebuilt
+    assert recovered == read_pbm(secret_files[0].read_bytes())
 
 
 def test_encrypt_rerun_is_byte_identical(tmp_path, secret_files):
@@ -327,15 +343,30 @@ def test_demo_deterministic_across_runs_and_threads(tmp_path):
     assert trees[0] == trees[1] == trees[2]
 
 
-@pytest.mark.parametrize("fmt, digest, size", [
+DEMO_GOLDEN = [
     ("p4", "9c614406240f32860ddba5c657d5fd4b3dd0eb7482c8f5c0debcb13bc3b6a7c6", "64"),
     ("p1", "5846310339fee8ee686e615b1b7cd059f4d8bbb6770149c1ebc0dfd9e188cb90", "64"),
     ("p4", "d47dae3629ef0baba09c6dc12a21fb4ddecf2cfc7154bcb6cc31f425424b73b7", "512"),
-])
-def test_demo_manifest_golden(tmp_path, fmt, digest, size):
-    out = tmp_path / "demo"
+]
+
+
+def demo_manifest_digest(out, fmt, size):
     assert main(["demo", "--seed", "7", "--size", size, "--format", fmt, "-o", str(out)]) == 0
-    assert hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest() == digest
+    return hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt, digest, size", DEMO_GOLDEN)
+def test_demo_manifest_golden(tmp_path, fmt, digest, size):
+    assert demo_manifest_digest(tmp_path / "demo", fmt, size) == digest
+
+
+@pytest.mark.parametrize("block_pixels", [64, 1 << 20])
+def test_demo_manifest_golden_does_not_depend_on_the_band_size(tmp_path, monkeypatch,
+                                                               block_pixels):
+    monkeypatch.setattr(scheme, "_BLOCK_PIXELS", block_pixels)
+    for fmt, digest, size in DEMO_GOLDEN:
+        if size == "64":
+            assert demo_manifest_digest(tmp_path / fmt, fmt, size) == digest
 
 
 @pytest.mark.parametrize("command", ["encrypt", "demo"])
@@ -410,6 +441,14 @@ def test_selftest_help_lists_json(capsys):
 
 
 # ----------------------------------------------------------- console script
+
+def test_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["qvmss"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+
 
 def run_cli(*args, **kwargs):
     """`python -m qvmss.cli ARGS` in a child that imports this same package."""

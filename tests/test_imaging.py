@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from unittest import mock
 
@@ -423,6 +424,40 @@ def test_random_fixture_is_deterministic():
     b = make_fixture("random", 8, 8, seed=7)
     assert a == b
     assert a != make_fixture("random", 8, 8, seed=8)
+
+
+# SHA-256 of the packed rows of make_fixture("random", width, height, seed):
+# one band, two bands (300x300 and 2048x33), six bands of a narrow image, and
+# widths above a band's 65536 pixels, which take one row per band.
+RANDOM_FIXTURE_GOLDEN = {
+    (1, 1, 0): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    (37, 29, 0): "2dfb4d1da45ae507c6cc1ab028965b7b2d6b9c63d7ddada159111625c9fe6405",
+    (300, 300, 2**64 - 1): "f5df1ab25d1e0afa91fd409aa4bbbb0c0a073f31f9574b8ed91a5f64765747f4",
+    (2048, 33, 2**64 - 1): "a0bb860d85facab5e7d55b9eeff9790fdec994591dcb1cedc793a4af807d0161",
+    (5, 70000, 2**64 - 1): "a28629a97232302e2fb889120568678e4b538faff0a2817beee926fdadcb0e3e",
+    (70001, 3, 0): "7f07fa9405f078380f0dc4895d7e443e68c7dc2444fdf7069f64624334f1a27e",
+    (70001, 2, 2**64 - 1): "0c05bdc012b31ceb5619636c054a75db5794a74fdd1de4ef36d636d073537eee",
+}
+
+
+@pytest.mark.parametrize("width, height, seed", sorted(RANDOM_FIXTURE_GOLDEN))
+def test_random_fixture_is_pinned(width, height, seed):
+    rows = make_fixture("random", width, height, seed=seed).rows
+    digest = hashlib.sha256(rows.tobytes()).hexdigest()
+    assert digest == RANDOM_FIXTURE_GOLDEN[width, height, seed]
+
+
+def test_random_fixture_peak_memory_is_one_band_of_draws():
+    # The packed image is 512 KiB; one band of uint64 streams, stream offsets
+    # and float64 draws is 1.5 MiB.  One uint64 per pixel would be 32 MiB.
+    make_fixture("random", 8, 8)
+    tracemalloc.start()
+    try:
+        make_fixture("random", 2048, 2048, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 def test_random_fixture_is_balanced():

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from qvmss import scheme
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
 from qvmss.qsim import StateError, cnot, hadamard, pauli_x
-from qvmss.rng import RngStream, draw_unit, u64_array
+from qvmss.rng import RngStream, draw_u64
 from qvmss.scheme import (
     MAX_ARITY,
     ConfigError,
     ShareSet,
     classical_encrypt,
     decode_pixel,
+    decoding_circuit,
     decrypt,
     decrypt_all,
     encode_pixel,
@@ -31,7 +32,7 @@ from qvmss.scheme import (
 def find_stream(master_seed, want_high):
     """First stream index whose opening draw forces the wanted UniShare branch."""
     for stream in range(10_000):
-        high = draw_unit(master_seed, stream, 0) >= 0.5
+        high = RngStream(master_seed, stream).next_unit() >= 0.5
         if high == want_high:
             return stream
     raise AssertionError("no stream with the wanted first draw")
@@ -85,6 +86,8 @@ def test_transmitter_state_rejects_bad_arity():
 def test_transmitter_state_rejects_non_bits():
     with pytest.raises(ValueError):
         transmitter_state([0, 2])
+    with pytest.raises(ValueError):  # not truncated to [0, 1]
+        transmitter_state([0.5, 1])
 
 
 # ------------------------------------------------------------- encode_pixel
@@ -196,16 +199,33 @@ ENGINE_GOLDEN = {
 }
 
 
+@pytest.fixture(scope="module")
+def golden_draws():
+    """Seed 11's opening draw of streams 0..89999, from the scalar reference."""
+    return np.array([draw_u64(11, p, 0) for p in range(300 * 300)], dtype=np.uint64)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n", sorted(ENGINE_GOLDEN))
-def test_encrypt_output_is_pinned(n, threads):
-    draws = u64_array(11, np.arange(300 * 300, dtype=np.uint64), 0)
-    secrets = [BinaryImage(300, 300, (draws >> np.uint64(k)) & np.uint64(1)) for k in range(n)]
+def test_encrypt_output_is_pinned(n, threads, golden_draws):
+    secrets = [BinaryImage(300, 300, (golden_draws >> np.uint64(k)) & np.uint64(1))
+               for k in range(n)]
     share_set = encrypt(secrets, 7, threads=threads)
     digest = hashlib.sha256()
     for img in (share_set.unishare, *share_set.shares):
         digest.update(flat_bits(img).tobytes())
     assert digest.hexdigest() == ENGINE_GOLDEN[n]
+
+
+@pytest.mark.parametrize("block_pixels", [64, 1 << 20])
+def test_encrypt_output_does_not_depend_on_the_band_size(block_pixels, monkeypatch):
+    cases = [(n, random_images(n, width, height, seed=n))
+             for n in (1, 2, 16) for width, height in ((37, 29), (300, 300))]
+    expected = [encrypt(secrets, 9) for _, secrets in cases]
+    monkeypatch.setattr(scheme, "_BLOCK_PIXELS", block_pixels)
+    for (n, secrets), want in zip(cases, expected):
+        for threads in (1, 2):
+            assert encrypt(secrets, 9, threads=threads) == want, (n, threads)
 
 
 def test_encrypt_images_are_read_only_views_of_one_packed_output():
@@ -253,6 +273,10 @@ def test_random_fixture_does_not_reuse_the_encryption_draws():
 def test_encoding_circuit_is_hadamard_then_cnot_fanout():
     assert encoding_circuit(1) == [hadamard(0), cnot(0, 1)]
     assert encoding_circuit(3) == [hadamard(0), cnot(0, 1), cnot(0, 2), cnot(0, 3)]
+
+
+def test_decoding_circuit_is_one_cnot_from_u_onto_the_share_bit():
+    assert decoding_circuit() == [cnot(0, 1)]
 
 
 @settings(max_examples=10, deadline=None)
