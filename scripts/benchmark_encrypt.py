@@ -3,19 +3,17 @@
 
 Times `encrypt` across image sizes, arities, and thread counts, and verifies
 each run round-trips before reporting it.  `floor_x` is the engine's time over
-its floor: the `rng.unit_array` draws for every pixel, made as the engine makes
-them (one call per block into buffers every block reuses), plus the XOR oracle
-`classical_encrypt`, timed in one thread on the same inputs.  `threads` is the
-count asked for; `encrypt` caps it at the CPU and block counts.
+its floor: one `rng.unit_bands` pass over the image, the engine's own draws,
+plus the XOR oracle `classical_encrypt`, timed in one thread on the same
+inputs.  `threads` is the count asked for; `encrypt` caps it at the CPU and
+band counts.
 """
 import argparse
 import time
 
-import numpy as np
-
 from qvmss import rng
 from qvmss.imaging import make_fixture
-from qvmss.scheme import _BLOCK_PIXELS, classical_encrypt, decrypt_all, encrypt
+from qvmss.scheme import classical_encrypt, decrypt_all, encrypt
 
 
 def best_of(repeats, fn):
@@ -35,12 +33,8 @@ def run_case(size, arity, threads, seed, repeats):
     seconds = best_of(repeats, lambda: encrypt(secrets, seed, threads=threads))
 
     def floor():
-        offsets = np.arange(_BLOCK_PIXELS, dtype=np.uint64)
-        streams, draws = np.empty_like(offsets), np.empty(_BLOCK_PIXELS)
-        for lo in range(0, size * size, _BLOCK_PIXELS):
-            m = min(_BLOCK_PIXELS, size * size - lo)
-            block = np.add(offsets[:m], np.uint64(lo), out=streams[:m])
-            rng.unit_array(seed, block, 0, out=draws[:m], scratch=block)
+        for _ in rng.unit_bands(seed, size, size):
+            pass
         classical_encrypt(secrets, share_set.unishare)
 
     return seconds, best_of(repeats, floor)

@@ -181,6 +181,7 @@ def _demo_size(text: str) -> int:
 
 def cmd_encrypt(args) -> int:
     seed = _resolve_seed(args.seed)
+    scheme._check_arity(len(args.secrets), "secret images")  # before reading any file
     secrets = _load_matching_images(args.secrets)
     share_set = encrypt(secrets, seed, threads=args.threads)
     names = _publish(args.out_dir, _share_files(share_set), args.format,

@@ -22,8 +22,7 @@ MAX_PIXELS = 1 << 26
 # The random fixture draws from streams with the top bit set.  `encrypt` keys
 # pixel p to stream p < MAX_PIXELS, so a fixture never reuses a draw that
 # `encrypt` makes under the same seed.
-_FIXTURE_STREAMS = np.uint64(1 << 63)
-_FIXTURE_BAND_PIXELS = 1 << 16
+_FIXTURE_STREAMS = 1 << 63
 
 _WHITESPACE = frozenset(b" \t\n\r\v\f")
 # Whitespace and `#` comments (to the line end) may sit between header tokens.
@@ -308,28 +307,17 @@ def _text_tile() -> np.ndarray:
 
 
 def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryImage:
-    """Deterministic test image: checkerboard, all_zero, all_one, random, or text_glyphs."""
+    """Deterministic test image: checkerboard, random, or text_glyphs."""
     _check_dimensions(width, height)
-    if kind == "all_zero":
-        bits = np.zeros(width * height, dtype=np.uint8)
-    elif kind == "all_one":
-        bits = np.ones(width * height, dtype=np.uint8)
-    elif kind == "checkerboard":
+    if kind == "checkerboard":
         y, x = np.indices((height, width), dtype=np.uint32)
         bits = ((x + y) & 1).astype(np.uint8).reshape(-1)
     elif kind == "random":
-        # Pixel p is 1 when stream p | _FIXTURE_STREAMS draws at least 1/2, that is
-        # when its draw's top bit is set.  Drawn by bands of rows into reused buffers.
+        # Pixel p is 1 when stream _FIXTURE_STREAMS + p draws at least 1/2, that
+        # is when its draw's top bit is set.
         rows = np.empty((height, _row_bytes(width)), dtype=np.uint8)
-        band = max(1, _FIXTURE_BAND_PIXELS // width)
-        offsets = np.arange(band * width, dtype=np.uint64) | _FIXTURE_STREAMS
-        streams, draws = np.empty_like(offsets), np.empty(offsets.size)
-        for y in range(0, height, band):
-            m = rows[y:y + band].shape[0] * width
-            # p < MAX_PIXELS never carries into the top bit, so adding keeps it set.
-            band_streams = np.add(offsets[:m], np.uint64(y * width), out=streams[:m])
-            u = rng.unit_array(seed, band_streams, 0, out=draws[:m], scratch=band_streams)
-            rows[y:y + band] = pack_rows(u >= 0.5, width)
+        for band, u in rng.unit_bands(seed, width, height, first_stream=_FIXTURE_STREAMS):
+            rows[band] = pack_rows(u >= 0.5, width)
         return BinaryImage.from_rows(width, height, rows)
     elif kind == "text_glyphs":
         tile = _text_tile()

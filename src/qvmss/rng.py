@@ -8,6 +8,7 @@ is SplitMix64's finalizer, not a keyed PRF: the seed yields every draw.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,11 @@ _MIX1 = 0xBF58476D1FE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _UNIT_SCALE = 2.0**-53
+
+# Pixels per band, rounded down to whole image rows (at least one): bounds the
+# draw buffers, and a band is the unit of thread work in `scheme.encrypt`.
+# Draws are keyed by pixel, so no output depends on it.
+BAND_PIXELS = 1 << 16
 
 
 def _mix(z: int) -> int:
@@ -58,6 +64,29 @@ def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
     # A plain cast needs no buffer; a multiply that mixes uint64 and float64 would.
     np.copyto(out, np.right_shift(x, np.uint64(11), out=x))
     return np.multiply(out, _UNIT_SCALE, out=out)
+
+
+def band_rows(width: int) -> int:
+    """Image rows per band: about BAND_PIXELS pixels, and at least one row."""
+    return max(1, BAND_PIXELS // width)
+
+
+def unit_bands(master_seed: int, width: int, height: int, starts: Iterable[int] | None = None,
+               first_stream: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield `(rows, u)` for the row bands that begin at `starts` (default: every
+    band, in order): `rows` is the band's slice of image rows, and `u` holds the
+    unit_array draws, cursor 0, of its pixels, pixel (x, y) from stream
+    first_stream + y*width + x.  The buffers are allocated once per call and
+    reused, so `u` is valid only until the next band."""
+    band = band_rows(width)
+    offsets = np.arange(min(band, height) * width, dtype=np.uint64)
+    offsets += np.uint64(first_stream)
+    streams, draws = np.empty_like(offsets), np.empty(offsets.size)
+    for y in range(0, height, band) if starts is None else starts:
+        rows = slice(y, min(y + band, height))
+        m = (rows.stop - y) * width
+        band_streams = np.add(offsets[:m], np.uint64(y * width), out=streams[:m])
+        yield rows, unit_array(master_seed, band_streams, 0, out=draws[:m], scratch=band_streams)
 
 
 @dataclass

@@ -12,8 +12,9 @@ The circuit is Clifford on a basis state, so `encrypt` runs the same
 `encoding_circuit` program on a bit-plane engine instead of looping the
 dense reference `encode_pixel`: its state is the packed output itself, one
 P4 bit plane per qubit that every gate updates in place, and two scalar
-branch amplitudes shared by every pixel (`_encode_blocks`).  Both routes
-draw the same per-pixel variate and are bit-identical.
+branch amplitudes shared by every pixel (`_encode_blocks`), one
+`rng.unit_bands` band of rows at a time.  Both routes draw the same
+per-pixel variate and are bit-identical.
 `classical_encrypt` is the plain XOR oracle kept to cross-check them.
 """
 from __future__ import annotations
@@ -46,10 +47,6 @@ from .qsim import (
 
 # One qubit per secret plus the UniShare qubit.
 MAX_ARITY = MAX_QUBITS - 1
-
-# Pixels per engine band, rounded down to whole image rows (at least one): bounds
-# the scratch arrays, and a band is the unit of thread work.
-_BLOCK_PIXELS = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -138,37 +135,29 @@ def decode_pixel(u: int, s_k: int) -> int:
     return int(measure_all(_run_dense((u, s_k), decoding_circuit()), rng.RngStream(0, 0))[1])
 
 
-def _band_rows(width: int) -> int:
-    """Image rows per engine band: about `_BLOCK_PIXELS` pixels, and at least one row."""
-    return max(1, _BLOCK_PIXELS // width)
-
-
 def _encode_blocks(
     program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
     starts: Sequence[int], out: np.ndarray,
 ) -> None:
-    """Encode the row bands that begin at rows `starts` into the planes of `out`.
+    """Encode the `rng.unit_bands` row bands that begin at rows `starts` into
+    the planes of `out`.
 
     `out` is `(n + 1, height, row_bytes)`, and the band's slice of plane q
     is qubit q's packed P4 rows (U, then S_1..S_n): the X layer loads the
     secrets into it, and every gate acts on it in place, so a CNOT is a
     byte XOR.  After the H the branches are `planes` and `planes` with the
     qubits in `flip` negated; CNOT is linear, so `flip` and both scalar
-    branch amplitudes are shared by all pixels.  Pixel y*width + x draws
-    from that stream, into buffers every band reuses.
+    branch amplitudes are shared by all pixels.  Pixel y*width + x's variate
+    is its stream's draw, made by `rng.unit_bands`.
     """
-    width = secrets[0].width
-    band = _band_rows(width)
-    offsets = np.arange(band * width, dtype=np.uint64)
-    streams, draws = np.empty_like(offsets), np.empty(offsets.size)
-    compared = np.empty(offsets.size, dtype=bool)
-    for y in starts:
-        planes = out[:, y:y + band]
-        m = planes.shape[1] * width
+    width, height = secrets[0].width, secrets[0].height
+    compared = np.empty(min(rng.band_rows(width), height) * width, dtype=bool)
+    for rows, u in rng.unit_bands(master_seed, width, height, starts):
+        planes = out[:, rows]
         # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
         planes[0] = 0
         for k, img in enumerate(secrets, start=1):
-            planes[k] = img.rows[y:y + band]
+            planes[k] = img.rows[rows]
         a0, a1, flip = 1.0, 0.0, set()  # one branch of amplitude 1 until the H splits it
         for gate in program:
             t = gate.target
@@ -186,14 +175,12 @@ def _encode_blocks(
         p0, p1 = a0 * a0, a1 * a1
         if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
             raise StateError("simulated pixel state drifted off unit norm")
-        band_streams = np.add(offsets[:m], np.uint64(y * width), out=streams[:m])
-        u = rng.unit_array(master_seed, band_streams, 0, out=draws[:m], scratch=band_streams)
         # Born sampling, lower basis index first: the branches first differ at the
         # most significant qubit in `flip`.  Where that bit is 0, branch 0 is lower
         # and the flipped branch is taken when u >= p0; where it is 1, the flipped
         # branch is lower and is taken when u < p1.  With a flip, the one H made
         # p0 == p1, so u < p1 is not u >= p0, and the bit negates one packed test.
-        take_flipped = pack_rows(np.greater_equal(u, p0, out=compared[:m]), width)
+        take_flipped = pack_rows(np.greater_equal(u, p0, out=compared[:u.size]), width)
         take_flipped ^= planes[min(flip, default=0)]
         for q in flip:
             planes[q] ^= take_flipped
@@ -221,7 +208,7 @@ def encrypt(
     out = np.empty((n + 1, *secrets[0].rows.shape), dtype=np.uint8)  # plane q is qubit q
 
     encode = partial(_encode_blocks, encoding_circuit(n), secrets, master_seed, out=out)
-    starts = range(0, height, _band_rows(width))
+    starts = range(0, height, rng.band_rows(width))
     threads = min(threads, os.cpu_count() or 1, len(starts))
     if threads <= 1:
         encode(starts)

@@ -117,7 +117,7 @@ def test_criterion_7_pairwise_xor_identity():
     print("\nPASS criterion 7: S_j xor S_k == G_j xor G_k bit-exact on every instance")
 
 
-def test_criterion_8_metric_algebra():
+def test_criterion_8_metric_algebra(flat_image):
     for seed in SEEDS[:5]:
         a = make_fixture("random", 64, 64, seed=seed)
         b = make_fixture("random", 64, 64, seed=seed + 1000)
@@ -125,8 +125,8 @@ def test_criterion_8_metric_algebra():
         assert rep.mismatch_fraction > 0
         assert abs(rep.psnr_db + 10.0 * math.log10(rep.mismatch_fraction)) < 1e-9
 
-    zeros = make_fixture("all_zero", 16, 16)
-    ones = make_fixture("all_one", 16, 16)
+    zeros = flat_image(16, 16, 0)
+    ones = flat_image(16, 16, 1)
     assert report(zeros, ones).mse == 65025.0
     assert math.isinf(report(zeros, zeros).psnr_db)
     print("\nPASS criterion 8: psnr == -10*log10(mismatch), mse(0,255)=65025, psnr(id)=inf")

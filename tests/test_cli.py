@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qvmss
-from qvmss import rng, scheme
+from qvmss import rng
 from qvmss.cli import main
 from qvmss.imaging import BinaryImage, make_fixture, pack_rows, read_pbm, write_pbm
 from qvmss.qsim import INV_SQRT2
@@ -114,7 +114,7 @@ def test_encrypt_holds_one_serialized_file_at_a_time(tmp_path):
     # The packed input and output, one band of engine scratch (25.125 bytes a
     # pixel), one serialized file and 1 MiB of bookkeeping.  Serializing every
     # file before writing any would add n more images.
-    bound = (2 * n + 1) * image + 25.125 * scheme._BLOCK_PIXELS + image + (1 << 20)
+    bound = (2 * n + 1) * image + 25.125 * rng.BAND_PIXELS + image + (1 << 20)
     tracemalloc.start()
     try:
         assert main(["encrypt", "--seed", "3", *[str(path)] * n,
@@ -139,6 +139,14 @@ def test_encrypt_too_many_secrets_exits_2(tmp_path, secret_files, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: need 1..16 secret images, got 17")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_encrypt_checks_the_arity_before_reading_any_secret(tmp_path, capsys):
+    missing = [str(tmp_path / f"nope{i}.pbm") for i in range(1, 18)]
+    assert main(["encrypt", *missing, "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need 1..16 secret images, got 17")
     assert not (tmp_path / "out").exists()
 
 
@@ -360,10 +368,10 @@ def test_demo_manifest_golden(tmp_path, fmt, digest, size):
     assert demo_manifest_digest(tmp_path / "demo", fmt, size) == digest
 
 
-@pytest.mark.parametrize("block_pixels", [64, 1 << 20])
+@pytest.mark.parametrize("band_pixels", [64, 1 << 20])
 def test_demo_manifest_golden_does_not_depend_on_the_band_size(tmp_path, monkeypatch,
-                                                               block_pixels):
-    monkeypatch.setattr(scheme, "_BLOCK_PIXELS", block_pixels)
+                                                               band_pixels):
+    monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
     for fmt, digest, size in DEMO_GOLDEN:
         if size == "64":
             assert demo_manifest_digest(tmp_path / fmt, fmt, size) == digest

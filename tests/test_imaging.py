@@ -152,7 +152,7 @@ def padding_bits(rows, width):
 
 
 @pytest.mark.parametrize("width", range(1, 18))
-def test_read_p4_clears_set_padding_bits(width):
+def test_read_p4_clears_set_padding_bits(width, flat_image):
     clean = make_fixture("random", width, 3, seed=width)
     header = f"P4\n{width} 3\n".encode()
     dirty_rows = clean.rows.copy()
@@ -160,7 +160,7 @@ def test_read_p4_clears_set_padding_bits(width):
     dirty = read_pbm(header + dirty_rows.tobytes())
     assert dirty == clean
     assert report(dirty, clean).mismatch_fraction == 0.0
-    flipped = dirty ^ make_fixture("all_one", width, 3)
+    flipped = dirty ^ flat_image(width, 3, 1)
     assert flipped == BinaryImage(width, 3, clean.as_grid().reshape(-1) ^ 1)
     assert not padding_bits(flipped.rows, width).any()
     written = np.frombuffer(write_pbm(dirty)[len(header):], dtype=np.uint8)
@@ -412,11 +412,6 @@ def test_round_trip_512():
 
 def test_checkerboard_fixture():
     assert make_fixture("checkerboard", 2, 2) == BinaryImage(2, 2, [0, 1, 1, 0])
-
-
-def test_constant_fixtures():
-    assert make_fixture("all_zero", 3, 3) == BinaryImage(3, 3, [0] * 9)
-    assert make_fixture("all_one", 2, 3) == BinaryImage(2, 3, [1] * 6)
 
 
 def test_random_fixture_is_deterministic():

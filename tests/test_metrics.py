@@ -57,8 +57,8 @@ def test_mse_identical_is_zero():
     assert report(a, a).mse == 0.0
 
 
-def test_mse_full_swing_is_peak_squared():
-    assert report(make_fixture("all_zero", 5, 7), make_fixture("all_one", 5, 7)).mse == 65025.0
+def test_mse_full_swing_is_peak_squared(flat_image):
+    assert report(flat_image(5, 7, 0), flat_image(5, 7, 1)).mse == 65025.0
 
 
 def test_mse_half_differing_pixels():
@@ -67,9 +67,9 @@ def test_mse_half_differing_pixels():
     assert report(a, b).mse == 32512.5
 
 
-def test_mse_shape_mismatch():
+def test_mse_shape_mismatch(flat_image):
     with pytest.raises(ShapeMismatchError):
-        report(make_fixture("all_zero", 2, 2), make_fixture("all_zero", 3, 2))
+        report(flat_image(2, 2, 0), flat_image(3, 2, 0))
 
 
 # ---------------------------------------------------------------------- psnr
@@ -79,8 +79,8 @@ def test_psnr_identical_is_infinite():
     assert math.isinf(report(a, a).psnr_db)
 
 
-def test_psnr_full_swing_is_zero_db():
-    assert report(make_fixture("all_zero", 4, 4), make_fixture("all_one", 4, 4)).psnr_db == 0.0
+def test_psnr_full_swing_is_zero_db(flat_image):
+    assert report(flat_image(4, 4, 0), flat_image(4, 4, 1)).psnr_db == 0.0
 
 
 def test_psnr_half_differing_is_ten_log_two():
@@ -103,8 +103,8 @@ def test_ssim_identical_is_exactly_one():
     assert report(a, a).ssim == 1.0
 
 
-def test_ssim_constant_image_against_itself():
-    a = make_fixture("all_one", 8, 8)
+def test_ssim_constant_image_against_itself(flat_image):
+    a = flat_image(8, 8, 1)
     assert report(a, a).ssim == 1.0
 
 
@@ -131,8 +131,8 @@ def test_correlation_complement_is_minus_one():
     assert report(img, inverted(img)).correlation == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_correlation_constant_input_is_undefined():
-    flat = make_fixture("all_zero", 4, 4)
+def test_correlation_constant_input_is_undefined(flat_image):
+    flat = flat_image(4, 4, 0)
     wavy = make_fixture("checkerboard", 4, 4)
     assert report(flat, wavy).correlation is None
     assert report(wavy, flat).correlation is None
@@ -260,7 +260,7 @@ def test_report_secret_vs_share_statistics():
     assert rep.mismatch_fraction == pytest.approx(0.5, abs=0.02)
 
 
-def test_report_json_schema():
+def test_report_json_schema(flat_image):
     img = make_fixture("random", 4, 4, seed=11)
     payload = json.loads(report(img, img).to_json())
     assert payload["psnr_db"] == "inf"
@@ -268,7 +268,7 @@ def test_report_json_schema():
         "mse", "psnr_db", "ssim", "correlation", "mismatch_fraction",
         "ones_fraction_a", "ones_fraction_b", "width", "height",
     }
-    flat = make_fixture("all_zero", 4, 4)
+    flat = flat_image(4, 4, 0)
     payload = json.loads(report(flat, img).to_json())
     assert payload["correlation"] is None
     assert isinstance(payload["psnr_db"], float)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvmss import scheme
+from qvmss import rng, scheme
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
 from qvmss.qsim import StateError, cnot, hadamard, pauli_x
 from qvmss.rng import RngStream, draw_u64
@@ -132,8 +132,8 @@ def test_encode_pixel_share_is_secret_xor_unishare(bits, seed, stream):
 
 # ------------------------------------------------------------------ encrypt
 
-def test_encrypt_all_zero_secret_share_equals_unishare():
-    g = [make_fixture("all_zero", 4, 4)]
+def test_encrypt_all_zero_secret_share_equals_unishare(flat_image):
+    g = [flat_image(4, 4, 0)]
     share_set = encrypt(g, 5)
     assert share_set.shares[0] == share_set.unishare
 
@@ -217,13 +217,14 @@ def test_encrypt_output_is_pinned(n, threads, golden_draws):
     assert digest.hexdigest() == ENGINE_GOLDEN[n]
 
 
-@pytest.mark.parametrize("block_pixels", [64, 1 << 20])
-def test_encrypt_output_does_not_depend_on_the_band_size(block_pixels, monkeypatch):
-    cases = [(n, random_images(n, width, height, seed=n))
+@pytest.mark.parametrize("band_pixels", [64, 1 << 20])
+def test_encrypt_output_does_not_depend_on_the_band_size(band_pixels, monkeypatch):
+    cases = [(n, width, height, random_images(n, width, height, seed=n))
              for n in (1, 2, 16) for width, height in ((37, 29), (300, 300))]
-    expected = [encrypt(secrets, 9) for _, secrets in cases]
-    monkeypatch.setattr(scheme, "_BLOCK_PIXELS", block_pixels)
-    for (n, secrets), want in zip(cases, expected):
+    expected = [encrypt(secrets, 9) for *_, secrets in cases]
+    monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
+    for (n, width, height, secrets), want in zip(cases, expected):
+        assert random_images(n, width, height, seed=n) == secrets, (n, width, height)
         for threads in (1, 2):
             assert encrypt(secrets, 9, threads=threads) == want, (n, threads)
 
@@ -253,7 +254,7 @@ def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch(threads):
     # and numpy's own bookkeeping, which does not grow with the image; about
     # 25 KB of it is used per thread.  Holding the unpacked output would add
     # 7/8 byte per pixel and plane, 62 MB here.
-    scratch = 25.125 * scheme._BLOCK_PIXELS * threads + (1 << 20)
+    scratch = 25.125 * rng.BAND_PIXELS * threads + (1 << 20)
     tracemalloc.start()
     try:
         encrypt([secret] * n, 3, threads=threads)
@@ -412,10 +413,10 @@ def test_share_set_size_comes_from_the_images():
 
 # ----------------------------------------------------------- classical oracle
 
-def test_classical_encrypt_identity_and_complement_masks():
+def test_classical_encrypt_identity_and_complement_masks(flat_image):
     g = random_images(2, 8, 8, seed=77)
-    zero = make_fixture("all_zero", 8, 8)
-    ones = make_fixture("all_one", 8, 8)
+    zero = flat_image(8, 8, 0)
+    ones = flat_image(8, 8, 1)
     assert classical_encrypt(g, zero) == g
     assert classical_encrypt(g, ones) == [BinaryImage(8, 8, flat_bits(img) ^ 1) for img in g]
 
@@ -448,10 +449,10 @@ def test_decode_pixel_rejects_non_bits():
         decode_pixel(0, -1)
 
 
-def test_decrypt_with_unishare_itself_gives_zeros():
+def test_decrypt_with_unishare_itself_gives_zeros(flat_image):
     share_set = encrypt(random_images(1, 8, 8, seed=5), 6)
     u = share_set.unishare
-    assert decrypt(u, u) == make_fixture("all_zero", 8, 8)
+    assert decrypt(u, u) == flat_image(8, 8, 0)
 
 
 def test_decrypt_wrong_unishare_yields_noise():
@@ -482,9 +483,9 @@ def test_decrypt_all_preserves_order_and_reduces_to_random_grid():
 
 # -------------------------------------------------------------- statistics
 
-def test_unishare_and_share_uniformity():
+def test_unishare_and_share_uniformity(flat_image):
     secrets = [
-        make_fixture("all_one", 256, 256),   # extreme, non-random content
+        flat_image(256, 256, 1),   # extreme, non-random content
         make_fixture("text_glyphs", 256, 256),
     ]
     share_set = encrypt(secrets, 60)

@@ -16,12 +16,13 @@ def run_script(name, *args):
 
 
 def test_benchmark_encrypt_runs():
-    proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1", "2",
+    # 300x300 is two bands, of 218 and 82 rows, so the floor crosses a band edge.
+    proc = run_script("benchmark_encrypt.py", "--sizes", "16", "300", "--arities", "1", "2",
                       "--threads", "1", "2", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["size", "arity", "threads", "seconds", "Mpixel/s", "floor_x"]
-    assert len(lines) == 1 + 2 * 2
+    assert len(lines) == 1 + 2 * 2 * 2
 
 
 def test_run_security_sweep_runs():
