@@ -52,15 +52,23 @@ class _Failure(Exception):
         self.code = code
 
 
+def _seed(text: str) -> int:
+    """A seed: any integer literal (0x, 0o and 0b allowed), reduced mod 2**64."""
+    try:
+        return int(text, 0) & _MASK64
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
 def _resolve_seed(explicit: int | None) -> int:
     if explicit is not None:
-        return explicit & _MASK64
+        return explicit
     env = os.environ.get("QVMSS_SEED")
     if env is not None:
         try:
-            return int(env, 0) & _MASK64
-        except ValueError:
-            raise _Failure(EXIT_IO, f"QVMSS_SEED is not an integer: {env!r}")
+            return _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _Failure(EXIT_IO, f"QVMSS_SEED is {exc}")
     return int.from_bytes(os.urandom(8), "big")
 
 
@@ -91,21 +99,20 @@ def _load_matching_images(paths: list[str]) -> list[BinaryImage]:
     return images
 
 
-def _publish(out_dir: str, images: dict[str, BinaryImage], fmt: str,
-             extra: dict[str, bytes] | None = None, manifest: dict | None = None) -> list[str]:
-    """Write `images` as `fmt` PBM files, then the `extra` payloads, to out_dir.
+def _publish(out_dir: str, files: dict[str, BinaryImage | bytes], fmt: str,
+             manifest: dict | None = None) -> list[str]:
+    """Write `files` to out_dir in order: an image as a `fmt` PBM file, bytes as they are.
 
-    Each file is serialized, hashed and staged under a unique name in turn,
-    so only one is held in memory.  With a `manifest`, manifest.json (its
-    fields plus the SHA-256 of every file) is staged last.  Then each staged
-    file is renamed into place in order, so manifest.json lands last.
-    Returns the file names in write order.
+    Each file is serialized and staged under a unique name in turn, so only
+    one is held in memory.  With a `manifest`, each is also hashed, and
+    manifest.json (its fields plus the SHA-256 of every file) is staged
+    last.  Then each staged file is renamed into place in order, so
+    manifest.json lands last.  Returns the file names in write order.
     """
     directory, variant = Path(out_dir), PbmVariant(fmt)
     digests, staged = {}, []
 
     def stage(name: str, payload: bytes) -> None:
-        digests[name] = hashlib.sha256(payload).hexdigest()
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
         staged.append((Path(tmp), directory / name))
         with os.fdopen(fd, "wb") as handle:
@@ -114,9 +121,10 @@ def _publish(out_dir: str, images: dict[str, BinaryImage], fmt: str,
     try:
         directory.mkdir(parents=True, exist_ok=True)
         try:
-            for name, image in images.items():
-                stage(name, write_pbm(image, variant))
-            for name, payload in (extra or {}).items():
+            for name, item in files.items():
+                payload = item if isinstance(item, bytes) else write_pbm(item, variant)
+                if manifest is not None:
+                    digests[name] = hashlib.sha256(payload).hexdigest()
                 stage(name, payload)
             if manifest is not None:
                 text = json.dumps({**manifest, "files": digests}, indent=2, sort_keys=True)
@@ -249,9 +257,9 @@ def cmd_demo(args) -> int:
     entries = [_pair_entry(*g, *r) for g, r in zip(secrets.items(), recovered.items())]
     entries += _pair_grid(list(secrets.items()), shares, unishare)
     pairs_json = (json.dumps(entries, indent=2) + "\n").encode("ascii")
-    artifacts = _publish(args.out_dir, {**secrets, **share_files, **recovered}, args.format,
-                         extra={"metrics_pairs.json": pairs_json},
-                         manifest=_run_manifest(seed, share_set))
+    artifacts = _publish(args.out_dir, {**secrets, **share_files, **recovered,
+                                        "metrics_pairs.json": pairs_json},
+                         args.format, manifest=_run_manifest(seed, share_set))
 
     if args.json:
         print(json.dumps({"seed": seed, "out_dir": args.out_dir, "pairs": entries}))
@@ -360,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_encoding(p):
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                       help="64-bit master seed (default: QVMSS_SEED or OS entropy)")
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="integer master seed, mod 2**64 (default: QVMSS_SEED or OS entropy)")
         p.add_argument("--threads", type=_thread_count, default=1,
                        help="worker threads for pixel encoding (capped at the CPU count)")
 
@@ -400,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.set_defaults(handler=cmd_demo)
 
     p_self = sub.add_parser("selftest", help="run the scheme property suite")
-    p_self.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    p_self.add_argument("--seed", type=_seed, default=None)
     p_self.add_argument("--inject-fault", action="store_true",
                         help="flip one share bit to exercise the failure path")
     p_self.add_argument("--json", action="store_true", help="machine-readable output")

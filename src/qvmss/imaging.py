@@ -297,34 +297,33 @@ _GLYPH_TEXT = "SHARE"
 
 
 def _text_tile() -> np.ndarray:
-    rows = 7  # 5 glyph rows + blank line above and below
-    cols = 4 * len(_GLYPH_TEXT) + 1  # 3-wide glyphs with 1-column gaps
-    tile = np.zeros((rows, cols), dtype=np.uint8)
+    """7x21 tile: the 3x5 glyphs 1 column apart, with a blank row above and below."""
+    tile = np.zeros((7, 4 * len(_GLYPH_TEXT) + 1), dtype=np.uint8)
     for i, ch in enumerate(_GLYPH_TEXT):
-        glyph = np.array([[int(b) for b in line] for line in _GLYPHS_3X5[ch]], dtype=np.uint8)
-        tile[1:6, 1 + 4 * i : 4 + 4 * i] = glyph
+        tile[1:6, 1 + 4 * i : 4 + 4 * i] = [[int(b) for b in line] for line in _GLYPHS_3X5[ch]]
     return tile
 
 
 def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryImage:
-    """Deterministic test image: checkerboard, random, or text_glyphs."""
+    """Deterministic test image: checkerboard, random, or text_glyphs.
+
+    Each is born as packed rows: `random` one `rng.unit_bands` band at a time,
+    the tiled kinds as one tile-high band, packed once and repeated down.
+    """
     _check_dimensions(width, height)
-    if kind == "checkerboard":
-        y, x = np.indices((height, width), dtype=np.uint32)
-        bits = ((x + y) & 1).astype(np.uint8).reshape(-1)
-    elif kind == "random":
-        # Pixel p is 1 when stream _FIXTURE_STREAMS + p draws at least 1/2, that
-        # is when its draw's top bit is set.
+    if kind == "random":
+        # Pixel p is 1 when stream _FIXTURE_STREAMS + p draws at least 1/2 (its top bit).
         rows = np.empty((height, _row_bytes(width)), dtype=np.uint8)
         for band, u in rng.unit_bands(seed, width, height, first_stream=_FIXTURE_STREAMS):
             rows[band] = pack_rows(u >= 0.5, width)
         return BinaryImage.from_rows(width, height, rows)
+    if kind == "checkerboard":
+        tile = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     elif kind == "text_glyphs":
-        tile = _text_tile()
         scale = max(1, min(width, height) // 64)
-        tile = np.kron(tile, np.ones((scale, scale), dtype=np.uint8))
-        reps = (height // tile.shape[0] + 1, width // tile.shape[1] + 1)
-        bits = np.ascontiguousarray(np.tile(tile, reps)[:height, :width]).reshape(-1)
+        tile = np.kron(_text_tile(), np.ones((scale, scale), dtype=np.uint8))
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
-    return BinaryImage(width, height, bits)
+    band = np.tile(tile, (1, width // tile.shape[1] + 1))[:, :width]
+    rows = np.resize(pack_rows(band, width), (height, _row_bytes(width)))
+    return BinaryImage.from_rows(width, height, rows)

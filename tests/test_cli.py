@@ -196,6 +196,31 @@ def test_encrypt_bad_env_seed(tmp_path, secret_files, monkeypatch, capsys):
     assert "QVMSS_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["encrypt", "selftest"])
+@pytest.mark.parametrize("value", ["08", "zz"])
+def test_bad_seed_exits_2_naming_the_flag(tmp_path, secret_files, capsys, command, value):
+    inputs = [str(secret_files[0]), "-o", str(tmp_path / "out")] if command == "encrypt" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, "--seed", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "<lambda>" not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_only_manifest_files_are_hashed(tmp_path, secret_files, monkeypatch):
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(a) or sha256(*a))
+    out = tmp_path / "out"
+    assert main(["encrypt", "--seed", "4", *map(str, secret_files), "-o", str(out)]) == 0
+    assert len(calls) == len(secret_files) + 1  # U.pbm and S1..Sn.pbm
+    calls.clear()
+    assert main(["decrypt", "-u", str(out / "U.pbm"), str(out / "S1.pbm"), str(out / "S2.pbm"),
+                 "-o", str(tmp_path / "rec")]) == 0
+    assert calls == []
+
+
 def test_encrypt_and_decrypt_json_mode(tmp_path, secret_files, capsys):
     out = tmp_path / "out"
     assert main(["encrypt", "--seed", "6", "--json", *map(str, secret_files), "-o", str(out)]) == 0

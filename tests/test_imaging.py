@@ -455,6 +455,46 @@ def test_random_fixture_peak_memory_is_one_band_of_draws():
     assert peak <= 4 << 20
 
 
+# SHA-256 of the packed rows of make_fixture(kind, width, height) for the tiled
+# kinds: widths that are not a multiple of 8 or of the tile width, heights below
+# the text tile's 7 rows, and 2048 pixels square, where that tile is scaled 32x.
+TILED_FIXTURE_GOLDEN = {
+    ("checkerboard", 1, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    ("checkerboard", 37, 29): "de90713f8f6a8e078ddddc51dba7043930db7cb15433936ee55e7f23809d6840",
+    ("checkerboard", 5, 3): "eeec50ef53e6a8b667c61dac632344ffa9dd72edc619edd30db2d5d4df434534",
+    ("checkerboard", 2048, 33): "c08a98bacb18f6b2f7eb0e888cce7cca8b17f919776c4c9d1248da9bd6f8fb2f",
+    ("checkerboard", 70001, 3): "0863459a6bef140c457c9355bcf501fee59364c7006ddc629a48fdee1a57daec",
+    ("checkerboard", 2048, 2048): "641c62df9d202a025b65f66d4e1edcedd3b434d9b2b1d53d09f87854fe341abd",
+    ("text_glyphs", 1, 1): "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    ("text_glyphs", 37, 29): "3ae5591efc7c6492abfc98c6a190c3b792401f642c009a1370ce7c8abdb006ae",
+    ("text_glyphs", 5, 3): "1563ff711f239ba4a4e6a5c300a5d764288e02ef2b35720f9f9b1d247f93be30",
+    ("text_glyphs", 2048, 33): "00e99efffe462592b4fabe441f5ddd8ab5e6871a42b302678ac8c84320299dc5",
+    ("text_glyphs", 70001, 3): "2854f4b720e98d85b09f47ae99e9b00c72ce0774987654ff3caa1622619765de",
+    ("text_glyphs", 2048, 2048): "7d7e36458b2cf95e5352ea4461d936bec637aa49d20b9985ee055b0728678262",
+}
+
+
+@pytest.mark.parametrize("kind, width, height", sorted(TILED_FIXTURE_GOLDEN))
+def test_tiled_fixture_is_pinned(kind, width, height):
+    rows = make_fixture(kind, width, height).rows
+    digest = hashlib.sha256(rows.tobytes()).hexdigest()
+    assert digest == TILED_FIXTURE_GOLDEN[kind, width, height]
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "text_glyphs"])
+def test_tiled_fixture_peak_memory_is_one_packed_image(kind):
+    # The packed image is 512 KiB; the text tile's band, 224 rows of 2688
+    # bytes, is 0.6 MiB.  A byte-per-pixel grid would be 4 MiB on its own.
+    make_fixture(kind, 8, 8)
+    tracemalloc.start()
+    try:
+        make_fixture(kind, 2048, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+
+
 def test_random_fixture_is_balanced():
     img = make_fixture("random", 256, 256, seed=3)
     assert abs(img.ones_fraction() - 0.5) < 0.01
