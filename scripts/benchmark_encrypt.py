@@ -7,10 +7,22 @@ its floor: one `rng.unit_bands` pass over the image, the engine's own draws,
 plus the XOR oracle `classical_encrypt`, timed in one thread on the same
 inputs.  `threads` is the count asked for; `encrypt` caps it at the CPU and
 band counts.
+
+`--json PATH` appends one entry to the JSON list in PATH (made if missing):
+the git revision of the benchmarked `qvmss` sources, the Python and numpy
+versions, the CPU count and one row per case.
 """
 import argparse
+import json
+import os
+import platform
+import subprocess
 import time
+from pathlib import Path
 
+import numpy as np
+
+import qvmss
 from qvmss import rng
 from qvmss.imaging import make_fixture
 from qvmss.scheme import classical_encrypt, decrypt_all, encrypt
@@ -40,6 +52,24 @@ def run_case(size, arity, threads, seed, repeats):
     return seconds, best_of(repeats, floor)
 
 
+def source_revision():
+    """`git describe --always --dirty` of the tree holding the imported qvmss."""
+    try:
+        proc = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
+                              text=True, cwd=Path(qvmss.__file__).parent)
+    except OSError:
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def append_entry(path, rows):
+    path = Path(path)
+    entries = json.loads(path.read_text()) if path.exists() else []
+    entries.append({"revision": source_revision(), "python": platform.python_version(),
+                    "numpy": np.__version__, "nproc": os.cpu_count(), "rows": rows})
+    path.write_text(json.dumps(entries, indent=2) + "\n")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=int, nargs="+", default=[128, 256, 512])
@@ -47,8 +77,10 @@ def main():
     parser.add_argument("--threads", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=3, help="keep the best of N runs")
+    parser.add_argument("--json", metavar="PATH", help="append this run's entry to PATH")
     args = parser.parse_args()
 
+    rows = []
     print(f"{'size':>6} {'arity':>5} {'threads':>7} {'seconds':>9} {'Mpixel/s':>9} {'floor_x':>7}")
     for size in args.sizes:
         for arity in args.arities:
@@ -57,6 +89,10 @@ def main():
                 rate = size * size / seconds / 1e6
                 print(f"{size:>6} {arity:>5} {threads:>7} {seconds:>9.3f} {rate:>9.2f}"
                       f" {seconds / floor:>7.2f}")
+                rows.append({"size": size, "arity": arity, "threads": threads,
+                             "seconds": seconds, "floor_s": floor, "floor_x": seconds / floor})
+    if args.json:
+        append_entry(args.json, rows)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import metrics, scheme
@@ -99,14 +100,15 @@ def _load_matching_images(paths: list[str]) -> list[BinaryImage]:
     return images
 
 
-def _publish(out_dir: str, files: dict[str, BinaryImage | bytes], fmt: str,
+def _publish(out_dir: str, files: Iterable[tuple[str, BinaryImage | bytes]], fmt: str,
              manifest: dict | None = None) -> list[str]:
-    """Write `files` to out_dir in order: an image as a `fmt` PBM file, bytes as they are.
+    """Write the `(name, item)` pairs of `files` to out_dir in order: an image
+    as a `fmt` PBM file, bytes as they are.
 
     Each file is serialized and staged under a unique name in turn, so only
-    one is held in memory.  With a `manifest`, each is also hashed, and
-    manifest.json (its fields plus the SHA-256 of every file) is staged
-    last.  Then each staged file is renamed into place in order, so
+    one is held in memory, and `files` may make each item as it is reached.
+    With a `manifest`, each is also hashed, and manifest.json (its fields
+    plus the SHA-256 of every file) is staged last.  Then each staged file is renamed into place in order, so
     manifest.json lands last.  Returns the file names in write order.
     """
     directory, variant = Path(out_dir), PbmVariant(fmt)
@@ -121,11 +123,12 @@ def _publish(out_dir: str, files: dict[str, BinaryImage | bytes], fmt: str,
     try:
         directory.mkdir(parents=True, exist_ok=True)
         try:
-            for name, item in files.items():
+            for name, item in files:
                 payload = item if isinstance(item, bytes) else write_pbm(item, variant)
                 if manifest is not None:
                     digests[name] = hashlib.sha256(payload).hexdigest()
                 stage(name, payload)
+                del payload  # so the next item is made beside no earlier file's bytes
             if manifest is not None:
                 text = json.dumps({**manifest, "files": digests}, indent=2, sort_keys=True)
                 stage("manifest.json", (text + "\n").encode("ascii"))
@@ -150,18 +153,20 @@ def _print_written(args, names: list[str], **fields) -> None:
         print(f"wrote {Path(args.out_dir) / name}")
 
 
-def _numbered(pattern: str, images) -> dict[str, BinaryImage]:
-    return {pattern.format(i): image for i, image in enumerate(images, start=1)}
+def _numbered(pattern: str, images: Iterable[BinaryImage]) -> Iterator[tuple[str, BinaryImage]]:
+    """`(pattern.format(i), image)` for the images in turn, i from 1."""
+    return ((pattern.format(i), image) for i, image in enumerate(images, start=1))
 
 
 def _share_files(share_set: scheme.ShareSet) -> dict[str, BinaryImage]:
     """The images `encrypt` writes: U.pbm, then S1.pbm .. Sn.pbm."""
-    return {"U.pbm": share_set.unishare, **_numbered("S{}.pbm", share_set.shares)}
+    return dict([("U.pbm", share_set.unishare), *_numbered("S{}.pbm", share_set.shares)])
 
 
-def _recovered_files(unishare: BinaryImage, shares) -> dict[str, BinaryImage]:
-    """The images `decrypt` writes: G1_rec.pbm .. Gn_rec.pbm."""
-    return _numbered("G{}_rec.pbm", [decrypt(unishare, share) for share in shares])
+def _recovered_files(unishare: BinaryImage, shares) -> Iterator[tuple[str, BinaryImage]]:
+    """The images `decrypt` writes, G1_rec.pbm .. Gn_rec.pbm, each recovered
+    only when it is reached."""
+    return _numbered("G{}_rec.pbm", (decrypt(unishare, share) for share in shares))
 
 
 def _run_manifest(seed: int, share_set: scheme.ShareSet) -> dict:
@@ -192,7 +197,7 @@ def cmd_encrypt(args) -> int:
     scheme._check_arity(len(args.secrets), "secret images")  # before reading any file
     secrets = _load_matching_images(args.secrets)
     share_set = encrypt(secrets, seed, threads=args.threads)
-    names = _publish(args.out_dir, _share_files(share_set), args.format,
+    names = _publish(args.out_dir, _share_files(share_set).items(), args.format,
                      manifest=_run_manifest(seed, share_set))
     _print_written(args, names, seed=seed)
     return EXIT_OK
@@ -249,16 +254,16 @@ def cmd_demo(args) -> int:
     seed = _resolve_seed(args.seed)
     fixtures = [make_fixture(k, args.size, args.size) for k in ("text_glyphs", "checkerboard")]
     share_set = encrypt(fixtures, seed, threads=args.threads)
-    secrets = _numbered("G{}.pbm", fixtures)
+    secrets = dict(_numbered("G{}.pbm", fixtures))
     share_files = _share_files(share_set)
-    recovered = _recovered_files(share_set.unishare, share_set.shares)
+    recovered = dict(_recovered_files(share_set.unishare, share_set.shares))
 
     unishare, *shares = share_files.items()
     entries = [_pair_entry(*g, *r) for g, r in zip(secrets.items(), recovered.items())]
     entries += _pair_grid(list(secrets.items()), shares, unishare)
     pairs_json = (json.dumps(entries, indent=2) + "\n").encode("ascii")
     artifacts = _publish(args.out_dir, {**secrets, **share_files, **recovered,
-                                        "metrics_pairs.json": pairs_json},
+                                        "metrics_pairs.json": pairs_json}.items(),
                          args.format, manifest=_run_manifest(seed, share_set))
 
     if args.json:

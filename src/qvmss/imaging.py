@@ -281,8 +281,10 @@ def write_pbm(image: BinaryImage, variant: PbmVariant = PbmVariant.P4_PACKED) ->
         text = np.full((image.height, 2 * image.width), ord(" "), dtype=np.uint8)
         text[:, 0::2] = image.as_grid() + ord("0")
         text[:, -1] = ord("\n")
-        return header + text.tobytes()
-    return header + image.rows.tobytes()  # already P4 rows with zero padding
+        return header + text.data
+    # Already P4 rows with zero padding.  Joined from the array's buffer, not
+    # from a tobytes() copy, the pixels are copied once.
+    return header + np.ascontiguousarray(image.rows).data
 
 
 # 3x5 glyphs for the text_glyphs fixture, 1 = opaque.
@@ -314,8 +316,9 @@ def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryIma
     if kind == "random":
         # Pixel p is 1 when stream _FIXTURE_STREAMS + p draws at least 1/2 (its top bit).
         rows = np.empty((height, _row_bytes(width)), dtype=np.uint8)
-        for band, u in rng.unit_bands(seed, width, height, first_stream=_FIXTURE_STREAMS):
-            rows[band] = pack_rows(u >= 0.5, width)
+        half = rng.unit_threshold(0.5)
+        for band, draws in rng.unit_bands(seed, width, height, first_stream=_FIXTURE_STREAMS):
+            rows[band] = pack_rows(draws >= half, width)
         return BinaryImage.from_rows(width, height, rows)
     if kind == "checkerboard":
         tile = np.array([[0, 1], [1, 0]], dtype=np.uint8)

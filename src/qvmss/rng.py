@@ -5,9 +5,15 @@ draw counter) through a stateless 64-bit mixing function, so results are
 identical no matter how work is scheduled or batched.  One stream per pixel
 gives order-independent reproducibility under parallel encoding.  The mixer
 is SplitMix64's finalizer, not a keyed PRF: the seed yields every draw.
+
+The batch draws stay integers: a Born test `u >= p` on the uniform double
+`u = (x >> 11) * 2**-53` of draw x is the integer compare
+`x >= unit_threshold(p)`, so no float is built per pixel.  Only the scalar
+reference `RngStream.next_unit` makes doubles.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -51,19 +57,27 @@ def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
 
 def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Uniform doubles in [0, 1): the top 53 bits of draw_u64 over many streams
-    at a fixed cursor.  Given `out` (float64) and `scratch` (uint64, may be
-    stream_indices), it allocates nothing."""
-    out = np.empty(np.shape(stream_indices)) if out is None else out
+    """The uint64 draws draw_u64(master_seed, p, cursor) of many streams p at a
+    fixed cursor, for Born tests against unit_threshold.  Given `out` and
+    `scratch` (uint64, of the streams' shape; scratch may be stream_indices),
+    it allocates nothing."""
     streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
     # The seed's mix is one value for every stream, so it is computed once.
-    x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)), out=scratch)
-    tmp = out.view(np.uint64)
+    x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)), out=out)
+    tmp = np.empty_like(x) if scratch is None else scratch
     _mix_array(x, tmp)
-    _mix_array(np.bitwise_xor(x, np.uint64(cursor & _MASK64), out=x), tmp)
-    # A plain cast needs no buffer; a multiply that mixes uint64 and float64 would.
-    np.copyto(out, np.right_shift(x, np.uint64(11), out=x))
-    return np.multiply(out, _UNIT_SCALE, out=out)
+    if cursor & _MASK64:  # x ^ 0 is x
+        np.bitwise_xor(x, np.uint64(cursor & _MASK64), out=x)
+    _mix_array(x, tmp)
+    return x
+
+
+def unit_threshold(p: float) -> int:
+    """The least 64-bit draw x whose uniform double (x >> 11) * 2**-53 is at
+    least p, for p in [0, 1]: `x >= unit_threshold(p)` is that Born test.
+    It is 2**64 for p = 1, which no uint64 draw reaches."""
+    # p * 2**53 is exact, and (x >> 11) >= ceil(p * 2**53) iff x >= that << 11.
+    return math.ceil(p * 2**53) << 11
 
 
 def band_rows(width: int) -> int:
@@ -73,15 +87,15 @@ def band_rows(width: int) -> int:
 
 def unit_bands(master_seed: int, width: int, height: int, starts: Iterable[int] | None = None,
                first_stream: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield `(rows, u)` for the row bands that begin at `starts` (default: every
-    band, in order): `rows` is the band's slice of image rows, and `u` holds the
-    unit_array draws, cursor 0, of its pixels, pixel (x, y) from stream
-    first_stream + y*width + x.  The buffers are allocated once per call and
-    reused, so `u` is valid only until the next band."""
+    """Yield `(rows, draws)` for the row bands that begin at `starts` (default:
+    every band, in order): `rows` is the band's slice of image rows, and
+    `draws` holds the unit_array draws, cursor 0, of its pixels, pixel (x, y)
+    from stream first_stream + y*width + x.  The buffers are allocated once
+    per call and reused, so `draws` is valid only until the next band."""
     band = band_rows(width)
     offsets = np.arange(min(band, height) * width, dtype=np.uint64)
     offsets += np.uint64(first_stream)
-    streams, draws = np.empty_like(offsets), np.empty(offsets.size)
+    streams, draws = np.empty_like(offsets), np.empty_like(offsets)
     for y in range(0, height, band) if starts is None else starts:
         rows = slice(y, min(y + band, height))
         m = (rows.stop - y) * width

@@ -20,7 +20,6 @@ per-pixel variate and are bit-identical.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
@@ -148,11 +147,11 @@ def _encode_blocks(
     byte XOR.  After the H the branches are `planes` and `planes` with the
     qubits in `flip` negated; CNOT is linear, so `flip` and both scalar
     branch amplitudes are shared by all pixels.  Pixel y*width + x's variate
-    is its stream's draw, made by `rng.unit_bands`.
+    is its stream's 64-bit draw, made by `rng.unit_bands`.
     """
     width, height = secrets[0].width, secrets[0].height
     compared = np.empty(min(rng.band_rows(width), height) * width, dtype=bool)
-    for rows, u in rng.unit_bands(master_seed, width, height, starts):
+    for rows, draws in rng.unit_bands(master_seed, width, height, starts):
         planes = out[:, rows]
         # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
         planes[0] = 0
@@ -175,13 +174,17 @@ def _encode_blocks(
         p0, p1 = a0 * a0, a1 * a1
         if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
             raise StateError("simulated pixel state drifted off unit norm")
-        # Born sampling, lower basis index first: the branches first differ at the
-        # most significant qubit in `flip`.  Where that bit is 0, branch 0 is lower
-        # and the flipped branch is taken when u >= p0; where it is 1, the flipped
-        # branch is lower and is taken when u < p1.  With a flip, the one H made
-        # p0 == p1, so u < p1 is not u >= p0, and the bit negates one packed test.
-        take_flipped = pack_rows(np.greater_equal(u, p0, out=compared[:u.size]), width)
-        take_flipped ^= planes[min(flip, default=0)]
+        if not flip:  # one branch, of probability 1 (p0's threshold is 2**64)
+            continue
+        # Born sampling on each pixel's uniform double u, lower basis index first:
+        # the branches first differ at the most significant qubit in `flip`.
+        # Where that bit is 0, branch 0 is lower and the flipped branch is taken
+        # when u >= p0; where it is 1, the flipped branch is lower and is taken
+        # when u < p1.  The one H made p0 == p1, so u < p1 is not u >= p0, and
+        # the bit negates one packed test, u >= p0 made on the integer draws.
+        passed = np.greater_equal(draws, rng.unit_threshold(p0), out=compared[:draws.size])
+        take_flipped = pack_rows(passed, width)
+        take_flipped ^= planes[min(flip)]
         for q in flip:
             planes[q] ^= take_flipped
 
@@ -213,6 +216,8 @@ def encrypt(
     if threads <= 1:
         encode(starts)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(encode, [starts[k::threads] for k in range(threads)]))
     out.flags.writeable = False  # the images below are views of it

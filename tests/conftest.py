@@ -1,7 +1,8 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
-from qvmss import scheme
 from qvmss.imaging import BinaryImage
 
 
@@ -33,5 +34,6 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(scheme, "ThreadPoolExecutor", RecordingPool)
+    # `encrypt` imports the pool from concurrent.futures only when it runs threads.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     return sizes

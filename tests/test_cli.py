@@ -57,8 +57,9 @@ def test_printed_seed_rebuilds_the_unishare(tmp_path, secret_files):
     assert main(["encrypt", "--seed", "1234", *map(str, secret_files), "-o", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     width, height = manifest["width"], manifest["height"]
-    u = rng.unit_array(manifest["seed"], np.arange(width * height, dtype=np.uint64), 0)
-    rebuilt = BinaryImage.from_rows(width, height, pack_rows(u >= INV_SQRT2 ** 2, width))
+    draws = rng.unit_array(manifest["seed"], np.arange(width * height, dtype=np.uint64), 0)
+    born = draws >= rng.unit_threshold(INV_SQRT2 ** 2)
+    rebuilt = BinaryImage.from_rows(width, height, pack_rows(born, width))
     assert rebuilt == read_pbm((out / "U.pbm").read_bytes())
     recovered = read_pbm((out / "S1.pbm").read_bytes()) ^ rebuilt
     assert recovered == read_pbm(secret_files[0].read_bytes())
@@ -265,6 +266,27 @@ def test_decrypt_single_share_recovers_single_secret(tmp_path, secret_files):
     assert rc == 0
     assert [p.name for p in rec.iterdir()] == ["G1_rec.pbm"]
     assert read_pbm((rec / "G1_rec.pbm").read_bytes()) == read_pbm(secret_files[1].read_bytes())
+
+
+def test_decrypt_holds_one_recovered_image_at_a_time(tmp_path):
+    side, n = 1024, 16
+    image = side * side // 8
+    unishare, share = tmp_path / "U.pbm", tmp_path / "S.pbm"
+    unishare.write_bytes(write_pbm(make_fixture("random", side, side, seed=1)))
+    share.write_bytes(write_pbm(make_fixture("random", side, side, seed=2)))
+    argv = ["decrypt", "-u", str(unishare), *[str(share)] * n, "-o", str(tmp_path / "rec")]
+    assert main(argv) == 0  # the first run fills argparse's and re's caches
+    # The n + 1 inputs, one recovered image and its serialized file, and 96 KiB
+    # of bookkeeping (about 55 KiB is used).  Holding one more image, or
+    # recovering every share before writing any, exceeds it.
+    bound = (n + 1 + 2) * image + (96 << 10)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 def test_decrypt_has_no_seed_flag(tmp_path, secret_files, capsys):
@@ -483,11 +505,24 @@ def test_console_script_is_cli_main():
     assert getattr(importlib.import_module(module), attr) is main
 
 
-def run_cli(*args, **kwargs):
-    """`python -m qvmss.cli ARGS` in a child that imports this same package."""
+def run_python(*args, **kwargs):
+    """`python ARGS` in a child that imports this same package."""
     src = str(Path(qvmss.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-m", "qvmss.cli", *args], text=True, env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)
+
+
+def run_cli(*args, **kwargs):
+    """`python -m qvmss.cli ARGS` in a child that imports this same package."""
+    return run_python("-m", "qvmss.cli", *args, **kwargs)
+
+
+def test_importing_the_cli_leaves_the_thread_pool_unloaded():
+    # Only a threaded encrypt needs concurrent.futures, and with it logging and queue.
+    proc = run_python("-c", "import sys, qvmss.cli; print('concurrent.futures' in sys.modules)",
+                      capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_closed_stdout_exits_2_without_traceback():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qvmss import rng, scheme
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
-from qvmss.qsim import StateError, cnot, hadamard, pauli_x
+from qvmss.qsim import INV_SQRT2, StateError, cnot, hadamard, pauli_x
 from qvmss.rng import RngStream, draw_u64
 from qvmss.scheme import (
     MAX_ARITY,
@@ -322,6 +322,41 @@ def test_engine_measures_a_program_without_hadamard_deterministically():
     scheme._encode_blocks([cnot(0, 1)], [secret], 0, [0], out)
     assert not out[0].any()
     assert np.array_equal(out[1], secret.rows)
+
+
+def test_engine_hands_numpy_no_threshold_past_uint64(monkeypatch):
+    # Without an H, p0 is 1 and its threshold 2**64 fits no uint64: numpy 2.0
+    # may reject it, so the engine must not ask numpy for that compare.
+    secret = make_fixture("random", 4, 4, seed=0)
+    thresholds, greater_equal = [], np.greater_equal
+
+    def checked_greater_equal(draws, threshold, **kwargs):
+        if isinstance(threshold, int) and threshold >= 1 << 64:
+            raise OverflowError(f"threshold {threshold} is past uint64")
+        thresholds.append(threshold)
+        return greater_equal(draws, threshold, **kwargs)
+
+    monkeypatch.setattr(np, "greater_equal", checked_greater_equal)
+    out = np.empty((2, 4, 1), dtype=np.uint8)
+    scheme._encode_blocks([cnot(0, 1)], [secret], 0, [0], out)
+    assert thresholds == []
+    scheme._encode_blocks(encoding_circuit(1), [secret], 0, [0], out)
+    assert thresholds == [rng.unit_threshold(INV_SQRT2 ** 2)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_encrypt_draws_once_per_pixel(threads, monkeypatch):
+    # The benchmark's rng.draws_per_pixel reads 1 only if every pixel takes one stream.
+    secrets = random_images(2, 300, 300, seed=6)  # two bands
+    sizes, unit_array = [], rng.unit_array
+
+    def counted_unit_array(seed, streams, cursor, *args, **kwargs):
+        sizes.append(np.size(streams))
+        return unit_array(seed, streams, cursor, *args, **kwargs)
+
+    monkeypatch.setattr(rng, "unit_array", counted_unit_array)
+    encrypt(secrets, 3, threads=threads)
+    assert sum(sizes) == 300 * 300 and len(sizes) == 2
 
 
 def test_engine_copies_a_qubit_no_gate_writes():

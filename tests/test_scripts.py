@@ -1,4 +1,5 @@
 """Smoke tests: each script in scripts/ runs to completion on small inputs."""
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,22 @@ def test_benchmark_encrypt_runs():
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["size", "arity", "threads", "seconds", "Mpixel/s", "floor_x"]
     assert len(lines) == 1 + 2 * 2 * 2
+
+
+def test_benchmark_encrypt_appends_a_json_entry(tmp_path):
+    record = tmp_path / "BENCH_encrypt.json"
+    for _ in range(2):
+        proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1", "2",
+                          "--threads", "1", "--repeats", "1", "--json", str(record))
+        assert proc.returncode == 0, proc.stderr
+    entries = json.loads(record.read_text())
+    assert len(entries) == 2
+    for entry in entries:
+        assert set(entry) == {"revision", "python", "numpy", "nproc", "rows"}
+        assert [(row["size"], row["arity"], row["threads"]) for row in entry["rows"]] == [
+            (16, 1, 1), (16, 2, 1)]
+        for row in entry["rows"]:
+            assert row["floor_x"] == row["seconds"] / row["floor_s"]
 
 
 def test_run_security_sweep_runs():
