@@ -2,11 +2,13 @@
 """Benchmark the batch encryption engine behind `encrypt`.
 
 Times `encrypt` across image sizes, arities, and thread counts, and verifies
-each run round-trips before reporting it.  `floor_x` is the engine's time over
-its floor: one `rng.unit_bands` pass over the image, the engine's own draws,
-plus the XOR oracle `classical_encrypt`, timed in one thread on the same
-inputs.  `threads` is the count asked for; `encrypt` caps it at the CPU and
-band counts.
+each run round-trips before reporting it.  Each case runs `--repeats` times:
+`seconds` is the best run, and `median_s` and `iqr_s` (upper minus lower
+quartile, 0.0 below two repeats) show their spread.  `floor_x` is the best
+run over its floor: one `rng.unit_bands` pass over the image, the engine's
+own draws, plus the XOR oracle `classical_encrypt`, timed in one thread on
+the same inputs.  `threads` is the count asked for; `encrypt` caps it at the
+number of CPUs this process may run on and at the band count.
 
 `--json PATH` appends one entry to the JSON list in PATH (made if missing):
 the git revision of the benchmarked `qvmss` sources, the Python and numpy
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import time
 from pathlib import Path
@@ -28,28 +31,37 @@ from qvmss.imaging import make_fixture
 from qvmss.scheme import classical_encrypt, decrypt_all, encrypt
 
 
-def best_of(repeats, fn):
-    best = float("inf")
+def timed(repeats, fn):
+    """The wall time of each of `repeats` calls of fn, in seconds."""
+    times = []
     for _ in range(repeats):
         started = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+        times.append(time.perf_counter() - started)
+    return times
+
+
+def spread(times):
+    """The median of times and their interquartile range, 0.0 below two times."""
+    if len(times) < 2:
+        return times[0], 0.0
+    lower, _, upper = statistics.quantiles(times, n=4)
+    return statistics.median(times), upper - lower
 
 
 def run_case(size, arity, threads, seed, repeats):
-    """Best encrypt time and best floor time, in seconds."""
+    """Every encrypt time and the best floor time, in seconds."""
     secrets = [make_fixture("random", size, size, seed=seed + i) for i in range(arity)]
     share_set = encrypt(secrets, seed, threads=threads)
     assert decrypt_all(share_set) == secrets, "round trip failed"
-    seconds = best_of(repeats, lambda: encrypt(secrets, seed, threads=threads))
+    times = timed(repeats, lambda: encrypt(secrets, seed, threads=threads))
 
     def floor():
         for _ in rng.unit_bands(seed, size, size):
             pass
         classical_encrypt(secrets, share_set.unishare)
 
-    return seconds, best_of(repeats, floor)
+    return times, min(timed(repeats, floor))
 
 
 def source_revision():
@@ -76,21 +88,25 @@ def main():
     parser.add_argument("--arities", type=int, nargs="+", default=[1, 2, 4, 8, 16])
     parser.add_argument("--threads", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repeats", type=int, default=3, help="keep the best of N runs")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="time N runs of each case; seconds is the best of them")
     parser.add_argument("--json", metavar="PATH", help="append this run's entry to PATH")
     args = parser.parse_args()
 
     rows = []
-    print(f"{'size':>6} {'arity':>5} {'threads':>7} {'seconds':>9} {'Mpixel/s':>9} {'floor_x':>7}")
+    print(f"{'size':>6} {'arity':>5} {'threads':>7} {'seconds':>9} {'median_s':>9} {'iqr_s':>9}"
+          f" {'Mpixel/s':>9} {'floor_x':>7}")
     for size in args.sizes:
         for arity in args.arities:
             for threads in args.threads:
-                seconds, floor = run_case(size, arity, threads, args.seed, args.repeats)
+                times, floor = run_case(size, arity, threads, args.seed, args.repeats)
+                seconds, (median, iqr) = min(times), spread(times)
                 rate = size * size / seconds / 1e6
-                print(f"{size:>6} {arity:>5} {threads:>7} {seconds:>9.3f} {rate:>9.2f}"
-                      f" {seconds / floor:>7.2f}")
+                print(f"{size:>6} {arity:>5} {threads:>7} {seconds:>9.3f} {median:>9.3f}"
+                      f" {iqr:>9.3f} {rate:>9.2f} {seconds / floor:>7.2f}")
                 rows.append({"size": size, "arity": arity, "threads": threads,
-                             "seconds": seconds, "floor_s": floor, "floor_x": seconds / floor})
+                             "seconds": seconds, "median_s": median, "iqr_s": iqr,
+                             "floor_s": floor, "floor_x": seconds / floor})
     if args.json:
         append_entry(args.json, rows)
 

@@ -1,51 +1,13 @@
 """Universal-share (n, n+1) visual multi-secret sharing of binary images,
-encrypted by running the per-pixel circuit on a bit-plane engine."""
+encrypted by running the per-pixel circuit on a bit-plane engine.
 
-from .imaging import (
-    BinaryImage,
-    PbmParseError,
-    PbmVariant,
-    ShapeMismatchError,
-    make_fixture,
-    read_pbm,
-    write_pbm,
-)
-from .metrics import MetricsReport, report
-from .rng import RngStream
-from .scheme import (
-    ConfigError,
-    PixelOutcome,
-    ShareSet,
-    classical_encrypt,
-    decode_pixel,
-    decrypt,
-    decrypt_all,
-    encode_pixel,
-    encrypt,
-    transmitter_state,
-)
+The package namespace holds the pipeline; every other name is imported from
+its module (`qvmss.scheme`, `qvmss.imaging`, `qvmss.metrics`, ...)."""
+
+from .imaging import BinaryImage, make_fixture
+from .metrics import report
+from .scheme import decrypt_all, encrypt
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryImage",
-    "ConfigError",
-    "MetricsReport",
-    "PbmParseError",
-    "PbmVariant",
-    "PixelOutcome",
-    "RngStream",
-    "ShapeMismatchError",
-    "ShareSet",
-    "classical_encrypt",
-    "decode_pixel",
-    "decrypt",
-    "decrypt_all",
-    "encode_pixel",
-    "encrypt",
-    "make_fixture",
-    "read_pbm",
-    "report",
-    "transmitter_state",
-    "write_pbm",
-]
+__all__ = ["BinaryImage", "decrypt_all", "encrypt", "make_fixture", "report"]

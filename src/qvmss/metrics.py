@@ -11,7 +11,6 @@ images' packed rows.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,7 @@ def uniformity_bound(pixels: int) -> float:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """All metrics for one image pair, JSON-serializable."""
+    """All metrics for one image pair; `to_dict` is its JSON form."""
 
     mse: float
     psnr_db: float
@@ -46,9 +45,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         # Field order is the JSON key order; JSON has no infinity, so PSNR says "inf".
         return dict(vars(self), psnr_db="inf" if math.isinf(self.psnr_db) else self.psnr_db)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def report(a: BinaryImage, b: BinaryImage) -> MetricsReport:

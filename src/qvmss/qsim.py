@@ -86,20 +86,20 @@ class StateVector:
     norm guard.
     """
 
-    num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}")
-        expected = 1 << self.num_qubits
-        if self.amplitudes.shape != (expected,):
-            raise ValueError(
-                f"amplitude vector must have length {expected}, got shape {self.amplitudes.shape}"
-            )
+        size = self.amplitudes.size
+        if self.amplitudes.ndim != 1 or not 2 <= size <= 1 << MAX_QUBITS or size & (size - 1):
+            raise ValueError(f"amplitudes must be 1-D of length 2^k for k in 1..{MAX_QUBITS}, "
+                             f"got shape {self.amplitudes.shape}")
         if not np.isfinite(self.amplitudes).all():
             raise ValueError("amplitudes must be finite")
+
+    @property
+    def num_qubits(self) -> int:
+        return self.amplitudes.size.bit_length() - 1
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -111,7 +111,7 @@ def new_register(num_qubits: int) -> StateVector:
         raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
     amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
     amplitudes[0] = 1.0
-    return StateVector(num_qubits, amplitudes)
+    return StateVector(amplitudes)
 
 
 def _check_qubit(index: int, num_qubits: int, role: str) -> None:
@@ -146,7 +146,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         sub_target = gate.target - 1 if gate.target > gate.control else gate.target
         out[tuple(sel)] = np.flip(psi[tuple(sel)], axis=sub_target)
 
-    return StateVector(k, out.reshape(-1))
+    return StateVector(out.reshape(-1))
 
 
 def measure_all(state: StateVector, rng: RngStream) -> str:

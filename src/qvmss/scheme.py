@@ -196,8 +196,9 @@ def encrypt(
 
     n is len(secrets), 1..MAX_ARITY.  Pixel p uses RNG stream p, so the
     result is bit-exact reproducible from master_seed (taken mod 2^64)
-    regardless of `threads`, which is capped at the CPU and band counts:
-    threads split the work at band boundaries, so one band runs inline.
+    regardless of `threads`, which is capped at the number of CPUs this
+    process may run on and at the band count: threads split the work at
+    band boundaries, so one band runs inline.
     The UniShare and the shares are views of one packed, read-only
     `(n + 1, height, row_bytes)` array.
     """
@@ -212,7 +213,9 @@ def encrypt(
 
     encode = partial(_encode_blocks, encoding_circuit(n), secrets, master_seed, out=out)
     starts = range(0, height, rng.band_rows(width))
-    threads = min(threads, os.cpu_count() or 1, len(starts))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    threads = min(threads, cpus, len(starts))
     if threads <= 1:
         encode(starts)
     else:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qvmss
-from qvmss import rng
+from qvmss import cli, rng, scheme
 from qvmss.cli import main
 from qvmss.imaging import BinaryImage, make_fixture, pack_rows, read_pbm, write_pbm
 from qvmss.qsim import INV_SQRT2
@@ -105,6 +105,26 @@ def test_encrypt_failed_write_keeps_the_previous_run(tmp_path, secret_files, mon
     assert "error:" in capsys.readouterr().err
     assert not list(out.glob(".*.tmp"))
     assert read_tree(out) == before
+
+
+def test_encrypt_interrupted_write_keeps_the_previous_run(tmp_path, secret_files, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["encrypt", "--seed", "1", *map(str, secret_files), "-o", str(out)]) == 0
+    before = read_tree(out)
+
+    real_write_pbm, calls = cli.write_pbm, []
+
+    def second_write_interrupted(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_write_pbm(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_pbm", second_write_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["encrypt", "--seed", "2", *map(str, secret_files), "-o", str(out)])
+    assert len(calls) == 2
+    assert read_tree(out) == before  # so no staged .tmp file is left either
 
 
 def test_encrypt_holds_one_serialized_file_at_a_time(tmp_path):
@@ -424,30 +444,35 @@ def test_demo_manifest_golden_does_not_depend_on_the_band_size(tmp_path, monkeyp
             assert demo_manifest_digest(tmp_path / fmt, fmt, size) == digest
 
 
+def assert_names_flag_only(err, flag, value):
+    assert flag in err and "Traceback" not in err
+    assert "_thread_count" not in err and "_demo_size" not in err
+    if value == "x":
+        assert "not an integer: 'x'" in err
+
+
 @pytest.mark.parametrize("command", ["encrypt", "demo"])
-@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
 def test_threads_below_one_exits_2(tmp_path, secret_files, capsys, command, value):
     inputs = list(map(str, secret_files)) if command == "encrypt" else []
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs, "--threads", value, "-o", str(tmp_path / "out")])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--threads" in err and "Traceback" not in err
+    assert_names_flag_only(capsys.readouterr().err, "--threads", value)
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "9000"])
+@pytest.mark.parametrize("value", ["0", "-3", "9000", "x"])
 def test_demo_size_out_of_range_exits_2(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as exc:
         main(["demo", "--size", value, "-o", str(tmp_path / "out")])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--size" in err and "Traceback" not in err
+    assert_names_flag_only(capsys.readouterr().err, "--size", value)
     assert not (tmp_path / "out").exists()
 
 
 def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch, pool_sizes):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     # 512x512 is four engine blocks, so only the CPU count limits the pool.
     big = tmp_path / "big.pbm"
     big.write_bytes(write_pbm(make_fixture("random", 512, 512, seed=0)))
@@ -474,8 +499,19 @@ def test_selftest_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_selftest_injected_fault_fails_round_trip(capsys):
-    rc = main(["selftest", "--seed", "11", "--inject-fault"])
+def test_selftest_injected_fault_fails_round_trip(capsys, monkeypatch):
+    real_encrypt = cli.encrypt
+
+    def flip_first_share_pixel(*args, **kwargs):
+        share_set = real_encrypt(*args, **kwargs)
+        s1, *rest = share_set.shares
+        flipped = s1.rows.copy()
+        flipped[0, 0] ^= 0x80  # the first pixel is the top bit of the first byte
+        s1 = BinaryImage.from_rows(s1.width, s1.height, flipped)
+        return scheme.ShareSet(share_set.unishare, (s1, *rest))
+
+    monkeypatch.setattr(cli, "encrypt", flip_first_share_pixel)
+    rc = main(["selftest", "--seed", "11"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL round_trip" in out
@@ -492,7 +528,8 @@ def test_selftest_json_mode(capsys):
 def test_selftest_help_lists_json(capsys):
     with pytest.raises(SystemExit):
         main(["selftest", "--help"])
-    assert "--json" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--json" in out and "--inject-fault" not in out
 
 
 # ----------------------------------------------------------- console script

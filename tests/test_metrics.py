@@ -262,14 +262,14 @@ def test_report_secret_vs_share_statistics():
 
 def test_report_json_schema(flat_image):
     img = make_fixture("random", 4, 4, seed=11)
-    payload = json.loads(report(img, img).to_json())
+    payload = json.loads(json.dumps(report(img, img).to_dict()))
     assert payload["psnr_db"] == "inf"
     assert set(payload) == {
         "mse", "psnr_db", "ssim", "correlation", "mismatch_fraction",
         "ones_fraction_a", "ones_fraction_b", "width", "height",
     }
     flat = flat_image(4, 4, 0)
-    payload = json.loads(report(flat, img).to_json())
+    payload = json.loads(json.dumps(report(flat, img).to_dict()))
     assert payload["correlation"] is None
     assert isinstance(payload["psnr_db"], float)
 

@@ -27,14 +27,14 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def basis_state(num_qubits, index):
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector(amps)
 
 
 def random_state(num_qubits, seed):
     gen = np.random.default_rng(seed)
     amps = gen.normal(size=1 << num_qubits) + 1j * gen.normal(size=1 << num_qubits)
     amps /= np.linalg.norm(amps)
-    return StateVector(num_qubits, amps)
+    return StateVector(amps)
 
 
 # ---------------------------------------------------------------- registers
@@ -65,13 +65,17 @@ def test_register_cap_is_the_widest_encoding_register():
 
 
 def test_statevector_rejects_wrong_length():
+    # A length that is not a power of two, or is one outside 2..2^MAX_QUBITS, is refused.
+    for length in (0, 1, 3, 6, 1 << (MAX_QUBITS + 1)):
+        with pytest.raises(ValueError):
+            StateVector(np.zeros(length, dtype=complex))
     with pytest.raises(ValueError):
-        StateVector(2, np.zeros(3, dtype=complex))
+        StateVector(np.zeros((2, 2), dtype=complex))
 
 
 def test_statevector_rejects_nonfinite():
     with pytest.raises(ValueError):
-        StateVector(1, np.array([np.nan, 0], dtype=complex))
+        StateVector(np.array([np.nan, 0], dtype=complex))
 
 
 # ---------------------------------------------------------------- gate ops
@@ -216,7 +220,7 @@ def test_measure_born_frequency_on_plus_state():
 
 
 def test_measure_rejects_unnormalized_state():
-    bad = StateVector(1, np.array([1.0, 1.0], dtype=complex))
+    bad = StateVector(np.array([1.0, 1.0], dtype=complex))
     with pytest.raises(StateError):
         measure_all(bad, RngStream(0, 0))
 
@@ -243,7 +247,7 @@ def test_measure_rejects_support_wider_than_two_without_drawing():
     amps = np.sqrt(np.array([0.5, 0.3, 0.2, 0.0], dtype=complex))
     stub = _FixedUnit(0.1)
     with pytest.raises(StateError, match="at most two branches"):
-        measure_all(StateVector(2, amps), stub)
+        measure_all(StateVector(amps), stub)
     assert stub.calls == 0
 
 

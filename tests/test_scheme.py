@@ -173,7 +173,8 @@ def test_encrypt_threads_match_serial():
 
 
 def test_encrypt_threads_capped_at_block_count(pool_sizes, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # so only the block count limits
+    # Eight usable CPUs, so only the block count limits.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     one_block = random_images(1, 256, 256, seed=3)
     assert encrypt(one_block, 4, threads=8) == encrypt(one_block, 4)
     assert pool_sizes == []
@@ -183,10 +184,19 @@ def test_encrypt_threads_capped_at_block_count(pool_sizes, monkeypatch):
 
 
 def test_encrypt_threads_capped_at_cpu_count(pool_sizes, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     three_blocks = random_images(1, 256, 600, seed=3)
     assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
     assert pool_sizes == [2]
+
+
+def test_encrypt_threads_capped_at_the_cpus_this_process_may_run_on(pool_sizes, monkeypatch):
+    # Eight CPUs in the machine, but this process may run on only one of them.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    three_blocks = random_images(1, 256, 600, seed=3)
+    assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
+    assert pool_sizes == []
 
 
 # SHA-256 over the bits of U, S_1, ..., S_n from encrypt(seed 7) on a 300x300

@@ -1,6 +1,8 @@
-"""Smoke tests: each script in scripts/ runs to completion on small inputs."""
+"""Smoke tests: each script in scripts/, and the README's library example,
+runs to completion on small inputs."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +10,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, cwd=ROOT,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=ROOT)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_readme_library_example_runs():
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    proc = run_python("-c", example)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["width"] == 64
 
 
 def test_benchmark_encrypt_runs():
@@ -22,7 +33,8 @@ def test_benchmark_encrypt_runs():
                       "--threads", "1", "2", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["size", "arity", "threads", "seconds", "Mpixel/s", "floor_x"]
+    assert lines[0].split() == ["size", "arity", "threads", "seconds", "median_s", "iqr_s",
+                                "Mpixel/s", "floor_x"]
     assert len(lines) == 1 + 2 * 2 * 2
 
 
@@ -30,7 +42,7 @@ def test_benchmark_encrypt_appends_a_json_entry(tmp_path):
     record = tmp_path / "BENCH_encrypt.json"
     for _ in range(2):
         proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1", "2",
-                          "--threads", "1", "--repeats", "1", "--json", str(record))
+                          "--threads", "1", "--repeats", "3", "--json", str(record))
         assert proc.returncode == 0, proc.stderr
     entries = json.loads(record.read_text())
     assert len(entries) == 2
@@ -40,6 +52,7 @@ def test_benchmark_encrypt_appends_a_json_entry(tmp_path):
             (16, 1, 1), (16, 2, 1)]
         for row in entry["rows"]:
             assert row["floor_x"] == row["seconds"] / row["floor_s"]
+            assert row["seconds"] <= row["median_s"] and row["iqr_s"] >= 0.0
 
 
 def test_run_security_sweep_runs():
