@@ -12,7 +12,9 @@ number of CPUs this process may run on and at the band count.
 
 `--json PATH` appends one entry to the JSON list in PATH (made if missing):
 the git revision of the benchmarked `qvmss` sources, the Python and numpy
-versions, the CPU count and one row per case.
+versions, `nproc` (the number of CPUs this process may run on: its CPU
+affinity where the platform reports one, else the CPU count) and one row
+per case.
 """
 import argparse
 import json
@@ -27,8 +29,9 @@ import numpy as np
 
 import qvmss
 from qvmss import rng
+from qvmss.cli import positive_int
 from qvmss.imaging import make_fixture
-from qvmss.scheme import classical_encrypt, decrypt_all, encrypt
+from qvmss.scheme import MAX_ARITY, classical_encrypt, decrypt_all, encrypt
 
 
 def timed(repeats, fn):
@@ -77,18 +80,20 @@ def source_revision():
 def append_entry(path, rows):
     path = Path(path)
     entries = json.loads(path.read_text()) if path.exists() else []
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     entries.append({"revision": source_revision(), "python": platform.python_version(),
-                    "numpy": np.__version__, "nproc": os.cpu_count(), "rows": rows})
+                    "numpy": np.__version__, "nproc": nproc, "rows": rows})
     path.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[128, 256, 512])
-    parser.add_argument("--arities", type=int, nargs="+", default=[1, 2, 4, 8, 16])
-    parser.add_argument("--threads", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--sizes", type=positive_int, nargs="+", default=[128, 256, 512])
+    parser.add_argument("--arities", type=int, nargs="+", default=[1, 2, 4, 8, 16],
+                        choices=range(1, MAX_ARITY + 1), metavar="N")
+    parser.add_argument("--threads", type=positive_int, nargs="+", default=[1, 2])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repeats", type=int, default=3,
+    parser.add_argument("--repeats", type=positive_int, default=3,
                         help="time N runs of each case; seconds is the best of them")
     parser.add_argument("--json", metavar="PATH", help="append this run's entry to PATH")
     args = parser.parse_args()

@@ -9,6 +9,7 @@ the 4-sigma uniformity bound; exits 1 if more than one run lands outside it.
 import argparse
 import sys
 
+from qvmss.cli import positive_int
 from qvmss.imaging import make_fixture
 from qvmss.metrics import report, uniformity_bound
 from qvmss.scheme import encrypt
@@ -28,8 +29,8 @@ def sweep_once(seed, size):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--size", type=int, default=256)
+    parser.add_argument("--runs", type=positive_int, default=10)
+    parser.add_argument("--size", type=positive_int, default=256)
     parser.add_argument("--seed", type=int, default=1, help="first seed of the sweep")
     args = parser.parse_args()
 
@@ -43,13 +44,15 @@ def main():
     for seed in range(args.seed, args.seed + args.runs):
         fractions, pairs = sweep_once(seed, args.size)
         psnrs = [p.psnr_db for p in pairs]
-        corr = max(abs(p.correlation) for p in pairs)
+        # A constant image has no correlation; n/a when every pair has one.
+        corrs = [abs(p.correlation) for p in pairs if p.correlation is not None]
+        corr = f"{max(corrs):>9.4f}" if corrs else f"{'n/a':>9}"
         mm_dev = max(abs(p.mismatch_fraction - 0.5) for p in pairs)
         uniform = all(abs(f - 0.5) <= bound for f in fractions)
         failures += not uniform
         flag = "" if uniform else "  <-- outside bound"
         print(f"{seed:>6} {fractions[0]:>8.4f} {fractions[1]:>8.4f} {fractions[2]:>8.4f} "
-              f"{min(psnrs):>8.4f} {max(psnrs):>8.4f} {corr:>9.4f} {mm_dev:>10.4f}{flag}")
+              f"{min(psnrs):>8.4f} {max(psnrs):>8.4f} {corr} {mm_dev:>10.4f}{flag}")
 
     print(f"{failures} of {args.runs} runs outside the uniformity bound")
     return 1 if failures > 1 else 0

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -28,15 +27,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import metrics, scheme
-from .imaging import (
-    MAX_PIXELS,
-    BinaryImage,
-    PbmParseError,
-    PbmVariant,
-    make_fixture,
-    read_pbm,
-    write_pbm,
-)
+from .imaging import BinaryImage, PbmParseError, PbmVariant, make_fixture, read_pbm, write_pbm
 from .scheme import classical_encrypt, decrypt, decrypt_all, encrypt
 
 EXIT_OK = 0
@@ -93,11 +84,15 @@ def _require_same_dims(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage)
         )
 
 
-def _load_matching_images(paths: list[str]) -> list[BinaryImage]:
-    images = [_load_image(p) for p in paths]
-    for path, img in zip(paths[1:], images[1:]):
-        _require_same_dims(paths[0], images[0], path, img)
-    return images
+def _matching_images(paths: list[str]) -> Iterator[BinaryImage]:
+    """The images at `paths` in order, each read only when it is reached and
+    checked against the size of the first."""
+    first = _load_image(paths[0])
+    yield first
+    for path in paths[1:]:
+        image = _load_image(path)
+        _require_same_dims(paths[0], first, path, image)
+        yield image
 
 
 def _publish(out_dir: str, files: Iterable[tuple[str, BinaryImage | bytes]], fmt: str,
@@ -143,14 +138,9 @@ def _publish(out_dir: str, files: Iterable[tuple[str, BinaryImage | bytes]], fmt
     return [final.name for _, final in staged]
 
 
-def _print_written(args, names: list[str], **fields) -> None:
-    if args.json:
-        print(json.dumps({**fields, "out_dir": args.out_dir, "files": sorted(names)}))
-        return
-    for key, value in fields.items():
-        print(f"{key}: {value}")
+def _print_written(out_dir: str, names: list[str]) -> None:
     for name in names:
-        print(f"wrote {Path(args.out_dir) / name}")
+        print(f"wrote {Path(out_dir) / name}")
 
 
 def _numbered(pattern: str, images: Iterable[BinaryImage]) -> Iterator[tuple[str, BinaryImage]]:
@@ -174,35 +164,35 @@ def _run_manifest(seed: int, share_set: scheme.ShareSet) -> dict:
             "width": share_set.width, "height": share_set.height}
 
 
-def _int_in(low: int, high: int | None = None):
-    """An argparse type: a decimal integer from `low` up to `high`, if given."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < low or (high is not None and value > high):
-            bound = f"at least {low}" if high is None else f"between {low} and {high}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        return value
-    return parse
+def positive_int(text: str) -> int:
+    """An argparse type: a decimal integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def cmd_encrypt(args) -> int:
     seed = _resolve_seed(args.seed)
     scheme._check_arity(len(args.secrets), "secret images")  # before reading any file
-    secrets = _load_matching_images(args.secrets)
+    secrets = list(_matching_images(args.secrets))
     share_set = encrypt(secrets, seed, threads=args.threads)
     names = _publish(args.out_dir, _share_files(share_set).items(), args.format,
                      manifest=_run_manifest(seed, share_set))
-    _print_written(args, names, seed=seed)
+    print(f"seed: {seed}")
+    _print_written(args.out_dir, names)
     return EXIT_OK
 
 
 def cmd_decrypt(args) -> int:
-    unishare, *shares = _load_matching_images([args.unishare, *args.shares])
-    names = _publish(args.out_dir, _recovered_files(unishare, shares), args.format)
-    _print_written(args, names)
+    # One share at a time: each is read, checked and recovered when it is written.
+    images = _matching_images([args.unishare, *args.shares])
+    unishare = next(images)
+    names = _publish(args.out_dir, _recovered_files(unishare, images), args.format)
+    _print_written(args.out_dir, names)
     return EXIT_OK
 
 
@@ -212,21 +202,20 @@ def _pair_entry(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage) -> dic
 
 
 def _pair_grid(secrets: list[tuple[str, BinaryImage]], shares: list[tuple[str, BinaryImage]],
-               unishare: tuple[str, BinaryImage] | None) -> list[dict]:
-    """Every secret x share pair, then, with a UniShare, every secret and share against it."""
+               unishare: tuple[str, BinaryImage]) -> list[dict]:
+    """Every secret x share pair, then every secret and share against the UniShare."""
     entries = [_pair_entry(gn, g, sn, s) for gn, g in secrets for sn, s in shares]
-    if unishare is not None:
-        entries += [_pair_entry(name, image, *unishare) for name, image in [*secrets, *shares]]
-    return entries
+    return entries + [_pair_entry(name, image, *unishare) for name, image in [*secrets, *shares]]
 
 
 def cmd_metrics(args) -> int:
     if args.pairs:
-        if args.images or not args.secrets or not args.shares:
-            raise _Failure(EXIT_IO, "--pairs needs --secrets and --shares, not positional images")
+        if args.images or not (args.secrets and args.shares and args.unishare):
+            raise _Failure(EXIT_IO, "--pairs needs --secrets, --shares and --unishare, "
+                                    "not positional images")
         secrets = [(p, _load_image(p)) for p in args.secrets]
         shares = [(p, _load_image(p)) for p in args.shares]
-        unishare = (args.unishare, _load_image(args.unishare)) if args.unishare else None
+        unishare = (args.unishare, _load_image(args.unishare))
         print(json.dumps(_pair_grid(secrets, shares, unishare), indent=2))
         return EXIT_OK
 
@@ -234,7 +223,7 @@ def cmd_metrics(args) -> int:
         raise _Failure(EXIT_IO, "--secrets, --shares and --unishare need --pairs")
     if len(args.images) != 2:
         raise _Failure(EXIT_IO, "metrics needs exactly two images (or --pairs)")
-    a, b = _load_matching_images(args.images)
+    a, b = _matching_images(args.images)
     print(json.dumps(metrics.report(a, b).to_dict(), indent=2))
     return EXIT_OK
 
@@ -248,8 +237,8 @@ def _format_metric(value) -> str:
 
 def cmd_demo(args) -> int:
     seed = _resolve_seed(args.seed)
-    fixtures = [make_fixture(k, args.size, args.size) for k in ("text_glyphs", "checkerboard")]
-    share_set = encrypt(fixtures, seed, threads=args.threads)
+    fixtures = [make_fixture(k, 512, 512) for k in ("text_glyphs", "checkerboard")]
+    share_set = encrypt(fixtures, seed)
     secrets = dict(_numbered("G{}.pbm", fixtures))
     share_files = _share_files(share_set)
     recovered = dict(_recovered_files(share_set.unishare, share_set.shares))
@@ -260,11 +249,7 @@ def cmd_demo(args) -> int:
     pairs_json = (json.dumps(entries, indent=2) + "\n").encode("ascii")
     artifacts = _publish(args.out_dir, {**secrets, **share_files, **recovered,
                                         "metrics_pairs.json": pairs_json}.items(),
-                         args.format, manifest=_run_manifest(seed, share_set))
-
-    if args.json:
-        print(json.dumps({"seed": seed, "out_dir": args.out_dir, "pairs": entries}))
-        return EXIT_OK
+                         "p4", manifest=_run_manifest(seed, share_set))
 
     print(f"seed: {seed}")
     print(f"artifacts in {args.out_dir}: {' '.join(artifacts)}")
@@ -362,30 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Universal-share (n, n+1) multi-secret sharing of binary PBM images.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_help = "integer master seed, mod 2**64 (default: QVMSS_SEED or OS entropy)"
 
-    def add_encoding(p):
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="integer master seed, mod 2**64 (default: QVMSS_SEED or OS entropy)")
-        p.add_argument("--threads", type=_int_in(1), default=1,
-                       help="worker threads for pixel encoding "
-                            "(capped at the CPUs this process may run on)")
-
-    def add_common(p, out_default: str):
-        p.add_argument("-o", "--out-dir", default=out_default, help="output directory")
+    def add_output(p):
+        p.add_argument("-o", "--out-dir", default=".", help="output directory")
         p.add_argument("--format", choices=["p1", "p4"], default="p4",
                        help="PBM variant for written images")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_enc = sub.add_parser("encrypt", help="encrypt n secrets into U.pbm and S1..Sn.pbm")
     p_enc.add_argument("secrets", nargs="+", help="secret images (PBM)")
-    add_encoding(p_enc)
-    add_common(p_enc, ".")
+    p_enc.add_argument("--seed", type=_seed, default=None, help=seed_help)
+    p_enc.add_argument("--threads", type=positive_int, default=1,
+                       help="worker threads for pixel encoding "
+                            "(capped at the CPUs this process may run on)")
+    add_output(p_enc)
     p_enc.set_defaults(handler=cmd_encrypt)
 
     p_dec = sub.add_parser("decrypt", help="recover secrets from the UniShare plus shares")
     p_dec.add_argument("-u", "--unishare", required=True, help="UniShare image (PBM)")
     p_dec.add_argument("shares", nargs="+", help="share images (PBM)")
-    add_common(p_dec, ".")
+    add_output(p_dec)
     p_dec.set_defaults(handler=cmd_decrypt)
 
     p_met = sub.add_parser("metrics", help="quality/secrecy metrics for image pairs")
@@ -397,11 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--unishare", default=None)
     p_met.set_defaults(handler=cmd_metrics)
 
-    p_demo = sub.add_parser("demo", help="end-to-end pipeline on built-in fixtures")
-    add_encoding(p_demo)
-    add_common(p_demo, "qvmss_demo")
-    p_demo.add_argument("--size", type=_int_in(1, math.isqrt(MAX_PIXELS)), default=512,
-                        help="fixture edge length in pixels")
+    p_demo = sub.add_parser("demo", help="end-to-end pipeline on built-in 512x512 fixtures, "
+                                         "written as P4")
+    p_demo.add_argument("--seed", type=_seed, default=None, help=seed_help)
+    p_demo.add_argument("-o", "--out-dir", default="qvmss_demo", help="output directory")
     p_demo.set_defaults(handler=cmd_demo)
 
     p_self = sub.add_parser("selftest", help="run the scheme property suite")

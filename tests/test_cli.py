@@ -1,7 +1,10 @@
+import argparse
 import hashlib
 import importlib
 import json
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -242,20 +245,6 @@ def test_only_manifest_files_are_hashed(tmp_path, secret_files, monkeypatch):
     assert calls == []
 
 
-def test_encrypt_and_decrypt_json_mode(tmp_path, secret_files, capsys):
-    out = tmp_path / "out"
-    assert main(["encrypt", "--seed", "6", "--json", *map(str, secret_files), "-o", str(out)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["seed"] == 6
-    assert set(payload["files"]) == {"U.pbm", "S1.pbm", "S2.pbm", "manifest.json"}
-
-    rec = tmp_path / "rec"
-    assert main(["decrypt", "--json", "-u", str(out / "U.pbm"),
-                 str(out / "S1.pbm"), "-o", str(rec)]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["files"] == ["G1_rec.pbm"]
-
-
 def test_encrypt_auto_seed_is_echoed(tmp_path, secret_files, capsys):
     out = tmp_path / "out"
     assert main(["encrypt", str(secret_files[0]), "-o", str(out)]) == 0
@@ -296,10 +285,10 @@ def test_decrypt_holds_one_recovered_image_at_a_time(tmp_path):
     share.write_bytes(write_pbm(make_fixture("random", side, side, seed=2)))
     argv = ["decrypt", "-u", str(unishare), *[str(share)] * n, "-o", str(tmp_path / "rec")]
     assert main(argv) == 0  # the first run fills argparse's and re's caches
-    # The n + 1 inputs, one recovered image and its serialized file, and 96 KiB
-    # of bookkeeping (about 55 KiB is used).  Holding one more image, or
-    # recovering every share before writing any, exceeds it.
-    bound = (n + 1 + 2) * image + (96 << 10)
+    # U, a share being read (its file's bytes and its image), the previous share
+    # and recovered image, the serialized file and 96 KiB of bookkeeping: no
+    # term grows with n.  Reading every share before recovering any exceeds it.
+    bound = 6 * image + (96 << 10)
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -325,6 +314,22 @@ def test_decrypt_wrong_size_unishare_exits_3(tmp_path, secret_files, capsys):
     rc = main(["decrypt", "-u", str(wrong), str(out / "S1.pbm"), "-o", str(tmp_path / "rec")])
     assert rc == 3
     assert "S1.pbm" in capsys.readouterr().err
+
+
+def test_decrypt_wrong_size_later_share_keeps_the_previous_run(tmp_path, secret_files, capsys):
+    out, rec = tmp_path / "out", tmp_path / "rec"
+    assert main(["encrypt", "--seed", "9", *map(str, secret_files), "-o", str(out)]) == 0
+    assert main(["decrypt", "-u", str(out / "U.pbm"), str(out / "S2.pbm"), "-o", str(rec)]) == 0
+    before = read_tree(rec)
+    wrong = tmp_path / "bad" / "S2.pbm"
+    wrong.parent.mkdir()
+    wrong.write_bytes(write_pbm(make_fixture("random", 16, 16, seed=0)))
+    # S1 is recovered and staged before S2 is read; S2's size check removes it.
+    rc = main(["decrypt", "-u", str(out / "U.pbm"), str(out / "S1.pbm"), str(wrong),
+               "-o", str(rec)])
+    assert rc == 3
+    assert str(wrong) in capsys.readouterr().err
+    assert read_tree(rec) == before  # so no .tmp file is left either
 
 
 # ------------------------------------------------------------------ metrics
@@ -377,8 +382,13 @@ def test_metrics_pairs_grid(tmp_path, secret_files, capsys):
     assert all({"a", "b", "psnr_db", "ssim", "correlation"} <= set(e) for e in entries)
 
 
-def test_metrics_pairs_needs_inputs(capsys):
+def test_metrics_pairs_needs_inputs(secret_files, capsys):
     assert main(["metrics", "--pairs"]) == 2
+    g1, g2 = map(str, secret_files)
+    assert main(["metrics", "--pairs", "--secrets", g1, "--shares", g2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--pairs needs --secrets, --shares and --unishare" in captured.err
 
 
 @pytest.mark.parametrize("mode", ["pairs", "unishare"])
@@ -393,7 +403,7 @@ def test_metrics_rejects_mixed_modes(secret_files, capsys, mode):
 
 def test_demo_round_trip_and_artifacts(tmp_path, capsys):
     out = tmp_path / "demo"
-    rc = main(["demo", "--seed", "7", "--size", "64", "-o", str(out)])
+    rc = main(["demo", "--seed", "7", "-o", str(out)])
     assert rc == 0
     names = sorted(p.name for p in out.iterdir())
     assert names == sorted([
@@ -410,23 +420,22 @@ def test_demo_round_trip_and_artifacts(tmp_path, capsys):
 
 def test_demo_deterministic_across_runs_and_threads(tmp_path):
     trees = []
-    for name, threads in [("a", "1"), ("b", "1"), ("c", "4")]:
-        out = tmp_path / name
-        assert main(["demo", "--seed", "7", "--size", "64",
-                     "--threads", threads, "-o", str(out)]) == 0
-        trees.append(read_tree(out))
-    assert trees[0] == trees[1] == trees[2]
+    for name in ["a", "b"]:
+        assert main(["demo", "--seed", "7", "-o", str(tmp_path / name)]) == 0
+        trees.append(read_tree(tmp_path / name))
+    assert trees[0] == trees[1]
 
 
+# (format, manifest.json digest, edge length) of `demo --seed 7`, which always
+# writes its 512x512 fixtures as P4.
 DEMO_GOLDEN = [
-    ("p4", "9c614406240f32860ddba5c657d5fd4b3dd0eb7482c8f5c0debcb13bc3b6a7c6", "64"),
-    ("p1", "5846310339fee8ee686e615b1b7cd059f4d8bbb6770149c1ebc0dfd9e188cb90", "64"),
     ("p4", "d47dae3629ef0baba09c6dc12a21fb4ddecf2cfc7154bcb6cc31f425424b73b7", "512"),
 ]
 
 
 def demo_manifest_digest(out, fmt, size):
-    assert main(["demo", "--seed", "7", "--size", size, "--format", fmt, "-o", str(out)]) == 0
+    assert main(["demo", "--seed", "7", "-o", str(out)]) == 0
+    assert (out / "U.pbm").read_bytes().startswith(f"{fmt.upper()}\n{size} {size}\n".encode())
     return hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
 
 
@@ -440,34 +449,19 @@ def test_demo_manifest_golden_does_not_depend_on_the_band_size(tmp_path, monkeyp
                                                                band_pixels):
     monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
     for fmt, digest, size in DEMO_GOLDEN:
-        if size == "64":
-            assert demo_manifest_digest(tmp_path / fmt, fmt, size) == digest
+        assert demo_manifest_digest(tmp_path / fmt, fmt, size) == digest
 
 
-def assert_names_flag_only(err, flag, value):
-    assert flag in err and "Traceback" not in err
-    assert "_thread_count" not in err and "_demo_size" not in err
-    if value == "x":
-        assert "not an integer: 'x'" in err
-
-
-@pytest.mark.parametrize("command", ["encrypt", "demo"])
+@pytest.mark.parametrize("command", ["encrypt"])
 @pytest.mark.parametrize("value", ["0", "-5", "x"])
 def test_threads_below_one_exits_2(tmp_path, secret_files, capsys, command, value):
-    inputs = list(map(str, secret_files)) if command == "encrypt" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, *inputs, "--threads", value, "-o", str(tmp_path / "out")])
+        main([command, *map(str, secret_files), "--threads", value, "-o", str(tmp_path / "out")])
     assert exc.value.code == 2
-    assert_names_flag_only(capsys.readouterr().err, "--threads", value)
-    assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "9000", "x"])
-def test_demo_size_out_of_range_exits_2(tmp_path, capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["demo", "--size", value, "-o", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert_names_flag_only(capsys.readouterr().err, "--size", value)
+    err = capsys.readouterr().err
+    assert "--threads" in err and "positive_int" not in err and "Traceback" not in err
+    if value == "x":
+        assert "not an integer: 'x'" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -478,8 +472,82 @@ def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch, pool_sizes):
     big.write_bytes(write_pbm(make_fixture("random", 512, 512, seed=0)))
     assert main(["encrypt", "--seed", "1", str(big), "--threads", "64",
                  "-o", str(tmp_path / "enc")]) == 0
-    assert main(["demo", "--seed", "1", "--threads", "64", "-o", str(tmp_path / "demo")]) == 0
-    assert pool_sizes == [2, 2]
+    assert pool_sizes == [2]
+
+
+# ------------------------------------------------------------------ surface
+
+# Every optional flag of each command, with the callers outside tests/ that
+# pass it: the README's Command line block, CI, or bench/run.py's argv lists.
+CLI_FLAGS = {
+    "encrypt": [
+        ("--seed",),  # README, bench/run.py
+        ("--threads",),  # bench/run.py
+        ("-o", "--out-dir"),  # README, bench/run.py
+        ("--format",),  # bench/run.py
+    ],
+    "decrypt": [
+        ("-u", "--unishare"),  # README, bench/run.py
+        ("-o", "--out-dir"),  # README, bench/run.py
+        ("--format",),  # bench/run.py
+    ],
+    "metrics": [
+        ("--pairs",),  # README, bench/run.py
+        ("--secrets",),  # README, bench/run.py
+        ("--shares",),  # README, bench/run.py
+        ("--unishare",),  # README, bench/run.py
+    ],
+    "demo": [
+        ("--seed",),  # README
+        ("-o", "--out-dir"),  # README
+    ],
+    "selftest": [
+        ("--seed",),  # README
+        ("--json",),  # README, CI
+    ],
+}
+
+
+def test_cli_flags_are_the_pinned_surface():
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: [tuple(a.option_strings) for a in parser._actions
+                    if a.option_strings and a.dest != "help"]
+             for name, parser in commands.choices.items()}
+    assert flags == CLI_FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["encrypt", "--json", "g1.pbm"], ["decrypt", "--json", "-u", "g1.pbm", "g2.pbm"],
+    ["demo", "--json"], ["demo", "--threads", "2"], ["demo", "--format", "p1"],
+    ["demo", "--size", "64"],
+])
+def test_removed_flags_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "-o", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def readme_commands():
+    """Each `qvmss ...` command of the README's Command line block, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qvmss ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QVMSS_SEED", "5")
+    for i, kind in enumerate(["text_glyphs", "random"], start=1):
+        (tmp_path / f"g{i}.pbm").write_bytes(write_pbm(make_fixture(kind, 48, 40, seed=i)))
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "encrypt", "decrypt", "metrics", "metrics", "demo", "selftest", "selftest"]
+    for argv in commands:
+        assert main(argv) == 0, argv
 
 
 # ----------------------------------------------------------------- selftest

@@ -7,17 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args):
+def run_python(*args, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          cwd=ROOT)
+                          cwd=ROOT, **kwargs)
 
 
-def run_script(name, *args):
-    return run_python(str(ROOT / "scripts" / name), *args)
+def run_script(name, *args, **kwargs):
+    return run_python(str(ROOT / "scripts" / name), *args, **kwargs)
 
 
 def test_readme_library_example_runs():
@@ -53,6 +55,38 @@ def test_benchmark_encrypt_appends_a_json_entry(tmp_path):
         for row in entry["rows"]:
             assert row["floor_x"] == row["seconds"] / row["floor_s"]
             assert row["seconds"] <= row["median_s"] and row["iqr_s"] >= 0.0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_benchmark_encrypt_records_the_cpus_it_may_use(tmp_path):
+    record = tmp_path / "BENCH_encrypt.json"
+    cpu = min(os.sched_getaffinity(0))
+    proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1",
+                      "--threads", "1", "--repeats", "1", "--json", str(record),
+                      preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(record.read_text())[0]["nproc"] == 1
+
+
+@pytest.mark.parametrize("script, args", [
+    ("benchmark_encrypt.py", ["--repeats", "0"]),
+    ("benchmark_encrypt.py", ["--sizes", "0"]),
+    ("benchmark_encrypt.py", ["--arities", "17"]),
+    ("run_security_sweep.py", ["--size", "0"]),
+])
+def test_scripts_reject_out_of_range_counts(script, args):
+    proc = run_script(script, *args)
+    assert proc.returncode == 2
+    assert f"argument {args[0]}" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_run_security_sweep_on_constant_images():
+    # A 1x1 image is constant, so no pair has a correlation.
+    proc = run_script("run_security_sweep.py", "--runs", "2", "--size", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:4]
+    assert all(row.split()[6] == "n/a" for row in rows)
 
 
 def test_run_security_sweep_runs():
