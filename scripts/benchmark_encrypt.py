@@ -5,7 +5,7 @@ Times `encrypt` across image sizes, arities, and thread counts, and verifies
 each run round-trips before reporting it.  Each case runs `--repeats` times:
 `seconds` is the best run, and `median_s` and `iqr_s` (upper minus lower
 quartile, 0.0 below two repeats) show their spread.  `floor_x` is the best
-run over its floor: one `rng.unit_bands` pass over the image, the engine's
+run over its floor: one `rng.bit_bands` pass over the image, the engine's
 own draws, plus the XOR oracle `classical_encrypt`, timed in one thread on
 the same inputs.  `threads` is the count asked for; `encrypt` caps it at the
 number of CPUs this process may run on and at the band count.
@@ -60,7 +60,7 @@ def run_case(size, arity, threads, seed, repeats):
     times = timed(repeats, lambda: encrypt(secrets, seed, threads=threads))
 
     def floor():
-        for _ in rng.unit_bands(seed, size, size):
+        for _ in rng.bit_bands(seed, size, size):
             pass
         classical_encrypt(secrets, share_set.unishare)
 

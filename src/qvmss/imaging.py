@@ -309,16 +309,15 @@ def _text_tile() -> np.ndarray:
 def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryImage:
     """Deterministic test image: checkerboard, random, or text_glyphs.
 
-    Each is born as packed rows: `random` one `rng.unit_bands` band at a time,
+    Each is born as packed rows: `random` one `rng.bit_bands` band at a time,
     the tiled kinds as one tile-high band, packed once and repeated down.
     """
     _check_dimensions(width, height)
     if kind == "random":
-        # Pixel p is 1 when stream _FIXTURE_STREAMS + p draws at least 1/2 (its top bit).
+        # Pixel p is the fair bit of stream _FIXTURE_STREAMS + p.
         rows = np.empty((height, _row_bytes(width)), dtype=np.uint8)
-        half = rng.unit_threshold(0.5)
-        for band, draws in rng.unit_bands(seed, width, height, first_stream=_FIXTURE_STREAMS):
-            rows[band] = pack_rows(draws >= half, width)
+        for band, bits in rng.bit_bands(seed, width, height, first_stream=_FIXTURE_STREAMS):
+            rows[band] = pack_rows(bits, width)
         return BinaryImage.from_rows(width, height, rows)
     if kind == "checkerboard":
         tile = np.array([[0, 1], [1, 0]], dtype=np.uint8)

@@ -9,8 +9,9 @@ Conventions used throughout the package:
   X = [[0, 1], [1, 0]].
 * Measurement samples the Born distribution from a caller-supplied
   RngStream and does not return a collapsed state; registers here are
-  single-use.  It takes states of at most two nonzero amplitudes, which is
-  all an H/CNOT circuit on a basis state can produce.
+  single-use.  It takes at most two nonzero amplitudes of equal probability,
+  all that an X/H/CNOT circuit on a basis state can produce (a stabilizer
+  state measures uniformly over its support), so one fair bit decides.
 
 Registers are capped at MAX_QUBITS = 17, the widest the package builds: the
 UniShare qubit plus 16 secret qubits (the statevector has 2^k amplitudes).
@@ -29,12 +30,12 @@ MAX_QUBITS = 17
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Normalization drift tolerated before measurement refuses a state.
+# Norm drift or branch inequality tolerated before measurement refuses a state.
 NORM_TOLERANCE = 1e-9
 
 
 class StateError(ValueError):
-    """Raised when a register is not normalized or has too wide a support to measure."""
+    """Raised when a register is not normalized, or too wide or uneven for one fair bit."""
 
 
 class GateKind(Enum):
@@ -152,9 +153,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 def measure_all(state: StateVector, rng: RngStream) -> str:
     """Sample a full computational-basis outcome, q0 first in the bitstring.
 
-    Consumes exactly one uniform variate and picks between the (at most
-    two) nonzero amplitudes, lower basis index first.  A wider support is
-    refused before any variate is drawn.
+    Consumes exactly one fair bit and picks between the (at most two)
+    nonzero amplitudes: the lower basis index on 0.  A wider support, or two
+    branches of unequal probability, is refused before any bit is drawn.
     """
     probs = state.probabilities()
     total = probs.sum()
@@ -164,6 +165,8 @@ def measure_all(state: StateVector, rng: RngStream) -> str:
     support = np.flatnonzero(probs)
     if support.size > 2:
         raise StateError(f"measurement takes at most two branches, got {support.size}")
-    first = int(support[0])
-    outcome = first if rng.next_unit() < probs[first] else int(support[-1])
+    first, last = probs[support[0]], probs[support[-1]]
+    if abs(first - last) > NORM_TOLERANCE:
+        raise StateError(f"one fair bit cannot pick between probabilities {first!r}, {last!r}")
+    outcome = int(support[-1] if rng.next_bit() else support[0])
     return format(outcome, f"0{state.num_qubits}b")

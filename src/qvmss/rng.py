@@ -6,14 +6,13 @@ identical no matter how work is scheduled or batched.  One stream per pixel
 gives order-independent reproducibility under parallel encoding.  The mixer
 is SplitMix64's finalizer, not a keyed PRF: the seed yields every draw.
 
-The batch draws stay integers: a Born test `u >= p` on the uniform double
-`u = (x >> 11) * 2**-53` of draw x is the integer compare
-`x >= unit_threshold(p)`, so no float is built per pixel.  Only the scalar
-reference `RngStream.next_unit` makes doubles.
+A Born measurement here is one fair bit: an X/H/CNOT circuit on a basis
+state measures to one of two equally likely branches.  The bit is the top bit
+of the measurement's 64-bit draw, and only this module knows that rule:
+`bit_bands` yields it for whole images, `RngStream.next_bit` for one pixel.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -23,8 +22,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1FE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-_UNIT_SCALE = 2.0**-53
+_TOP_BIT = np.uint64(1 << 63)
 
 # Pixels per band, rounded down to whole image rows (at least one): bounds the
 # draw buffers, and a band is the unit of thread work in `scheme.encrypt`.
@@ -58,7 +56,7 @@ def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
 def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """The uint64 draws draw_u64(master_seed, p, cursor) of many streams p at a
-    fixed cursor, for Born tests against unit_threshold.  Given `out` and
+    fixed cursor.  Given `out` and
     `scratch` (uint64, of the streams' shape; scratch may be stream_indices),
     it allocates nothing."""
     streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
@@ -72,35 +70,30 @@ def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
     return x
 
 
-def unit_threshold(p: float) -> int:
-    """The least 64-bit draw x whose uniform double (x >> 11) * 2**-53 is at
-    least p, for p in [0, 1]: `x >= unit_threshold(p)` is that Born test.
-    It is 2**64 for p = 1, which no uint64 draw reaches."""
-    # p * 2**53 is exact, and (x >> 11) >= ceil(p * 2**53) iff x >= that << 11.
-    return math.ceil(p * 2**53) << 11
-
-
 def band_rows(width: int) -> int:
     """Image rows per band: about BAND_PIXELS pixels, and at least one row."""
     return max(1, BAND_PIXELS // width)
 
 
-def unit_bands(master_seed: int, width: int, height: int, starts: Iterable[int] | None = None,
-               first_stream: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield `(rows, draws)` for the row bands that begin at `starts` (default:
+def bit_bands(master_seed: int, width: int, height: int, starts: Iterable[int] | None = None,
+              first_stream: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield `(rows, bits)` for the row bands that begin at `starts` (default:
     every band, in order): `rows` is the band's slice of image rows, and
-    `draws` holds the unit_array draws, cursor 0, of its pixels, pixel (x, y)
-    from stream first_stream + y*width + x.  The buffers are allocated once
-    per call and reused, so `draws` is valid only until the next band."""
+    `bits` holds the fair bits of its pixels, row-major as bools: pixel (x, y)
+    takes the top bit of its unit_array draw from stream
+    first_stream + y*width + x, cursor 0.  The buffers are allocated once per
+    call and reused, so `bits` is valid only until the next band."""
     band = band_rows(width)
     offsets = np.arange(min(band, height) * width, dtype=np.uint64)
     offsets += np.uint64(first_stream)
     streams, draws = np.empty_like(offsets), np.empty_like(offsets)
+    bits = np.empty(offsets.size, dtype=bool)
     for y in range(0, height, band) if starts is None else starts:
         rows = slice(y, min(y + band, height))
         m = (rows.stop - y) * width
         band_streams = np.add(offsets[:m], np.uint64(y * width), out=streams[:m])
-        yield rows, unit_array(master_seed, band_streams, 0, out=draws[:m], scratch=band_streams)
+        band_draws = unit_array(master_seed, band_streams, 0, out=draws[:m], scratch=band_streams)
+        yield rows, np.greater_equal(band_draws, _TOP_BIT, out=bits[:m])
 
 
 @dataclass
@@ -124,5 +117,5 @@ class RngStream:
         self._cursor += 1
         return value
 
-    def next_unit(self) -> float:
-        return (self.next_u64() >> 11) * _UNIT_SCALE
+    def next_bit(self) -> int:
+        return self.next_u64() >> 63

@@ -11,10 +11,9 @@ runs the receiver-side `decoding_circuit`, as the per-pixel reference.
 The circuit is Clifford on a basis state, so `encrypt` runs the same
 `encoding_circuit` program on a bit-plane engine instead of looping the
 dense reference `encode_pixel`: its state is the packed output itself, one
-P4 bit plane per qubit that every gate updates in place, and two scalar
-branch amplitudes shared by every pixel (`_encode_blocks`), one
-`rng.unit_bands` band of rows at a time.  Both routes draw the same
-per-pixel variate and are bit-identical.
+P4 bit plane per qubit that every gate updates in place (`_encode_blocks`),
+one `rng.bit_bands` band of rows at a time.  Both routes draw the same
+per-pixel bit and are bit-identical.
 `classical_encrypt` is the plain XOR oracle kept to cross-check them.
 """
 from __future__ import annotations
@@ -29,12 +28,9 @@ import numpy as np
 from . import rng
 from .imaging import BinaryImage, pack_rows, require_same_shape
 from .qsim import (
-    INV_SQRT2,
     MAX_QUBITS,
-    NORM_TOLERANCE,
     GateKind,
     GateOp,
-    StateError,
     StateVector,
     apply_gate,
     cnot,
@@ -138,26 +134,25 @@ def _encode_blocks(
     program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
     starts: Sequence[int], out: np.ndarray,
 ) -> None:
-    """Encode the `rng.unit_bands` row bands that begin at rows `starts` into
+    """Encode the `rng.bit_bands` row bands that begin at rows `starts` into
     the planes of `out`.
 
     `out` is `(n + 1, height, row_bytes)`, and the band's slice of plane q
     is qubit q's packed P4 rows (U, then S_1..S_n): the X layer loads the
     secrets into it, and every gate acts on it in place, so a CNOT is a
     byte XOR.  After the H the branches are `planes` and `planes` with the
-    qubits in `flip` negated; CNOT is linear, so `flip` and both scalar
-    branch amplitudes are shared by all pixels.  Pixel y*width + x's variate
-    is its stream's 64-bit draw, made by `rng.unit_bands`.
+    qubits in `flip` negated, of probability 1/2 each; CNOT is linear, so
+    `flip` is shared by all pixels.  Pixel y*width + x's fair bit comes from
+    `rng.bit_bands`.
     """
     width, height = secrets[0].width, secrets[0].height
-    compared = np.empty(min(rng.band_rows(width), height) * width, dtype=bool)
-    for rows, draws in rng.unit_bands(master_seed, width, height, starts):
+    for rows, bits in rng.bit_bands(master_seed, width, height, starts):
         planes = out[:, rows]
         # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
         planes[0] = 0
         for k, img in enumerate(secrets, start=1):
             planes[k] = img.rows[rows]
-        a0, a1, flip = 1.0, 0.0, set()  # one branch of amplitude 1 until the H splits it
+        flip = set()  # one branch until the H splits it
         for gate in program:
             t = gate.target
             if gate.kind is GateKind.CNOT:
@@ -166,24 +161,17 @@ def _encode_blocks(
                     flip ^= {t}
             elif gate.kind is GateKind.HADAMARD and not flip:
                 # |b> -> (|0> + (-1)^b |1>)/sqrt2; the sign would show only under a second H.
-                a0 = a1 = a0 * INV_SQRT2
                 planes[t] = 0
                 flip = {t}
             else:
                 raise ValueError(f"engine cannot apply {gate} to {1 + bool(flip)} branches")
-        p0, p1 = a0 * a0, a1 * a1
-        if abs(p0 + p1 - 1.0) > NORM_TOLERANCE:
-            raise StateError("simulated pixel state drifted off unit norm")
-        if not flip:  # one branch, of probability 1 (p0's threshold is 2**64)
+        if not flip:  # one branch: the measurement is certain
             continue
-        # Born sampling on each pixel's uniform double u, lower basis index first:
-        # the branches first differ at the most significant qubit in `flip`.
-        # Where that bit is 0, branch 0 is lower and the flipped branch is taken
-        # when u >= p0; where it is 1, the flipped branch is lower and is taken
-        # when u < p1.  The one H made p0 == p1, so u < p1 is not u >= p0, and
-        # the bit negates one packed test, u >= p0 made on the integer draws.
-        passed = np.greater_equal(draws, rng.unit_threshold(p0), out=compared[:draws.size])
-        take_flipped = pack_rows(passed, width)
+        # Born sampling takes the lower basis index on bit 0.  The branches
+        # first differ at the most significant qubit in `flip`: where that
+        # qubit is 0, `planes` is the lower branch, and the flipped one is
+        # taken on bit 1; where it is 1, the flipped branch is taken on bit 0.
+        take_flipped = pack_rows(bits, width)
         take_flipped ^= planes[min(flip)]
         for q in flip:
             planes[q] ^= take_flipped

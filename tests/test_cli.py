@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 import qvmss
-from qvmss import cli, rng, scheme
+from qvmss import cli, metrics, rng, scheme
 from qvmss.cli import main
 from qvmss.imaging import BinaryImage, make_fixture, pack_rows, read_pbm, write_pbm
-from qvmss.qsim import INV_SQRT2
 
 
 @pytest.fixture
@@ -60,8 +59,8 @@ def test_printed_seed_rebuilds_the_unishare(tmp_path, secret_files):
     assert main(["encrypt", "--seed", "1234", *map(str, secret_files), "-o", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     width, height = manifest["width"], manifest["height"]
-    draws = rng.unit_array(manifest["seed"], np.arange(width * height, dtype=np.uint64), 0)
-    born = draws >= rng.unit_threshold(INV_SQRT2 ** 2)
+    # Pixel p of U is the top bit of draw 0 of stream p.
+    born = np.array([rng.draw_u64(manifest["seed"], p, 0) >> 63 for p in range(width * height)])
     rebuilt = BinaryImage.from_rows(width, height, pack_rows(born, width))
     assert rebuilt == read_pbm((out / "U.pbm").read_bytes())
     recovered = read_pbm((out / "S1.pbm").read_bytes()) ^ rebuilt
@@ -515,6 +514,32 @@ def test_cli_flags_are_the_pinned_surface():
                     if a.option_strings and a.dest != "help"]
              for name, parser in commands.choices.items()}
     assert flags == CLI_FLAGS
+
+
+def test_the_benchmark_surface_is_pinned(tmp_path, secret_files):
+    # What bench/run.py and bench/spans.py call, patch or read in the program, one
+    # row per use, each named by its caller: a rename fails here before the benchmark.
+    out = tmp_path / "out"
+    assert main(["encrypt", "--seed", "5", *map(str, secret_files), "-o", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    image = qvmss.BinaryImage(3, 2, np.array([1, 0, 1, 1, 1, 0]))
+    surface = [
+        ("run.py _invoke", lambda: callable(cli.main)),
+        ("spans.py Tracer.patched", lambda: all(
+            callable(getattr(module, name)) for module, name in [
+                (cli, "read_pbm"), (cli, "write_pbm"), (cli, "encrypt"), (cli, "decrypt"),
+                (metrics, "report")])),
+        ("run.py _time_floor, spans.py Tracer.patched", lambda: np.array_equal(
+            rng.unit_array(5, np.arange(4, dtype=np.uint64), 0),
+            np.array([rng.draw_u64(5, p, 0) for p in range(4)], dtype=np.uint64))),
+        ("run.py _check", lambda: all(
+            hasattr(scheme.encode_pixel([1, 0], rng.RngStream(5, 3)), field) for field in "us")),
+        ("run.py _time_floor", lambda: scheme.classical_encrypt([image], image) == [image ^ image]),
+        ("run.py _time_floor", lambda: (image.width, image.height) == (3, 2)),
+        ("run.py _check via checks.check_encrypt", lambda: manifest["seed"] == 5
+            and manifest.keys() >= {"seed", "arity", "width", "height", "files"}),
+    ]
+    assert [caller for caller, reached in surface if not reached()] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -232,29 +232,36 @@ def test_measure_consumes_exactly_one_variate():
     assert stream._cursor == 1
 
 
-class _FixedUnit:
-    def __init__(self, value):
-        self.value = value
+class _FixedBit:
+    """A stream stub that always draws `bit` and counts its draws."""
+
+    def __init__(self, bit):
+        self.bit = bit
         self.calls = 0
 
-    def next_unit(self):
+    def next_bit(self):
         self.calls += 1
-        return self.value
+        return self.bit
 
 
 def test_measure_rejects_support_wider_than_two_without_drawing():
     # H/CNOT on a basis state never gives three nonzero amplitudes.
     amps = np.sqrt(np.array([0.5, 0.3, 0.2, 0.0], dtype=complex))
-    stub = _FixedUnit(0.1)
+    stub = _FixedBit(0)
     with pytest.raises(StateError, match="at most two branches"):
         measure_all(StateVector(amps), stub)
     assert stub.calls == 0
 
 
+def test_measure_rejects_unequal_branches_without_drawing():
+    # H/CNOT on a basis state never gives two branches of unequal probability.
+    stub = _FixedBit(0)
+    with pytest.raises(StateError, match="one fair bit"):
+        measure_all(StateVector(np.sqrt(np.array([0.3, 0.7], dtype=complex))), stub)
+    assert stub.calls == 0
+
+
 def test_measure_two_branch_boundary():
     plus = apply_gate(new_register(1), hadamard(0))
-    p0 = float(plus.probabilities()[0])
-    just_below = float(np.nextafter(p0, 0.0))
-    assert measure_all(plus, _FixedUnit(just_below)) == "0"
-    assert measure_all(plus, _FixedUnit(p0)) == "1"
-
+    assert measure_all(plus, _FixedBit(0)) == "0"
+    assert measure_all(plus, _FixedBit(1)) == "1"

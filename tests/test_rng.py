@@ -1,12 +1,10 @@
-import math
 import tracemalloc
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvmss.qsim import INV_SQRT2
-from qvmss.rng import RngStream, draw_u64, unit_array, unit_threshold
+from qvmss.rng import RngStream, draw_u64, unit_array
 
 u64s = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -32,11 +30,11 @@ def test_distinct_streams_differ():
     assert len(draws) == 1000
 
 
-def test_unit_in_half_open_interval():
-    stream = RngStream(1, 0)
+def test_next_bit_is_the_top_bit_of_the_draw():
+    stream, twin = RngStream(1, 0), RngStream(1, 0)
     for _ in range(1000):
-        u = stream.next_unit()
-        assert 0.0 <= u < 1.0
+        bit = stream.next_bit()
+        assert bit in (0, 1) and bit == twin.next_u64() >> 63
 
 
 @given(seed=u64s, stream=u64s, cursor=st.integers(min_value=0, max_value=1 << 32))
@@ -75,25 +73,8 @@ def test_unit_array_into_buffers_allocates_nothing():
 
 def test_unit_draws_roughly_uniform():
     draws = unit_array(2024, np.arange(1 << 14, dtype=np.uint64), 0)
-    units = (draws >> np.uint64(11)) * 2.0**-53
-    assert abs(units.mean() - 0.5) < 0.01
-    assert abs((draws < unit_threshold(0.5)).mean() - 0.5) < 0.02
+    assert abs((draws >> np.uint64(63)).mean() - 0.5) < 0.02
 
-
-# The Born probabilities at the edges, the engine's own 1/2 and the largest below 1.
-PROBABILITIES = [0.0, 2.0**-53, 0.5, INV_SQRT2**2, math.nextafter(1.0, 0.0), 1.0]
-
-
-@given(p=st.sampled_from(PROBABILITIES) | st.floats(0.0, 1.0), x=u64s)
-def test_threshold_compare_is_the_unit_compare(p, x):
-    t = unit_threshold(p)
-    draws = [v for v in (0, t - 1, t, t + 2047, t + 2048, (1 << 64) - 1, x) if 0 <= v < 1 << 64]
-    unit_test = [(v >> 11) * 2.0**-53 >= p for v in draws]
-    assert [v >= t for v in draws] == unit_test
-    if t < 1 << 64:  # as the engine compares: a uint64 array against the Python int
-        assert (np.array(draws, dtype=np.uint64) >= t).tolist() == unit_test
-    else:
-        assert p == 1.0 and not any(unit_test)
 
 
 def test_negative_seed_wraps_to_u64():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qvmss import rng, scheme
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
-from qvmss.qsim import INV_SQRT2, StateError, cnot, hadamard, pauli_x
+from qvmss.qsim import cnot, hadamard, pauli_x
 from qvmss.rng import RngStream, draw_u64
 from qvmss.scheme import (
     MAX_ARITY,
@@ -32,7 +32,7 @@ from qvmss.scheme import (
 def find_stream(master_seed, want_high):
     """First stream index whose opening draw forces the wanted UniShare branch."""
     for stream in range(10_000):
-        high = RngStream(master_seed, stream).next_unit() >= 0.5
+        high = RngStream(master_seed, stream).next_bit() == 1
         if high == want_high:
             return stream
     raise AssertionError("no stream with the wanted first draw")
@@ -334,26 +334,6 @@ def test_engine_measures_a_program_without_hadamard_deterministically():
     assert np.array_equal(out[1], secret.rows)
 
 
-def test_engine_hands_numpy_no_threshold_past_uint64(monkeypatch):
-    # Without an H, p0 is 1 and its threshold 2**64 fits no uint64: numpy 2.0
-    # may reject it, so the engine must not ask numpy for that compare.
-    secret = make_fixture("random", 4, 4, seed=0)
-    thresholds, greater_equal = [], np.greater_equal
-
-    def checked_greater_equal(draws, threshold, **kwargs):
-        if isinstance(threshold, int) and threshold >= 1 << 64:
-            raise OverflowError(f"threshold {threshold} is past uint64")
-        thresholds.append(threshold)
-        return greater_equal(draws, threshold, **kwargs)
-
-    monkeypatch.setattr(np, "greater_equal", checked_greater_equal)
-    out = np.empty((2, 4, 1), dtype=np.uint8)
-    scheme._encode_blocks([cnot(0, 1)], [secret], 0, [0], out)
-    assert thresholds == []
-    scheme._encode_blocks(encoding_circuit(1), [secret], 0, [0], out)
-    assert thresholds == [rng.unit_threshold(INV_SQRT2 ** 2)]
-
-
 @pytest.mark.parametrize("threads", [1, 2])
 def test_encrypt_draws_once_per_pixel(threads, monkeypatch):
     # The benchmark's rng.draws_per_pixel reads 1 only if every pixel takes one stream.
@@ -408,12 +388,6 @@ def one_block_engine_peak(n):
 def test_engine_scratch_does_not_grow_with_arity():
     # The qubit planes are rows of the caller's output; only the draw buffers are scratch.
     assert one_block_engine_peak(16) - one_block_engine_peak(1) <= 16 * 1024
-
-
-def test_engine_norm_check_uses_the_branch_amplitudes(monkeypatch):
-    monkeypatch.setattr(scheme, "INV_SQRT2", 0.6)
-    with pytest.raises(StateError):
-        encrypt([make_fixture("random", 4, 4, seed=0)], 0)
 
 
 def test_encrypt_rejects_empty_and_mismatched_input():
