@@ -56,9 +56,8 @@ def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
 def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """The uint64 draws draw_u64(master_seed, p, cursor) of many streams p at a
-    fixed cursor.  Given `out` and
-    `scratch` (uint64, of the streams' shape; scratch may be stream_indices),
-    it allocates nothing."""
+    fixed cursor.  Given `out` and `scratch` (uint64, of the streams' shape;
+    scratch may be stream_indices), it allocates nothing."""
     streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
     # The seed's mix is one value for every stream, so it is computed once.
     x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)), out=out)
