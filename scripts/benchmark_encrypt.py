@@ -4,14 +4,18 @@
 Times `encrypt` across image sizes, arities, and thread counts, and verifies
 each run round-trips before reporting it.  Each case runs `--repeats` times:
 `seconds` is the best run, and `median_s` and `iqr_s` (upper minus lower
-quartile, 0.0 below two repeats) show their spread.  `floor_x` is the best
-run over its floor: one `rng.bit_bands` pass over the image, the engine's
-own draws, plus the XOR oracle `classical_encrypt`, timed in one thread on
-the same inputs.  `threads` is the count asked for; `encrypt` caps it at the
-number of CPUs this process may run on and at the band count.
+quartile, 0.0 below two repeats) show their spread.  `floor_s` is the best
+time of the floor: one `rng.packed_bands` pass over the image, the engine's
+own keystream bits, plus the XOR oracle `classical_encrypt`, timed in one
+thread on the same inputs.  `floor_x` is the best run over the floor, on
+one-thread rows only: a row with more threads has no one-thread floor to
+divide by, so its `floor_x` is null.  `threads` is the count asked for;
+`encrypt` caps it at the number of CPUs this process may run on and at the
+band count.
 
 `--json PATH` appends one entry to the JSON list in PATH (made if missing):
-the git revision of the benchmarked `qvmss` sources, the Python and numpy
+the git revision of the benchmarked `qvmss` sources (with `-dirty` when a file
+under `src/qvmss` differs from that revision), the Python and numpy
 versions, `nproc` (the number of CPUs this process may run on: its CPU
 affinity where the platform reports one, else the CPU count) and one row
 per case.
@@ -60,7 +64,7 @@ def run_case(size, arity, threads, seed, repeats):
     times = timed(repeats, lambda: encrypt(secrets, seed, threads=threads))
 
     def floor():
-        for _ in rng.bit_bands(seed, size, size):
+        for _ in rng.packed_bands(seed, size, size):
             pass
         classical_encrypt(secrets, share_set.unishare)
 
@@ -68,13 +72,19 @@ def run_case(size, arity, threads, seed, repeats):
 
 
 def source_revision():
-    """`git describe --always --dirty` of the tree holding the imported qvmss."""
+    """`git describe --always` of the tree holding the imported qvmss, with
+    `-dirty` when a file in the package's directory differs from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True, text=True,
+                              cwd=Path(qvmss.__file__).parent)
+
     try:
-        proc = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
-                              text=True, cwd=Path(qvmss.__file__).parent)
+        described, status = git("describe", "--always"), git("status", "--porcelain", "--", ".")
     except OSError:
         return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+    if described.returncode or status.returncode:
+        return "unknown"
+    return described.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
 def append_entry(path, rows):
@@ -107,11 +117,13 @@ def main():
                 times, floor = run_case(size, arity, threads, args.seed, args.repeats)
                 seconds, (median, iqr) = min(times), spread(times)
                 rate = size * size / seconds / 1e6
+                floor_x = seconds / floor if threads == 1 else None
                 print(f"{size:>6} {arity:>5} {threads:>7} {seconds:>9.3f} {median:>9.3f}"
-                      f" {iqr:>9.3f} {rate:>9.2f} {seconds / floor:>7.2f}")
+                      f" {iqr:>9.3f} {rate:>9.2f} "
+                      + (f"{floor_x:>7.2f}" if floor_x is not None else f"{'-':>7}"))
                 rows.append({"size": size, "arity": arity, "threads": threads,
                              "seconds": seconds, "median_s": median, "iqr_s": iqr,
-                             "floor_s": floor, "floor_x": seconds / floor})
+                             "floor_s": floor, "floor_x": floor_x})
     if args.json:
         append_entry(args.json, rows)
 

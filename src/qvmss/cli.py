@@ -8,9 +8,10 @@ temporary name and renamed into place, so it is replaced atomically;
 manifest.json is renamed last.  manifest.json records
 `{"seed", "arity", "width", "height", "files": {name: sha256-hex}}`.
 
-The seed is key material, as secret as U.pbm: the printed `seed:` line and
-manifest.json's `seed` rebuild U.pbm, and with it every secret, because
-the draws' SplitMix64 mixer is not a keyed pseudorandom function.
+The seed is key material, as secret as U.pbm: reduced mod 2**256, it keys
+the SHAKE128 keystream whose bits are U.pbm, so the printed `seed:` line and
+manifest.json's `seed` rebuild U.pbm, and with it every secret.  A small
+seed is a small key.  An auto-drawn seed is 256 bits of OS entropy.
 
 Exit codes: 0 success, 1 selftest property failure, 2 I/O or parse
 failure (a closed stdout included), 3 image dimension mismatch.
@@ -26,7 +27,7 @@ import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from . import metrics, scheme
+from . import metrics, rng, scheme
 from .imaging import BinaryImage, PbmParseError, PbmVariant, make_fixture, read_pbm, write_pbm
 from .scheme import classical_encrypt, decrypt, decrypt_all, encrypt
 
@@ -34,8 +35,6 @@ EXIT_OK = 0
 EXIT_SELFTEST = 1
 EXIT_IO = 2
 EXIT_SHAPE = 3
-
-_MASK64 = (1 << 64) - 1
 
 
 class _Failure(Exception):
@@ -45,9 +44,9 @@ class _Failure(Exception):
 
 
 def _seed(text: str) -> int:
-    """A seed: any integer literal (0x, 0o and 0b allowed), reduced mod 2**64."""
+    """A seed: any integer literal (0x, 0o and 0b allowed), reduced mod 2**256."""
     try:
-        return int(text, 0) & _MASK64
+        return int(text, 0) % (1 << rng.KEY_BITS)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
@@ -61,7 +60,7 @@ def _resolve_seed(explicit: int | None) -> int:
             return _seed(env)
         except argparse.ArgumentTypeError as exc:
             raise _Failure(EXIT_IO, f"QVMSS_SEED is {exc}")
-    return int.from_bytes(os.urandom(8), "big")
+    return int.from_bytes(os.urandom(rng.KEY_BITS // 8), "big")
 
 
 def _load_image(path: str) -> BinaryImage:
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Universal-share (n, n+1) multi-secret sharing of binary PBM images.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_help = "integer master seed, mod 2**64 (default: QVMSS_SEED or OS entropy)"
+    seed_help = "integer master seed, mod 2**256 (default: QVMSS_SEED or OS entropy)"
 
     def add_output(p):
         p.add_argument("-o", "--out-dir", default=".", help="output directory")

@@ -19,10 +19,6 @@ from . import rng
 
 MAX_DIMENSION = 1 << 20
 MAX_PIXELS = 1 << 26
-# The random fixture draws from streams with the top bit set.  `encrypt` keys
-# pixel p to stream p < MAX_PIXELS, so a fixture never reuses a draw that
-# `encrypt` makes under the same seed.
-_FIXTURE_STREAMS = 1 << 63
 
 _WHITESPACE = frozenset(b" \t\n\r\v\f")
 # Whitespace and `#` comments (to the line end) may sit between header tokens.
@@ -309,15 +305,16 @@ def _text_tile() -> np.ndarray:
 def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryImage:
     """Deterministic test image: checkerboard, random, or text_glyphs.
 
-    Each is born as packed rows: `random` one `rng.bit_bands` band at a time,
-    the tiled kinds as one tile-high band, packed once and repeated down.
+    Each is born as packed rows: `random` one `rng.packed_bands` band at a
+    time, the tiled kinds as one tile-high band, packed once and repeated down.
     """
     _check_dimensions(width, height)
     if kind == "random":
-        # Pixel p is the fair bit of stream _FIXTURE_STREAMS + p.
+        # Pixel p is bit p of the fixture's keystream, whose tag `encrypt`
+        # never uses, so a fixture shares no bit with an encryption.
         rows = np.empty((height, _row_bytes(width)), dtype=np.uint8)
-        for band, bits in rng.bit_bands(seed, width, height, first_stream=_FIXTURE_STREAMS):
-            rows[band] = pack_rows(bits, width)
+        for band, bits in rng.packed_bands(seed, width, height, tag=rng.FIXTURE_TAG):
+            rows[band] = bits
         return BinaryImage.from_rows(width, height, rows)
     if kind == "checkerboard":
         tile = np.array([[0, 1], [1, 0]], dtype=np.uint8)

@@ -1,18 +1,20 @@
-"""Counter-based deterministic random streams.
-
-Every random decision in the pipeline is keyed by (master_seed, stream_index,
-draw counter) through a stateless 64-bit mixing function, so results are
-identical no matter how work is scheduled or batched.  One stream per pixel
-gives order-independent reproducibility under parallel encoding.  The mixer
-is SplitMix64's finalizer, not a keyed PRF: the seed yields every draw.
+"""Keyed keystream for the Born bits, and the benchmark's SplitMix64 draws.
 
 A Born measurement here is one fair bit: an X/H/CNOT circuit on a basis
-state measures to one of two equally likely branches.  The bit is the top bit
-of the measurement's 64-bit draw, and only this module knows that rule:
-`bit_bands` yields it for whole images, `RngStream.next_bit` for one pixel.
+state measures to one of two equally likely branches.  Pixel p's bit is bit
+p, most significant first, of one keystream: the concatenated fixed-size
+chunks `shake_128(tag || key || c.to_bytes(8, "little")).digest(CHUNK)`,
+c = 0, 1, ..., where `key` is the seed mod 2^256 as 32 little-endian bytes.
+With the key as prefix, SHAKE128 is a keyed pseudorandom function under the
+sponge bounds.  A bit depends only on its pixel index, so results are
+identical no matter how work is banded, chunked or split across threads.
+`BORN_TAG` keys `encrypt`, and the random fixture draws under `FIXTURE_TAG`,
+so the two never share a bit.  Only this module knows that rule:
+`packed_bands` yields it for whole images, `RngStream.next_bit` for one pixel.
 """
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -22,12 +24,59 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1FE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_TOP_BIT = np.uint64(1 << 63)
+
+# Seeds are keys of this many bits; larger and negative seeds are reduced mod 2^KEY_BITS.
+KEY_BITS = 256
+# Domain tags, of one fixed length, so tag || key || counter parses one way.
+BORN_TAG = b"qvmss.born.bit\0\0"
+FIXTURE_TAG = b"qvmss.fixture\0\0\0"
+# Keystream bytes per SHAKE128 call: 8 KiB is 65536 pixels.
+CHUNK = 1 << 13
 
 # Pixels per band, rounded down to whole image rows (at least one): bounds the
-# draw buffers, and a band is the unit of thread work in `scheme.encrypt`.
-# Draws are keyed by pixel, so no output depends on it.
+# band scratch, and a band is the unit of thread work in `scheme.encrypt`.
+# Bits are keyed by pixel, so no output depends on it.
 BAND_PIXELS = 1 << 16
+
+
+def _prefix(tag: bytes, seed: int) -> bytes:
+    """The keystream's input before the chunk counter: tag, then the 256-bit key."""
+    return tag + (seed % (1 << KEY_BITS)).to_bytes(KEY_BITS // 8, "little")
+
+
+def _chunk(prefix: bytes, index: int, length: int = CHUNK) -> bytes:
+    """The first `length` bytes of keystream chunk `index`."""
+    return hashlib.shake_128(prefix + index.to_bytes(8, "little")).digest(length)
+
+
+def _pixel_rows(prefix: bytes, first: int, width: int, rows: int) -> np.ndarray:
+    """Keystream bits first .. first + rows*width - 1 as `(rows, (width + 7) // 8)`
+    packed P4 rows, padding bits 0: pixel first + k takes bit first + k."""
+    start, stop = first // 8, -(-(first + rows * width) // 8)  # the bytes holding the bits
+    low, high = start // CHUNK, (stop - 1) // CHUNK
+    data = b"".join(_chunk(prefix, c, min(CHUNK, stop - c * CHUNK)) for c in range(low, high + 1))
+    raw = np.frombuffer(data, dtype=np.uint8, offset=start - low * CHUNK)
+    if width % 8 == 0:  # whole bytes per row, so rows start at byte edges
+        return raw.reshape(rows, width // 8)
+    bits = np.unpackbits(raw)[first % 8 : first % 8 + rows * width]
+    return np.packbits(bits.reshape(rows, width), axis=1)
+
+
+def band_rows(width: int) -> int:
+    """Image rows per band: about BAND_PIXELS pixels, and at least one row."""
+    return max(1, BAND_PIXELS // width)
+
+
+def packed_bands(seed: int, width: int, height: int, starts: Iterable[int] | None = None,
+                 tag: bytes = BORN_TAG) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield `(rows, packed)` for the row bands that begin at `starts` (default:
+    every band, in order): `rows` is the band's slice of image rows, and
+    `packed` holds its pixels' keystream bits as read-only packed P4 rows:
+    pixel (x, y) takes bit y*width + x of the `tag` keystream under `seed`."""
+    prefix, band = _prefix(tag, seed), band_rows(width)
+    for y in range(0, height, band) if starts is None else starts:
+        rows = slice(y, min(y + band, height))
+        yield rows, _pixel_rows(prefix, y * width, width, rows.stop - y)
 
 
 def _mix(z: int) -> int:
@@ -35,13 +84,6 @@ def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
-
-
-def draw_u64(master_seed: int, stream_index: int, cursor: int) -> int:
-    """The cursor-th 64-bit draw of stream (master_seed, stream_index)."""
-    x = _mix((master_seed + _GOLDEN) & _MASK64)
-    x = _mix(x ^ (stream_index & _MASK64))
-    return _mix(x ^ (cursor & _MASK64))
 
 
 def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -55,9 +97,14 @@ def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
 
 def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
                out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
-    """The uint64 draws draw_u64(master_seed, p, cursor) of many streams p at a
-    fixed cursor.  Given `out` and `scratch` (uint64, of the streams' shape;
-    scratch may be stream_indices), it allocates nothing."""
+    """SplitMix64 draws: for each stream p, mix(mix(mix(seed + golden) ^ p) ^ cursor)
+    over uint64 (seed, p and cursor taken mod 2^64).  Given `out` and `scratch`
+    (uint64, of the streams' shape; scratch may be stream_indices), it
+    allocates nothing.
+
+    No Born bit comes from here.  Only the benchmark calls it, as its floor
+    (`bench/run.py` `_time_floor`) and as a traced span (`bench/spans.py`).
+    """
     streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
     # The seed's mix is one value for every stream, so it is computed once.
     x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)), out=out)
@@ -69,38 +116,13 @@ def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
     return x
 
 
-def band_rows(width: int) -> int:
-    """Image rows per band: about BAND_PIXELS pixels, and at least one row."""
-    return max(1, BAND_PIXELS // width)
-
-
-def bit_bands(master_seed: int, width: int, height: int, starts: Iterable[int] | None = None,
-              first_stream: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield `(rows, bits)` for the row bands that begin at `starts` (default:
-    every band, in order): `rows` is the band's slice of image rows, and
-    `bits` holds the fair bits of its pixels, row-major as bools: pixel (x, y)
-    takes the top bit of its unit_array draw from stream
-    first_stream + y*width + x, cursor 0.  The buffers are allocated once per
-    call and reused, so `bits` is valid only until the next band."""
-    band = band_rows(width)
-    offsets = np.arange(min(band, height) * width, dtype=np.uint64)
-    offsets += np.uint64(first_stream)
-    streams, draws = np.empty_like(offsets), np.empty_like(offsets)
-    bits = np.empty(offsets.size, dtype=bool)
-    for y in range(0, height, band) if starts is None else starts:
-        rows = slice(y, min(y + band, height))
-        m = (rows.stop - y) * width
-        band_streams = np.add(offsets[:m], np.uint64(y * width), out=streams[:m])
-        band_draws = unit_array(master_seed, band_streams, 0, out=draws[:m], scratch=band_streams)
-        yield rows, np.greater_equal(band_draws, _TOP_BIT, out=bits[:m])
-
-
 @dataclass
 class RngStream:
-    """One reproducible sample sequence, keyed by (master_seed, stream_index).
+    """Pixel `stream_index`'s Born bit under `master_seed`, as a one-draw stream.
 
-    Streams with the same key always yield the same sequence; advancing one
-    stream never affects another.
+    Streams with the same key always yield the same bit, and drawing from one
+    stream never affects another.  A stream holds exactly one bit, because
+    each measurement of the scheme takes one; a second draw is refused.
     """
 
     master_seed: int
@@ -108,13 +130,14 @@ class RngStream:
     _cursor: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
-        self.master_seed &= _MASK64
-        self.stream_index &= _MASK64
-
-    def next_u64(self) -> int:
-        value = draw_u64(self.master_seed, self.stream_index, self._cursor)
-        self._cursor += 1
-        return value
+        self.master_seed %= 1 << KEY_BITS
 
     def next_bit(self) -> int:
-        return self.next_u64() >> 63
+        if self._cursor:
+            raise ValueError(f"stream {self.stream_index} holds one bit, and it was drawn")
+        self._cursor = 1
+        byte, bit = divmod(self.stream_index, 8)
+        index, offset = divmod(byte, CHUNK)
+        # A shorter SHAKE digest is a prefix of a longer one, so offset + 1 bytes suffice.
+        head = _chunk(_prefix(BORN_TAG, self.master_seed), index, offset + 1)
+        return head[offset] >> (7 - bit) & 1

@@ -12,8 +12,9 @@ The circuit is Clifford on a basis state, so `encrypt` runs the same
 `encoding_circuit` program on a bit-plane engine instead of looping the
 dense reference `encode_pixel`: its state is the packed output itself, one
 P4 bit plane per qubit that every gate updates in place (`_encode_blocks`),
-one `rng.bit_bands` band of rows at a time.  Both routes draw the same
-per-pixel bit and are bit-identical.
+one `rng.packed_bands` band of rows at a time, whose keystream bits arrive
+already packed.  Both routes take the same per-pixel bit and are
+bit-identical.
 `classical_encrypt` is the plain XOR oracle kept to cross-check them.
 """
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .imaging import BinaryImage, pack_rows, require_same_shape
+from .imaging import BinaryImage, require_same_shape
 from .qsim import (
     MAX_QUBITS,
     GateKind,
@@ -134,19 +135,19 @@ def _encode_blocks(
     program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
     starts: Sequence[int], out: np.ndarray,
 ) -> None:
-    """Encode the `rng.bit_bands` row bands that begin at rows `starts` into
-    the planes of `out`.
+    """Encode the `rng.packed_bands` row bands that begin at rows `starts`
+    into the planes of `out`.
 
     `out` is `(n + 1, height, row_bytes)`, and the band's slice of plane q
     is qubit q's packed P4 rows (U, then S_1..S_n): the X layer loads the
     secrets into it, and every gate acts on it in place, so a CNOT is a
     byte XOR.  After the H the branches are `planes` and `planes` with the
     qubits in `flip` negated, of probability 1/2 each; CNOT is linear, so
-    `flip` is shared by all pixels.  Pixel y*width + x's fair bit comes from
-    `rng.bit_bands`.
+    `flip` is shared by all pixels.  Pixel y*width + x's fair bit is the
+    band's packed keystream bit from `rng.packed_bands`.
     """
     width, height = secrets[0].width, secrets[0].height
-    for rows, bits in rng.bit_bands(master_seed, width, height, starts):
+    for rows, bits in rng.packed_bands(master_seed, width, height, starts):
         planes = out[:, rows]
         # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
         planes[0] = 0
@@ -171,8 +172,7 @@ def _encode_blocks(
         # first differ at the most significant qubit in `flip`: where that
         # qubit is 0, `planes` is the lower branch, and the flipped one is
         # taken on bit 1; where it is 1, the flipped branch is taken on bit 0.
-        take_flipped = pack_rows(bits, width)
-        take_flipped ^= planes[min(flip)]
+        take_flipped = bits ^ planes[min(flip)]
         for q in flip:
             planes[q] ^= take_flipped
 
@@ -182,8 +182,8 @@ def encrypt(
 ) -> ShareSet:
     """Encrypt n same-sized secrets into a UniShare plus n share images.
 
-    n is len(secrets), 1..MAX_ARITY.  Pixel p uses RNG stream p, so the
-    result is bit-exact reproducible from master_seed (taken mod 2^64)
+    n is len(secrets), 1..MAX_ARITY.  Pixel p takes keystream bit p, so the
+    result is bit-exact reproducible from master_seed (taken mod 2^256)
     regardless of `threads`, which is capped at the number of CPUs this
     process may run on and at the band count: threads split the work at
     band boundaries, so one band runs inline.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qvmss import rng, scheme
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
 from qvmss.qsim import cnot, hadamard, pauli_x
-from qvmss.rng import RngStream, draw_u64
+from qvmss.rng import RngStream
 from qvmss.scheme import (
     MAX_ARITY,
     ConfigError,
@@ -122,7 +122,7 @@ def test_encode_pixel_outcomes_and_frequency():
 @settings(max_examples=80)
 @given(
     bits=st.lists(st.integers(0, 1), min_size=1, max_size=6),
-    seed=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**256 - 1),
     stream=st.integers(0, 2**32),
 )
 def test_encode_pixel_share_is_secret_xor_unishare(bits, seed, stream):
@@ -200,26 +200,27 @@ def test_encrypt_threads_capped_at_the_cpus_this_process_may_run_on(pool_sizes, 
 
 
 # SHA-256 over the bits of U, S_1, ..., S_n from encrypt(seed 7) on a 300x300
-# image (two engine blocks); secret k is bit k of stream draws under seed 11.
+# image (two engine bands); secret k is made by hashlib in `golden_secrets`.
 ENGINE_GOLDEN = {
-    1: "c970f821ecb4c4b5f030b9bcd1b83bd8233e73eab45c4f17ced5cc7e27698ee7",
-    2: "57bc39c9685b443feac73feeb6174bb0d9e1a797b909e858f160f41b31331d3c",
-    8: "3731eda8d5d6dde39f462deb3e047d3d968240dd709d42a10377de9d6d9155ad",
-    16: "92bb5181a478d9d5726ce249d5c8e5bb463226504a5c1a309371cd8e37db9b1f",
+    1: "d4c6565289120a2b78e4d5e623f41f992318d71029d2ca97ea63f28b1ef8d494",
+    2: "b576c48ef10c3af6cd11c0fb9ae3b3eb6174971c9f40a7305f4d29657b26ae2f",
+    8: "b929b9e8a62d9cace4ec33fcbc198473e0917174bba21f945cbe9ee10df017e2",
+    16: "b9133ad8fe2484bd8c1f3deaf7f5771af78d86204414faed71441ecad61496cd",
 }
 
 
 @pytest.fixture(scope="module")
-def golden_draws():
-    """Seed 11's opening draw of streams 0..89999, from the scalar reference."""
-    return np.array([draw_u64(11, p, 0) for p in range(300 * 300)], dtype=np.uint64)
+def golden_secrets():
+    """16 secrets of 300x300: secret k is the first 90000 bits of SHAKE128("golden k")."""
+    return [BinaryImage(300, 300, np.unpackbits(np.frombuffer(
+        hashlib.shake_128(f"golden {k}".encode()).digest(300 * 300 // 8), dtype=np.uint8)))
+        for k in range(16)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n", sorted(ENGINE_GOLDEN))
-def test_encrypt_output_is_pinned(n, threads, golden_draws):
-    secrets = [BinaryImage(300, 300, (golden_draws >> np.uint64(k)) & np.uint64(1))
-               for k in range(n)]
+def test_encrypt_output_is_pinned(n, threads, golden_secrets):
+    secrets = golden_secrets[:n]
     share_set = encrypt(secrets, 7, threads=threads)
     digest = hashlib.sha256()
     for img in (share_set.unishare, *share_set.shares):
@@ -227,10 +228,13 @@ def test_encrypt_output_is_pinned(n, threads, golden_draws):
     assert digest.hexdigest() == ENGINE_GOLDEN[n]
 
 
-@pytest.mark.parametrize("band_pixels", [64, 1 << 20])
+@pytest.mark.parametrize("band_pixels", [8, 64, 1 << 16, 1 << 20])
 def test_encrypt_output_does_not_depend_on_the_band_size(band_pixels, monkeypatch):
+    # Widths 37 and 300 repack the keystream into padded rows, and the bands
+    # of 1000x1048 and 70001x3 straddle the keystream's 65536-bit chunks.
+    sizes = ((37, 29), (300, 300), (1000, 1048), (70001, 3))
     cases = [(n, width, height, random_images(n, width, height, seed=n))
-             for n in (1, 2, 16) for width, height in ((37, 29), (300, 300))]
+             for n in (1, 2, 16) for width, height in sizes]
     expected = [encrypt(secrets, 9) for *_, secrets in cases]
     monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
     for (n, width, height, secrets), want in zip(cases, expected):
@@ -257,14 +261,15 @@ def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch(threads):
     side, n = 2048, 16
     secret = make_fixture("random", side, side, seed=2)
     output = (n + 1) * side * side // 8
-    # Per thread, over one band of pixels: the stream offsets, the streams and
-    # the draws (8 bytes a pixel each), the bool test buffer (1 byte a pixel)
-    # and the one packed Born test (1/8 byte a pixel), which the XORs update
-    # in place: 25.125 bytes a pixel.  The fixed 1 MiB covers the interpreter's
-    # and numpy's own bookkeeping, which does not grow with the image; about
-    # 25 KB of it is used per thread.  Holding the unpacked output would add
-    # 7/8 byte per pixel and plane, 62 MB here.
-    scratch = 25.125 * rng.BAND_PIXELS * threads + (1 << 20)
+    # Per thread, over one band of pixels: the keystream chunks and their
+    # join (1/8 byte a pixel each, plus up to one chunk before the band), and
+    # the packed Born test (1/8 byte a pixel), which the XORs update in
+    # place; a width that is not a multiple of 8 also unpacks the band's bits
+    # (1 byte a pixel) and packs them again.  The fixed 1 MiB covers the
+    # interpreter's and numpy's own bookkeeping, which does not grow with the
+    # image.  Holding the unpacked output would add 7/8 byte per pixel and
+    # plane, 62 MB here.
+    scratch = (1.5 * rng.BAND_PIXELS + 2 * rng.CHUNK) * threads + (1 << 20)
     tracemalloc.start()
     try:
         encrypt([secret] * n, 3, threads=threads)
@@ -275,10 +280,14 @@ def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch(threads):
 
 
 def test_random_fixture_does_not_reuse_the_encryption_draws():
-    # A fixture drawn from pixel p's own stream and cursor would make U equal G.
-    for seed in range(21):
-        secret = make_fixture("random", 64, 64, seed=seed)
-        assert encrypt([secret], seed).unishare != secret
+    # A blank secret's U is the Born keystream itself.  A fixture drawn from
+    # the same keystream would equal it; under its own tag, about half differ.
+    blank = BinaryImage(64, 64, np.zeros(64 * 64, dtype=np.uint8))
+    for seed in (0, 1, 2**64 - 1, 2**256 - 1):
+        unishare = encrypt([blank], seed).unishare
+        fixture = make_fixture("random", 64, 64, seed=seed)
+        assert unishare != fixture
+        assert abs((unishare ^ fixture).ones_fraction() - 0.5) < 0.05
 
 
 def test_encoding_circuit_is_hadamard_then_cnot_fanout():
@@ -292,12 +301,13 @@ def test_decoding_circuit_is_one_cnot_from_u_onto_the_share_bit():
 
 @settings(max_examples=10, deadline=None)
 @given(
-    seed=st.integers(0, 2**64 - 1),
+    seed=st.integers(0, 2**256 - 1),
     width=st.integers(1, 40),
     height=st.integers(1, 40),
     picks=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
 )
 @example(seed=2**64 - 1, width=300, height=300, picks=[65535, 65536, 89999])
+@example(seed=2**256 - 1, width=70001, height=3, picks=[65535, 65536, 140001])
 def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
     """At every arity, the bit-plane engine equals the XOR oracle on whole
     images and the dense encode_pixel reference on sampled pixels."""
@@ -336,17 +346,17 @@ def test_engine_measures_a_program_without_hadamard_deterministically():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_encrypt_draws_once_per_pixel(threads, monkeypatch):
-    # The benchmark's rng.draws_per_pixel reads 1 only if every pixel takes one stream.
+    # Each pixel takes exactly one keystream bit: its own.
     secrets = random_images(2, 300, 300, seed=6)  # two bands
-    sizes, unit_array = [], rng.unit_array
+    taken, pixel_rows = np.zeros(300 * 300, dtype=np.int64), rng._pixel_rows
 
-    def counted_unit_array(seed, streams, cursor, *args, **kwargs):
-        sizes.append(np.size(streams))
-        return unit_array(seed, streams, cursor, *args, **kwargs)
+    def counted_pixel_rows(prefix, first, width, rows):
+        taken[first : first + rows * width] += 1
+        return pixel_rows(prefix, first, width, rows)
 
-    monkeypatch.setattr(rng, "unit_array", counted_unit_array)
+    monkeypatch.setattr(rng, "_pixel_rows", counted_pixel_rows)
     encrypt(secrets, 3, threads=threads)
-    assert sum(sizes) == 300 * 300 and len(sizes) == 2
+    assert (taken == 1).all()
 
 
 def test_engine_copies_a_qubit_no_gate_writes():
@@ -386,7 +396,7 @@ def one_block_engine_peak(n):
 
 
 def test_engine_scratch_does_not_grow_with_arity():
-    # The qubit planes are rows of the caller's output; only the draw buffers are scratch.
+    # The qubit planes are rows of the caller's output; only the band's bits are scratch.
     assert one_block_engine_peak(16) - one_block_engine_peak(1) <= 16 * 1024
 
 
@@ -405,11 +415,12 @@ def test_scheme_config_arity_bounds():
         encrypt(random_images(MAX_ARITY + 1, 2, 2, seed=0), 0)
 
 
-def test_encrypt_reduces_seed_mod_2_64():
+def test_encrypt_reduces_seed_mod_2_256():
     secrets = random_images(2, 16, 16, seed=8)
     base = encrypt(secrets, 12345)
-    assert encrypt(secrets, 12345 + 2**64) == base
-    assert encrypt(secrets, 12345 - 2**64) == base
+    assert encrypt(secrets, 12345 + 2**256) == base
+    assert encrypt(secrets, 12345 - 2**256) == base
+    assert encrypt(secrets, 12345 + 2**64) != base  # the key is wider than 64 bits
 
 
 def test_share_set_validates_consistency():
@@ -515,7 +526,7 @@ def test_unishare_and_share_uniformity(flat_image):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1))
+@given(seed=st.integers(0, 2**256 - 1))
 def test_round_trip_and_pairwise_xor_property(seed):
     secrets = random_images(2, 12, 12, seed=seed % (2**32))
     share_set = encrypt(secrets, seed)

@@ -3,6 +3,7 @@ runs to completion on small inputs."""
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(*args, **kwargs):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_python(*args, src=ROOT / "src", **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           cwd=ROOT, **kwargs)
 
@@ -55,6 +56,53 @@ def test_benchmark_encrypt_appends_a_json_entry(tmp_path):
         for row in entry["rows"]:
             assert row["floor_x"] == row["seconds"] / row["floor_s"]
             assert row["seconds"] <= row["median_s"] and row["iqr_s"] >= 0.0
+
+
+def test_benchmark_encrypt_has_no_floor_ratio_above_one_thread(tmp_path):
+    # The floor is timed in one thread, so only one-thread rows are divided by it.
+    record = tmp_path / "BENCH_encrypt.json"
+    proc = run_script("benchmark_encrypt.py", "--sizes", "300", "--arities", "2",
+                      "--threads", "1", "2", "--repeats", "1", "--json", str(record))
+    assert proc.returncode == 0, proc.stderr
+    one, two = json.loads(record.read_text())[0]["rows"]
+    assert one["floor_x"] == one["seconds"] / one["floor_s"]
+    assert two["threads"] == 2 and two["floor_x"] is None and two["floor_s"] > 0
+    assert proc.stdout.splitlines()[2].split()[-1] == "-"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_benchmark_encrypt_marks_dirty_only_for_package_edits(tmp_path):
+    # A checkout whose only edit is outside src/qvmss benchmarks clean code.
+    checkout = tmp_path / "checkout"
+    shutil.copytree(ROOT / "src" / "qvmss", checkout / "src" / "qvmss",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (checkout / ".gitignore").write_text("__pycache__/\n")
+    (checkout / "NOTES.md").write_text("notes\n")
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=checkout, check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-qm", "base")
+
+    def revision():
+        record = tmp_path / "record.json"
+        record.unlink(missing_ok=True)
+        proc = run_script("benchmark_encrypt.py", "--sizes", "8", "--arities", "1",
+                          "--threads", "1", "--repeats", "1", "--json", str(record),
+                          src=checkout / "src")
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(record.read_text())[0]["revision"]
+
+    clean = revision()
+    assert clean and not clean.endswith("-dirty") and clean != "unknown"
+    (checkout / "NOTES.md").write_text("edited\n")
+    assert revision() == clean
+    with open(checkout / "src" / "qvmss" / "rng.py", "a") as handle:
+        handle.write("# edited\n")
+    assert revision() == clean + "-dirty"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
