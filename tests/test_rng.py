@@ -99,7 +99,7 @@ def test_packed_bands_are_the_keystream_in_p4_rows(tag, width, height, band_pixe
 
 
 def test_packed_bands_yields_only_the_asked_bands():
-    whole = dict((rows.start, packed.copy()) for rows, packed in packed_bands(4, 300, 300))
+    whole = {rows.start: packed.copy() for rows, packed in packed_bands(4, 300, 300)}
     assert sorted(whole) == [0, 218]
     (rows, packed), = packed_bands(4, 300, 300, starts=[218])
     assert rows == slice(218, 300) and np.array_equal(packed, whole[218])
