@@ -19,6 +19,7 @@ failure (a closed stdout included), 3 image dimension mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -102,8 +103,9 @@ def _publish(out_dir: str, files: Iterable[tuple[str, BinaryImage | bytes]], fmt
     Each file is serialized and staged under a unique name in turn, so only
     one is held in memory, and `files` may make each item as it is reached.
     With a `manifest`, each is also hashed, and manifest.json (its fields
-    plus the SHA-256 of every file) is staged last.  Then each staged file is renamed into place in order, so
-    manifest.json lands last.  Returns the file names in write order.
+    plus the SHA-256 of every file) is staged last.  Then each staged file
+    is renamed into place in order, so manifest.json lands last.  Returns
+    the file names in write order.
     """
     directory, variant = Path(out_dir), PbmVariant(fmt)
     digests, staged = {}, []
@@ -340,7 +342,15 @@ def cmd_selftest(args) -> int:
     return EXIT_SELFTEST if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `qvmss` parser, built on the first call and reused by every later one.
+
+    Parsing leaves the parser as it was, so one parser serves every `main`
+    call in a process.  Each subcommand's handler is a `cmd_*` function that
+    looks up what it calls (`encrypt`, `read_pbm`, ...) as module globals
+    when it runs, so patching those names still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="qvmss",
         description="Universal-share (n, n+1) multi-secret sharing of binary PBM images.",

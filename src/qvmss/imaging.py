@@ -9,6 +9,7 @@ the rows' bytes, and only P1 packs on read and unpacks on write.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -85,7 +86,9 @@ class BinaryImage:
         """Image over packed P4 rows, held as a read-only view, not a copy.
 
         `rows` must be `(height, (width + 7) // 8)` uint8 with zero padding
-        bits.  The caller must not write to `rows` afterwards.
+        bits.  The caller must not write to `rows`, or to the array it views,
+        afterwards: the image caches its `ones` count on the assumption that
+        its pixels never change.
         """
         _check_dimensions(width, height)
         rows = np.asarray(rows)
@@ -120,8 +123,17 @@ class BinaryImage:
         require_same_shape(self, other)
         return BinaryImage.from_rows(self.width, self.height, self.rows ^ other.rows)
 
+    @functools.cached_property
+    def ones(self) -> int:
+        """The number of 1 pixels, popcounted on first use and then cached.
+
+        The cache is valid because `rows` is a read-only view and nobody
+        writes the array it views afterwards (see `from_rows`).
+        """
+        return count_ones(self.rows)
+
     def ones_fraction(self) -> float:
-        return count_ones(self.rows) / (self.width * self.height)
+        return self.ones / (self.width * self.height)
 
     def as_grid(self) -> np.ndarray:
         """The bits unpacked into a new (height, width) uint8 array."""

@@ -7,7 +7,7 @@ a closed form in the 2x2 contingency counts: the pixel count N, the ones
 counts n_a and n_b, and the joint ones count n_11.  Moments are population
 (1/N), SSIM is the single-window whole-image form (Wang et al., IEEE TIP
 2004), and a 1-pixel image is allowed.  The counts are popcounts over the
-images' packed rows.
+images' packed rows; each image's own ones count is taken once and cached.
 """
 from __future__ import annotations
 
@@ -51,11 +51,12 @@ def report(a: BinaryImage, b: BinaryImage) -> MetricsReport:
     """Every metric for a pair of equal-sized binary images.
 
     The counts are popcounts over the packed rows, whose padding bits are
-    0 and so count nothing.
+    0 and so count nothing.  Each image counts its own ones once and caches
+    them, so a pair costs one AND and one popcount.
     """
     require_same_shape(a, b)
     n_11 = count_ones(np.bitwise_and(a.rows, b.rows))
-    return from_counts(a.width, a.height, count_ones(a.rows), count_ones(b.rows), n_11)
+    return from_counts(a.width, a.height, a.ones, b.ones, n_11)
 
 
 def from_counts(width: int, height: int, n_a: int, n_b: int, n_11: int) -> MetricsReport:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qvmss
-from qvmss import cli, metrics, rng, scheme
+from qvmss import cli, imaging, metrics, rng, scheme
 from qvmss.cli import main
 from qvmss.imaging import BinaryImage, make_fixture, pack_rows, read_pbm, write_pbm
 
@@ -395,6 +395,45 @@ def test_metrics_pairs_grid(tmp_path, secret_files, capsys):
     assert all({"a", "b", "psnr_db", "ssim", "correlation"} <= set(e) for e in entries)
 
 
+def pairs_argv(tmp_path, arity, size):
+    """Encrypt `arity` secrets of size x size in tmp_path, the working directory,
+    and return the `metrics --pairs` argv over them, with relative file names."""
+    secrets = [f"G{i}.pbm" for i in range(1, arity + 1)]
+    for i, name in enumerate(secrets):
+        kind = ("random", "text_glyphs")[i % 2]
+        (tmp_path / name).write_bytes(write_pbm(make_fixture(kind, size, size - 8, seed=3 + i)))
+    assert main(["encrypt", "--seed", "5", *secrets, "-o", "."]) == 0
+    shares = [f"S{i}.pbm" for i in range(1, arity + 1)]
+    return ["metrics", "--pairs", "--secrets", *secrets, "--shares", *shares, "--unishare", "U.pbm"]
+
+
+def test_metrics_pairs_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # The whole stdout, pinned: how the counts are taken must not move a byte of it.
+    monkeypatch.chdir(tmp_path)
+    argv = pairs_argv(tmp_path, 2, 37)
+    capsys.readouterr()
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "7c194891ecf956c2b2913a48268e59fa8937d32e527a9e9f23afbb5905a52d2c"
+
+
+@pytest.mark.parametrize("arity", [2, 8])
+def test_metrics_pairs_popcounts_each_image_once(tmp_path, monkeypatch, capsys, arity):
+    # 2n+1 images, each counted once, and one joint count per pair: n*n + 2n pairs.
+    monkeypatch.chdir(tmp_path)
+    argv = pairs_argv(tmp_path, arity, 24)
+    capsys.readouterr()
+    calls = []
+    count_ones = imaging.count_ones
+    counted = lambda packed: calls.append(1) or count_ones(packed)
+    monkeypatch.setattr(imaging, "count_ones", counted)
+    monkeypatch.setattr(metrics, "count_ones", counted)
+    assert main(argv) == 0
+    pairs = len(json.loads(capsys.readouterr().out))
+    assert pairs == arity * arity + 2 * arity
+    assert len(calls) == (2 * arity + 1) + pairs
+
+
 def test_metrics_pairs_needs_inputs(secret_files, capsys):
     assert main(["metrics", "--pairs"]) == 2
     g1, g2 = map(str, secret_files)
@@ -530,6 +569,48 @@ def test_cli_flags_are_the_pinned_surface():
                     if a.option_strings and a.dest != "help"]
              for name, parser in commands.choices.items()}
     assert flags == CLI_FLAGS
+
+
+def test_a_second_main_call_builds_no_parser(secret_files, monkeypatch, capsys):
+    argv = ["metrics", *map(str, secret_files)]
+    assert main(argv) == 0  # builds the parser, unless an earlier call did
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+    assert main(argv) == 0
+    assert built == []
+
+
+def test_the_reused_parser_carries_no_flag_to_the_next_call(tmp_path, secret_files,
+                                                            monkeypatch):
+    secrets = list(map(str, secret_files))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["encrypt", "--seed", "5", "--format", "p1", *secrets, "-o", str(first)]) == 0
+    monkeypatch.setenv("QVMSS_SEED", "9")
+    assert main(["encrypt", *secrets, "-o", str(second)]) == 0
+    assert json.loads((first / "manifest.json").read_text())["seed"] == 5
+    assert json.loads((second / "manifest.json").read_text())["seed"] == 9
+    assert (first / "U.pbm").read_bytes().startswith(b"P1\n")
+    assert (second / "U.pbm").read_bytes().startswith(b"P4\n")
+
+
+def test_metrics_after_metrics_pairs_reports_one_pair(tmp_path, secret_files, capsys):
+    out = tmp_path / "out"
+    secrets = list(map(str, secret_files))
+    assert main(["encrypt", "--seed", "3", *secrets, "-o", str(out)]) == 0
+    assert main(["metrics", "--pairs", "--secrets", *secrets, "--shares", str(out / "S1.pbm"),
+                 str(out / "S2.pbm"), "--unishare", str(out / "U.pbm")]) == 0
+    capsys.readouterr()
+    assert main(["metrics", *secrets]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+
+def test_a_parse_error_leaves_the_parser_usable(tmp_path, secret_files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["encrypt", "--seed", "zz", str(secret_files[0])])
+    assert exc.value.code == 2
+    assert main(["encrypt", "--seed", "1", str(secret_files[0]), "-o", str(tmp_path)]) == 0
 
 
 def splitmix64(seed, stream):

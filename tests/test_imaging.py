@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from qvmss.imaging import (
     write_pbm,
 )
 from qvmss.metrics import report
+from qvmss.scheme import encrypt
 
 
 def image_strategy(max_side=24):
@@ -115,6 +117,63 @@ def test_xor_and_complement():
     assert (a ^ b) == BinaryImage(2, 2, [1, 0, 1, 0])
     assert (a ^ BinaryImage(2, 2, [1, 1, 1, 1])) == BinaryImage(2, 2, [1, 0, 0, 1])
     assert (a ^ a) == BinaryImage(2, 2, [0, 0, 0, 0])
+
+
+def image_makers(width, height=5):
+    """(source, make) for each way the package makes an image, at one size."""
+    a = make_fixture("random", width, height, seed=width)
+    b = make_fixture("text_glyphs", width, height)
+    padding_set = f"P4\n{width} {height}\n".encode() + b"\xff" * a.rows.size
+    return [
+        ("bits", lambda: BinaryImage(width, height, a.as_grid().reshape(-1))),
+        ("from_rows", lambda: BinaryImage.from_rows(width, height, a.rows.copy())),
+        ("read_p1", lambda: read_pbm(write_pbm(a, PbmVariant.P1_ASCII))),
+        ("read_p4", lambda: read_pbm(write_pbm(b))),
+        ("read_p4_padding_set", lambda: read_pbm(padding_set)),
+        ("xor", lambda: a ^ b),
+        ("encrypt_unishare", lambda: encrypt([a, b], width).unishare),
+        ("encrypt_share", lambda: encrypt([a, b], width).shares[1]),
+        *[(kind, lambda kind=kind: make_fixture(kind, width, height, seed=3))
+          for kind in ("random", "checkerboard", "text_glyphs")],
+    ]
+
+
+@pytest.mark.parametrize("width", range(1, 18))
+def test_cached_ones_is_the_popcount_of_the_rows(width):
+    for source, make in image_makers(width):
+        img = make()
+        assert img.ones == imaging.count_ones(img.rows) == img.as_grid().sum(), source
+        assert img.ones_fraction() == img.ones / (width * 5), source
+        if source == "read_p4_padding_set":
+            assert img.ones == width * 5  # the set padding bits count nothing
+
+
+def test_ones_is_counted_once(monkeypatch):
+    img = make_fixture("random", 37, 29, seed=1)
+    calls = []
+    count_ones = imaging.count_ones
+    monkeypatch.setattr(imaging, "count_ones", lambda rows: calls.append(1) or count_ones(rows))
+    assert img.ones == img.ones == round(img.ones_fraction() * 37 * 29)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("width", [8, 13])
+def test_images_are_built_over_rows_no_one_else_can_write(width, monkeypatch):
+    # `ones` is cached, so it holds only while nobody writes an image's rows after it is
+    # made: each array an image is built over must be read-only or reachable only from it.
+    built = {}
+    hold = BinaryImage._hold
+    monkeypatch.setattr(BinaryImage, "_hold", lambda self, w, h, rows: built.update(
+        {id(self): rows}) or hold(self, w, h, rows))
+    for source, make in image_makers(width):
+        built.clear()
+        img = make()
+        rows = built.pop(id(img))
+        built.clear()
+        if rows.flags.writeable:
+            owner = weakref.ref(rows if rows.base is None else rows.base)
+            del rows, img
+            assert owner() is None, f"{source}: something else holds the image's rows"
 
 
 def test_xor_shape_mismatch():
