@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
-"""Benchmark the `qvmss` commands as a caller runs them.
+"""Benchmark the `qvmss` commands as a shell user runs them.
 
 For each size and arity, random P4 secrets are encrypted once, and three
 commands are timed on them: `encrypt` of the secrets, `decrypt` of the
 UniShare and every share, and `metrics --pairs` over the secrets, the shares
-and the UniShare.  Each command is timed two ways, `--repeats` times each:
+and the UniShare.  Each command runs `--repeats` times, each time as a new
+`python -m qvmss.cli ...` process, start-up and imports included, with its
+standard output discarded.  `fresh_median_s` and `fresh_iqr_s` are the
+median and interquartile range of those walls.  The in-process cost of each
+command is what `bench/run.py` times.
 
-- in process: `qvmss.cli.main(argv)`, after one untimed warm-up call, as a
-  script, a test or embedding code calls it again and again.  `median_s` and
-  `iqr_s` are the median and interquartile range of those calls;
-- fresh: the wall time of a new `python -m qvmss.cli ...` process, start-up
-  and imports included, as a shell user runs it.  `fresh_median_s` and
-  `fresh_iqr_s` are their median and interquartile range.
-
-The warm-up `decrypt` must give back the secrets byte for byte, or the
-script stops before timing.  Standard output is discarded in both ways.
+The secrets and the encryption seed are fixed, so every run times the same
+inputs.  The first `decrypt` must give back the secrets byte for byte, or
+the script stops.
 
 `--json PATH` appends one entry to the JSON list in PATH (made if missing),
 with the same revision, Python, numpy and `nproc` header as
 `benchmark_encrypt.py` and one row per case.
 """
 import argparse
-import contextlib
 import os
 import subprocess
 import sys
@@ -31,36 +28,29 @@ from pathlib import Path
 from benchmark_encrypt import append_entry, spread, timed
 
 import qvmss
-from qvmss import cli
 from qvmss.cli import positive_int
 from qvmss.imaging import make_fixture, write_pbm
 from qvmss.scheme import MAX_ARITY
 
+SEED = 7
 
-def command_argvs(work, size, arity, seed):
+
+def command_argvs(work, size, arity):
     """Write `arity` random size x size P4 secrets and their shares under work,
     and return each command's argv over them."""
     secrets = [str(work / f"G{i}.pbm") for i in range(1, arity + 1)]
     for i, path in enumerate(secrets):
-        Path(path).write_bytes(write_pbm(make_fixture("random", size, size, seed=seed + i)))
+        Path(path).write_bytes(write_pbm(make_fixture("random", size, size, seed=SEED + i)))
     shares_dir = work / "shares"
-    in_process(["encrypt", "--seed", str(seed), *secrets, "-o", str(shares_dir)])
+    fresh_process(["encrypt", "--seed", str(SEED), *secrets, "-o", str(shares_dir)])
     unishare = str(shares_dir / "U.pbm")
     shares = [str(shares_dir / f"S{i}.pbm") for i in range(1, arity + 1)]
     return secrets, {
-        "encrypt": ["encrypt", "--seed", str(seed), *secrets, "-o", str(work / "enc")],
+        "encrypt": ["encrypt", "--seed", str(SEED), *secrets, "-o", str(work / "enc")],
         "decrypt": ["decrypt", "-u", unishare, *shares, "-o", str(work / "dec")],
         "metrics": ["metrics", "--pairs", "--secrets", *secrets, "--shares", *shares,
                     "--unishare", unishare],
     }
-
-
-def in_process(argv):
-    """Call cli.main(argv) with standard output discarded; it must exit 0."""
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        code = cli.main(argv)
-    if code != 0:
-        raise SystemExit(f"qvmss {' '.join(argv)} exited {code}")
 
 
 def fresh_process(argv):
@@ -75,24 +65,21 @@ def fresh_process(argv):
                          f"{proc.stderr}")
 
 
-def run_case(size, arity, seed, repeats):
-    """One row per command: its in-process and fresh-process times."""
+def run_case(size, arity, repeats):
+    """One row per command: the median and IQR of its fresh-process walls."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        secrets, argvs = command_argvs(work, size, arity, seed)
+        secrets, argvs = command_argvs(work, size, arity)
         for command, argv in argvs.items():
-            in_process(argv)  # the warm-up
+            median, iqr = spread(timed(repeats, lambda: fresh_process(argv)))
             if command == "decrypt":
                 for i, secret in enumerate(secrets, start=1):
                     recovered = (work / "dec" / f"G{i}_rec.pbm").read_bytes()
                     if recovered != Path(secret).read_bytes():
                         raise SystemExit(f"round trip failed at {size}x{size}, n={arity}")
-            median, iqr = spread(timed(repeats, lambda: in_process(argv)))
-            fresh_median, fresh_iqr = spread(timed(repeats, lambda: fresh_process(argv)))
             rows.append({"command": command, "size": size, "arity": arity,
-                         "median_s": median, "iqr_s": iqr,
-                         "fresh_median_s": fresh_median, "fresh_iqr_s": fresh_iqr})
+                         "fresh_median_s": median, "fresh_iqr_s": iqr})
     return rows
 
 
@@ -101,20 +88,17 @@ def main():
     parser.add_argument("--sizes", type=positive_int, nargs="+", default=[256, 1024])
     parser.add_argument("--arities", type=int, nargs="+", default=[2, 8],
                         choices=range(1, MAX_ARITY + 1), metavar="N")
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=positive_int, default=11,
-                        help="time N calls and N fresh processes of each command")
+                        help="time N fresh processes of each command")
     parser.add_argument("--json", metavar="PATH", help="append this run's entry to PATH")
     args = parser.parse_args()
 
     rows = []
-    print(f"{'command':>8} {'size':>6} {'arity':>5} {'median_s':>9} {'iqr_s':>9}"
-          f" {'fresh_median_s':>14} {'fresh_iqr_s':>11}")
+    print(f"{'command':>8} {'size':>6} {'arity':>5} {'fresh_median_s':>14} {'fresh_iqr_s':>11}")
     for size in args.sizes:
         for arity in args.arities:
-            for row in run_case(size, arity, args.seed, args.repeats):
-                print(f"{row['command']:>8} {size:>6} {arity:>5} {row['median_s']:>9.4f}"
-                      f" {row['iqr_s']:>9.4f} {row['fresh_median_s']:>14.4f}"
+            for row in run_case(size, arity, args.repeats):
+                print(f"{row['command']:>8} {size:>6} {arity:>5} {row['fresh_median_s']:>14.4f}"
                       f" {row['fresh_iqr_s']:>11.4f}")
                 rows.append(row)
     if args.json:

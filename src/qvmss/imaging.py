@@ -88,7 +88,8 @@ class BinaryImage:
         `rows` must be `(height, (width + 7) // 8)` uint8 with zero padding
         bits.  The caller must not write to `rows`, or to the array it views,
         afterwards: the image caches its `ones` count on the assumption that
-        its pixels never change.
+        its pixels never change, and `metrics.report` raises ValueError on
+        the impossible counts that such a write can leave.
         """
         _check_dimensions(width, height)
         rows = np.asarray(rows)

@@ -64,9 +64,14 @@ def from_counts(width: int, height: int, n_a: int, n_b: int, n_11: int) -> Metri
 
     Numerators are exact integers and each float is one division, so MSE
     and the fractions are correctly rounded, and identical images score an
-    SSIM (and, unless constant, a correlation) of exactly 1.0.
+    SSIM (and, unless constant, a correlation) of exactly 1.0.  Counts that
+    no pair of images has, such as n_11 > n_a, raise ValueError: an image's
+    rows written after it cached its ones count would give such counts.
     """
     n = width * height
+    if not 0 <= n_11 <= min(n_a, n_b) or n_a + n_b - n_11 > n:
+        raise ValueError(f"no {width}x{height} image pair has counts "
+                         f"n_a={n_a}, n_b={n_b}, n_11={n_11}")
     mismatches = n_a + n_b - 2 * n_11
 
     peak2 = PEAK * PEAK

@@ -277,3 +277,27 @@ def test_report_json_schema(flat_image):
 def test_report_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         report(make_fixture("random", 4, 4, seed=1), make_fixture("random", 4, 5, seed=1))
+
+
+@pytest.mark.parametrize("n_a, n_b, n_11", [
+    (1, 2, 2), (2, 1, 2), (0, 0, -1), (3, 3, 1), (5, 0, 0),
+], ids=["n11_above_na", "n11_above_nb", "negative_n11", "union_above_n", "na_above_n"])
+def test_from_counts_rejects_counts_no_pair_has(n_a, n_b, n_11):
+    with pytest.raises(ValueError, match="no 2x2 image pair"):
+        from_counts(2, 2, n_a, n_b, n_11)
+
+
+@pytest.mark.parametrize("n_a, n_b, n_11", [(0, 0, 0), (4, 4, 4), (2, 2, 0), (3, 3, 2)])
+def test_from_counts_accepts_the_extreme_counts(n_a, n_b, n_11):
+    assert from_counts(2, 2, n_a, n_b, n_11).mismatch_fraction == (n_a + n_b - 2 * n_11) / 4
+
+
+def test_rows_written_after_the_ones_count_fail_loudly():
+    # `from_rows` holds the caller's array without a copy, so a caller that writes it
+    # afterwards leaves the cached count stale; report must refuse, not score it.
+    rows = np.zeros((2, 1), dtype=np.uint8)
+    img = BinaryImage.from_rows(8, 2, rows)
+    assert img.ones == 0
+    rows[:] = 0xFF
+    with pytest.raises(ValueError, match="n_a=0, n_b=0, n_11=16"):
+        report(img, img)
