@@ -71,12 +71,13 @@ def run_case(size, arity, threads, seed, repeats):
     return times, min(timed(repeats, floor))
 
 
-def source_revision():
-    """`git describe --always` of the tree holding the imported qvmss, with
-    `-dirty` when a file in the package's directory differs from it."""
+def source_revision(package_dir=Path(qvmss.__file__).parent):
+    """`git describe --always` of the tree holding a qvmss package directory,
+    the imported one by default, with `-dirty` when a file in that directory
+    differs from it."""
     def git(*args):
         return subprocess.run(["git", *args], capture_output=True, text=True,
-                              cwd=Path(qvmss.__file__).parent)
+                              cwd=package_dir)
 
     try:
         described, status = git("describe", "--always"), git("status", "--porcelain", "--", ".")
@@ -87,12 +88,13 @@ def source_revision():
     return described.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
 
 
-def append_entry(path, rows):
+def append_entry(path, rows, **fields):
+    """Append an entry of the header, any extra `fields` and `rows` to PATH."""
     path = Path(path)
     entries = json.loads(path.read_text()) if path.exists() else []
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     entries.append({"revision": source_revision(), "python": platform.python_version(),
-                    "numpy": np.__version__, "nproc": nproc, "rows": rows})
+                    "numpy": np.__version__, "nproc": nproc, **fields, "rows": rows})
     path.write_text(json.dumps(entries, indent=2) + "\n")
 
 

@@ -135,6 +135,21 @@ def test_benchmark_cli_times_each_command_as_a_fresh_process(tmp_path):
         assert line.split()[:3] == [row["command"], "32", "2"]
 
 
+def test_benchmark_cli_times_a_baseline_in_turn(tmp_path):
+    record = tmp_path / "BENCH_cli.json"
+    proc = run_script("benchmark_cli.py", "--sizes", "16", "--arities", "1", "--repeats", "2",
+                      "--baseline", str(ROOT / "src"), "--json", str(record))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].split() == [
+        "command", "size", "arity", "fresh_median_s", "fresh_iqr_s",
+        "baseline_median_s", "baseline_iqr_s"]
+    (entry,) = json.loads(record.read_text())
+    assert entry["baseline"] == entry["revision"]  # the same tree on both sides
+    for row in entry["rows"]:
+        assert row["fresh_median_s"] > 0 and row["baseline_median_s"] > 0
+        assert row["fresh_iqr_s"] >= 0.0 and row["baseline_iqr_s"] >= 0.0
+
+
 @pytest.mark.parametrize("script, args", [
     ("benchmark_encrypt.py", ["--repeats", "0"]),
     ("benchmark_encrypt.py", ["--sizes", "0"]),
@@ -142,6 +157,7 @@ def test_benchmark_cli_times_each_command_as_a_fresh_process(tmp_path):
     ("run_security_sweep.py", ["--size", "0"]),
     ("benchmark_cli.py", ["--repeats", "0"]),
     ("benchmark_cli.py", ["--arities", "17"]),
+    ("benchmark_cli.py", ["--baseline", "no/such/src"]),
 ])
 def test_scripts_reject_out_of_range_counts(script, args):
     proc = run_script(script, *args)
