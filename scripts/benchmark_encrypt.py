@@ -48,12 +48,18 @@ def timed(repeats, fn):
     return times
 
 
+def quartiles(values):
+    """The lower quartile, median and upper quartile of values; one value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    lower, median, upper = statistics.quantiles(values, n=4)
+    return lower, median, upper
+
+
 def spread(times):
     """The median of times and their interquartile range, 0.0 below two times."""
-    if len(times) < 2:
-        return times[0], 0.0
-    lower, _, upper = statistics.quantiles(times, n=4)
-    return statistics.median(times), upper - lower
+    lower, median, upper = quartiles(times)
+    return median, upper - lower
 
 
 def run_case(size, arity, threads, seed, repeats):

@@ -66,13 +66,28 @@ def _resolve_seed(explicit: int | None) -> int:
 
 def _load_image(path: str) -> BinaryImage:
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise _Failure(EXIT_IO, f"{path}: {exc}")
     try:
         return read_pbm(data)
     except PbmParseError as exc:
         raise _Failure(EXIT_IO, f"{path}: {exc}")
+
+
+# The C encoder writes a flat record's fields with the separators that
+# `indent=2` puts inside a list: Python before 3.13 encodes in pure Python
+# whenever `indent` is set.
+_RECORD_FIELDS = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def _records_json(records: list[dict]) -> str:
+    """Exactly `json.dumps(records, indent=2)` for a list of non-empty flat records."""
+    if not records:
+        return "[]"
+    items = ["{\n    " + _RECORD_FIELDS.encode(record)[1:-1] + "\n  }" for record in records]
+    return "[\n  " + ",\n  ".join(items) + "\n]"
 
 
 def _require_same_dims(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage) -> None:
@@ -217,7 +232,7 @@ def cmd_metrics(args) -> int:
         secrets = [(p, _load_image(p)) for p in args.secrets]
         shares = [(p, _load_image(p)) for p in args.shares]
         unishare = (args.unishare, _load_image(args.unishare))
-        print(json.dumps(_pair_grid(secrets, shares, unishare), indent=2))
+        print(_records_json(_pair_grid(secrets, shares, unishare)))
         return EXIT_OK
 
     if args.secrets or args.shares or args.unishare:
@@ -247,7 +262,7 @@ def cmd_demo(args) -> int:
     unishare, *shares = share_files.items()
     entries = [_pair_entry(*g, *r) for g, r in zip(secrets.items(), recovered.items())]
     entries += _pair_grid(list(secrets.items()), shares, unishare)
-    pairs_json = (json.dumps(entries, indent=2) + "\n").encode("ascii")
+    pairs_json = (_records_json(entries) + "\n").encode("ascii")
     artifacts = _publish(args.out_dir, {**secrets, **share_files, **recovered,
                                         "metrics_pairs.json": pairs_json}.items(),
                          "p4", manifest=_run_manifest(seed, share_set))

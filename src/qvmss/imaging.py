@@ -4,7 +4,8 @@ Bit value 1 is an opaque/black pixel and 0 is transparent/white, which is
 exactly PBM's polarity, so nothing in the pipeline ever inverts pixel values.
 Both netpbm variants are supported: P1 (ASCII) and P4 (bit-packed, the
 canonical output format).  A `BinaryImage` holds its pixels as P4 rows, so a
-P4 read is a header parse plus one buffer copy, a P4 write is the header plus
+P4 read is a header parse plus at most one buffer copy (none when the rows
+are whole bytes and end an immutable input), a P4 write is the header plus
 the rows' bytes, and only P1 packs on read and unpacks on write.
 """
 from __future__ import annotations
@@ -98,7 +99,8 @@ class BinaryImage:
                 f"expected ({height}, {_row_bytes(width)}) uint8 rows, "
                 f"got {rows.shape} {rows.dtype}"
             )
-        if (rows[:, -1] & ~_last_byte_mask(width)).any():
+        # Rows of whole bytes have no padding bits to check.
+        if width % 8 and (rows[:, -1] & ~_last_byte_mask(width)).any():
             raise ValueError("row padding bits must be 0")
         image = object.__new__(cls)
         image._hold(width, height, rows)
@@ -203,7 +205,9 @@ def read_pbm(data: bytes) -> BinaryImage:
 
     Header comments and arbitrary whitespace are accepted; P4 row padding
     bits are ignored (cleared).  Raises PbmParseError (with a byte offset) on bad
-    magic, malformed dimensions, or truncated payload.
+    magic, malformed dimensions, or truncated payload.  A P4 image whose width
+    is a multiple of 8, read from `bytes` that its raster ends, views those
+    bytes; any other image owns a copy.
     """
     if len(data) < 2 or data[0] != 0x50 or data[1] not in (0x31, 0x34):
         magic = data[:2].decode("ascii", errors="replace") if data else "<empty>"
@@ -276,6 +280,11 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
             len(data),
         )
     rows = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos).reshape(height, -1)
+    # Whole-byte rows that end immutable bytes are used in place: read-only, with
+    # no padding bits to clear, and pinning no bytes but the header.  A copy
+    # otherwise, so the image never aliases a buffer that can change.
+    if width % 8 == 0 and isinstance(data, bytes) and len(data) - pos == needed:
+        return rows
     rows = rows.copy()  # frees the image from `data` and makes it writable for the mask
     rows[:, -1] &= _last_byte_mask(width)  # the file's padding bits may be anything
     return rows

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qvmss
 from qvmss import cli, imaging, metrics, rng, scheme
@@ -415,6 +417,25 @@ def test_metrics_pairs_output_is_pinned(tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "7c194891ecf956c2b2913a48268e59fa8937d32e527a9e9f23afbb5905a52d2c"
+
+
+# Strings that hold what JSON escapes, and the pair grid's own separators.
+json_text = st.text() | st.text(st.sampled_from('ab"\\\n\t,: {}[]é€\x00\U0001f600'))
+flat_record = st.dictionaries(
+    json_text,
+    st.one_of(json_text, st.integers(), st.floats(), st.none(), st.booleans()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(flat_record, max_size=4))
+@example([])
+@example([{"a": 'G1, "x"\n\\é', "nan": float("nan"), "inf": float("inf"),
+           "-inf": float("-inf"), "none": None, "yes": True, "n": -3, "x": 0.1}])
+def test_records_json_is_json_dumps_indent_2(records):
+    assert cli._records_json(records) == json.dumps(records, indent=2)
 
 
 @pytest.mark.parametrize("arity", [2, 8])

@@ -130,6 +130,10 @@ def image_makers(width, height=5):
         ("read_p1", lambda: read_pbm(write_pbm(a, PbmVariant.P1_ASCII))),
         ("read_p4", lambda: read_pbm(write_pbm(b))),
         ("read_p4_padding_set", lambda: read_pbm(padding_set)),
+        # A view of the bytes when width % 8 == 0, a copy otherwise.
+        ("read_p4_bytes", lambda: read_pbm(bytes(write_pbm(a)))),
+        ("read_p4_bytearray", lambda: read_pbm(bytearray(write_pbm(a)))),
+        ("read_p4_trailing_bytes", lambda: read_pbm(write_pbm(a) + b"\n")),
         ("xor", lambda: a ^ b),
         ("encrypt_unishare", lambda: encrypt([a, b], width).unishare),
         ("encrypt_share", lambda: encrypt([a, b], width).shares[1]),
@@ -157,7 +161,7 @@ def test_ones_is_counted_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("width", [8, 13])
+@pytest.mark.parametrize("width", [8, 13, 16])
 def test_images_are_built_over_rows_no_one_else_can_write(width, monkeypatch):
     # `ones` is cached, so it holds only while nobody writes an image's rows after it is
     # made: each array an image is built over must be read-only or reachable only from it.
@@ -174,6 +178,28 @@ def test_images_are_built_over_rows_no_one_else_can_write(width, monkeypatch):
             owner = weakref.ref(rows if rows.base is None else rows.base)
             del rows, img
             assert owner() is None, f"{source}: something else holds the image's rows"
+
+
+@pytest.mark.parametrize("width", [8, 13, 16])
+def test_p4_read_views_only_immutable_bytes_that_whole_byte_rows_end(width):
+    data = write_pbm(make_fixture("random", width, 5, seed=2))
+    for source, viewed in [(data, width % 8 == 0), (bytearray(data), False),
+                           (data + b"\n", False)]:
+        img = read_pbm(source)
+        assert np.shares_memory(img.rows, np.frombuffer(source, np.uint8)) == viewed, source
+        assert not img.rows.flags.writeable
+
+
+@pytest.mark.parametrize("width", [8, 13, 16])
+def test_writing_a_bytearray_after_read_pbm_changes_no_image(width):
+    expected = make_fixture("random", width, 5, seed=4)
+    data = bytearray(write_pbm(expected))
+    counted, uncounted = read_pbm(data), read_pbm(data)
+    assert counted.ones == expected.ones
+    data[-expected.rows.size:] = b"\xff" * expected.rows.size
+    for img in (counted, uncounted):
+        assert img == expected
+        assert img.ones == expected.ones == imaging.count_ones(img.rows)
 
 
 def test_xor_shape_mismatch():

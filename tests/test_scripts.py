@@ -150,6 +150,87 @@ def test_benchmark_cli_times_a_baseline_in_turn(tmp_path):
         assert row["fresh_iqr_s"] >= 0.0 and row["baseline_iqr_s"] >= 0.0
 
 
+# A checkout's bench/run.py stand-in: it logs its call and whether its src/ held
+# bytecode, leaves some behind, and prints the fixed result for its seed last.
+STUB_RUN = """
+import json, sys
+from pathlib import Path
+root = Path(__file__).resolve().parents[1]
+seed = sys.argv[sys.argv.index("--seed") + 1]
+cache = root / "src" / "pkg" / "__pycache__"
+with open(root.parent / "calls.log", "a") as log:
+    log.write(f"{root.name} {' '.join(sys.argv[1:])} {cache.exists()}\\n")
+cache.mkdir(exist_ok=True)
+print("progress")
+print(json.dumps(json.loads((root / "results.json").read_text())[seed]))
+"""
+
+
+def stub_checkout(path, results):
+    """A checkout whose bench/run.py prints results[seed] as its result line."""
+    (path / "bench").mkdir(parents=True)
+    (path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (path / "bench" / "run.py").write_text(STUB_RUN)
+    (path / "results.json").write_text(json.dumps(results))
+
+
+def bench_result(correct=True, failed=0, **values):
+    units = {"setup_s": "s", "encrypt_s": "s", "metrics_s": "s", "secret_mpx_s": "Mpx/s",
+             "peak_rss_mib": "MiB"}
+    values = {"setup_s": 0.2, "encrypt_s": 0.003, "metrics_s": 0.005, "secret_mpx_s": 50.0,
+              "peak_rss_mib": 80.0, **values}
+    return {"correct": correct, "attempted": 9, "failed": failed,
+            "metrics": {name: {"value": value, "unit": units[name]}
+                        for name, value in values.items()}}
+
+
+def test_bench_pairs_alternates_two_checkouts_and_judges_each_metric(tmp_path):
+    # Ten pairs, seeds 1..10.  The change wins metrics_s and secret_mpx_s on every sound
+    # pair, ties setup_s, and has a peak RSS 25% above the baseline's.  The baseline's
+    # encrypt_s spreads wider than its bound, and the change sits inside that spread.
+    # Pair 3's change run is wrong, and pair 5's baseline run failed an operation.
+    baseline = {str(seed): bench_result(metrics_s=0.005 + 0.0001 * seed,
+                                        encrypt_s=0.003 + 0.0003 * seed,
+                                        failed=2 if seed == 5 else 0)
+                for seed in range(1, 11)}
+    change = {str(seed): bench_result(correct=seed != 3, metrics_s=0.004, secret_mpx_s=60.0,
+                                      encrypt_s=0.0045, peak_rss_mib=100.0)
+              for seed in range(1, 11)}
+    stub_checkout(tmp_path / "base", baseline)
+    stub_checkout(tmp_path / "change", change)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
+    (tmp_path / "change" / "scripts").mkdir()
+    for script in ("bench_pairs.py", "benchmark_encrypt.py"):
+        shutil.copy(ROOT / "scripts" / script, tmp_path / "change" / "scripts")
+    proc = run_python(str(tmp_path / "change" / "scripts" / "bench_pairs.py"),
+                      str(tmp_path / "base"), "--workload", "high-arity", "--pairs", "10",
+                      "--seconds", "45")
+    assert proc.returncode == 0, proc.stderr
+
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    order = [("base", "change"), ("change", "base")] * 5
+    assert [call.split()[0] for call in calls] == [side for pair in order for side in pair]
+    for index, call in enumerate(calls):
+        assert call.split()[1:] == ["--workload", "high-arity", "--seconds", "45.0",
+                                    "--seed", str(index // 2 + 1), "--trace", "0", "False"]
+
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("lost:")] == [
+        "lost: pair 3 change (correct false, failed 0)",
+        "lost: pair 5 baseline (correct true, failed 2)"]
+    assert "metrics_s: baseline 0.0051 0.0052 0.0053 0.0054 lost 0.0056" in proc.stdout
+    rows = {line.split()[0]: line.split() for line in lines[lines.index(next(
+        line for line in lines if line.startswith("metric "))) + 1:]}
+    assert {name: row[-2:] for name, row in rows.items()} == {
+        "setup_s": ["1/10", "-"],  # ties, but pair 5's baseline run is lost
+        "encrypt_s": ["6/10", "unresolved"],  # IQR 0.00375..0.00555 is 38% of 0.0048
+        "metrics_s": ["9/10", "gain"],
+        "secret_mpx_s": ["9/10", "gain"],
+        "peak_rss_mib": ["1/10", "worse"],
+    }
+    assert rows["metrics_s"][2:8] == ["0.00525", "0.0056", "0.00585", "0.004", "0.004", "0.004"]
+
+
 @pytest.mark.parametrize("script, args", [
     ("benchmark_encrypt.py", ["--repeats", "0"]),
     ("benchmark_encrypt.py", ["--sizes", "0"]),
@@ -158,6 +239,7 @@ def test_benchmark_cli_times_a_baseline_in_turn(tmp_path):
     ("benchmark_cli.py", ["--repeats", "0"]),
     ("benchmark_cli.py", ["--arities", "17"]),
     ("benchmark_cli.py", ["--baseline", "no/such/src"]),
+    ("bench_pairs.py", ["--pairs", "0", "base", "--workload", "w", "--seconds", "1"]),
 ])
 def test_scripts_reject_out_of_range_counts(script, args):
     proc = run_script(script, *args)
