@@ -1,17 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the batch encryption engine behind `encrypt`.
 
-Times `encrypt` across image sizes, arities, and thread counts, and verifies
-each run round-trips before reporting it.  Each case runs `--repeats` times:
+Times `encrypt` across image sizes and arities, and verifies each run
+round-trips before reporting it.  Each case runs `--repeats` times:
 `seconds` is the best run, and `median_s` and `iqr_s` (upper minus lower
 quartile, 0.0 below two repeats) show their spread.  `floor_s` is the best
 time of the floor: one `rng.packed_bands` pass over the image, the engine's
-own keystream bits, plus the XOR oracle `classical_encrypt`, timed in one
-thread on the same inputs.  `floor_x` is the best run over the floor, on
-one-thread rows only: a row with more threads has no one-thread floor to
-divide by, so its `floor_x` is null.  `threads` is the count asked for;
-`encrypt` caps it at the number of CPUs this process may run on and at the
-band count.
+own keystream bits, plus the XOR oracle `classical_encrypt`, on the same
+inputs.  `floor_x` is the best run over the floor.
 
 `--json PATH` appends one entry to the JSON list in PATH (made if missing):
 the git revision of the benchmarked `qvmss` sources (with `-dirty` when a file
@@ -62,12 +58,12 @@ def spread(times):
     return median, upper - lower
 
 
-def run_case(size, arity, threads, seed, repeats):
+def run_case(size, arity, seed, repeats):
     """Every encrypt time and the best floor time, in seconds."""
     secrets = [make_fixture("random", size, size, seed=seed + i) for i in range(arity)]
-    share_set = encrypt(secrets, seed, threads=threads)
+    share_set = encrypt(secrets, seed)
     assert decrypt_all(share_set) == secrets, "round trip failed"
-    times = timed(repeats, lambda: encrypt(secrets, seed, threads=threads))
+    times = timed(repeats, lambda: encrypt(secrets, seed))
 
     def floor():
         for _ in rng.packed_bands(seed, size, size):
@@ -109,7 +105,6 @@ def main():
     parser.add_argument("--sizes", type=positive_int, nargs="+", default=[128, 256, 512])
     parser.add_argument("--arities", type=int, nargs="+", default=[1, 2, 4, 8, 16],
                         choices=range(1, MAX_ARITY + 1), metavar="N")
-    parser.add_argument("--threads", type=positive_int, nargs="+", default=[1, 2])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=positive_int, default=3,
                         help="time N runs of each case; seconds is the best of them")
@@ -117,21 +112,18 @@ def main():
     args = parser.parse_args()
 
     rows = []
-    print(f"{'size':>6} {'arity':>5} {'threads':>7} {'seconds':>9} {'median_s':>9} {'iqr_s':>9}"
+    print(f"{'size':>6} {'arity':>5} {'seconds':>9} {'median_s':>9} {'iqr_s':>9}"
           f" {'Mpixel/s':>9} {'floor_x':>7}")
     for size in args.sizes:
         for arity in args.arities:
-            for threads in args.threads:
-                times, floor = run_case(size, arity, threads, args.seed, args.repeats)
-                seconds, (median, iqr) = min(times), spread(times)
-                rate = size * size / seconds / 1e6
-                floor_x = seconds / floor if threads == 1 else None
-                print(f"{size:>6} {arity:>5} {threads:>7} {seconds:>9.3f} {median:>9.3f}"
-                      f" {iqr:>9.3f} {rate:>9.2f} "
-                      + (f"{floor_x:>7.2f}" if floor_x is not None else f"{'-':>7}"))
-                rows.append({"size": size, "arity": arity, "threads": threads,
-                             "seconds": seconds, "median_s": median, "iqr_s": iqr,
-                             "floor_s": floor, "floor_x": floor_x})
+            times, floor = run_case(size, arity, args.seed, args.repeats)
+            seconds, (median, iqr) = min(times), spread(times)
+            rate = size * size / seconds / 1e6
+            floor_x = seconds / floor
+            print(f"{size:>6} {arity:>5} {seconds:>9.3f} {median:>9.3f}"
+                  f" {iqr:>9.3f} {rate:>9.2f} {floor_x:>7.2f}")
+            rows.append({"size": size, "arity": arity, "seconds": seconds,
+                         "median_s": median, "iqr_s": iqr, "floor_s": floor, "floor_x": floor_x})
     if args.json:
         append_entry(args.json, rows)
 

@@ -195,7 +195,7 @@ def cmd_encrypt(args) -> int:
     seed = _resolve_seed(args.seed)
     scheme._check_arity(len(args.secrets), "secret images")  # before reading any file
     secrets = list(_matching_images(args.secrets))
-    share_set = encrypt(secrets, seed, threads=args.threads)
+    share_set = encrypt(secrets, seed)
     names = _publish(args.out_dir, _share_files(share_set).items(), args.format,
                      manifest=_run_manifest(seed, share_set))
     print(f"seed: {seed}")
@@ -382,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("secrets", nargs="+", help="secret images (PBM)")
     p_enc.add_argument("--seed", type=_seed, default=None, help=seed_help)
     p_enc.add_argument("--threads", type=positive_int, default=1,
-                       help="worker threads for pixel encoding "
-                            "(capped at the CPUs this process may run on)")
+                       help="accepted and ignored: encryption runs on one thread")
     add_output(p_enc)
     p_enc.set_defaults(handler=cmd_encrypt)
 

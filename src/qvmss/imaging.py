@@ -200,15 +200,18 @@ def _read_dimension(data: bytes, pos: int, name: str) -> tuple[int, int]:
     return value, pos
 
 
-def read_pbm(data: bytes) -> BinaryImage:
+def read_pbm(data: bytes | bytearray) -> BinaryImage:
     """Parse a P1 or P4 PBM file into a BinaryImage.
 
     Header comments and arbitrary whitespace are accepted; P4 row padding
-    bits are ignored (cleared).  Raises PbmParseError (with a byte offset) on bad
-    magic, malformed dimensions, or truncated payload.  A P4 image whose width
-    is a multiple of 8, read from `bytes` that its raster ends, views those
-    bytes; any other image owns a copy.
+    bits are ignored (cleared).  Raises TypeError unless data is bytes or a
+    bytearray, and PbmParseError (with a byte offset) on bad magic, malformed
+    dimensions, or truncated payload.  A P4 image whose width is a multiple
+    of 8, read from `bytes` that its raster ends, views those bytes; any
+    other image owns a copy.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        raise TypeError(f"read_pbm takes bytes or bytearray, not {type(data).__name__}")
     if len(data) < 2 or data[0] != 0x50 or data[1] not in (0x31, 0x34):
         magic = data[:2].decode("ascii", errors="replace") if data else "<empty>"
         raise PbmParseError(f"unsupported magic {magic!r}, expected P1 or P4", 0)

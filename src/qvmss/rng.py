@@ -7,7 +7,7 @@ chunks `shake_128(tag || key || c.to_bytes(8, "little")).digest(CHUNK)`,
 c = 0, 1, ..., where `key` is the seed mod 2^256 as 32 little-endian bytes.
 With the key as prefix, SHAKE128 is a keyed pseudorandom function under the
 sponge bounds.  A bit depends only on its pixel index, so results are
-identical no matter how work is banded, chunked or split across threads.
+identical no matter how work is banded or chunked.
 `BORN_TAG` keys `encrypt`, and the random fixture draws under `FIXTURE_TAG`,
 so the two never share a bit.  Only this module knows that rule:
 `packed_bands` yields it for whole images, `RngStream.next_bit` for one pixel.
@@ -15,7 +15,7 @@ so the two never share a bit.  Only this module knows that rule:
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +34,7 @@ FIXTURE_TAG = b"qvmss.fixture\0\0\0"
 CHUNK = 1 << 13
 
 # Pixels per band, rounded down to whole image rows (at least one): bounds the
-# band scratch, and a band is the unit of thread work in `scheme.encrypt`.
-# Bits are keyed by pixel, so no output depends on it.
+# band scratch.  Bits are keyed by pixel, so no output depends on it.
 BAND_PIXELS = 1 << 16
 
 
@@ -62,19 +61,15 @@ def _pixel_rows(prefix: bytes, first: int, width: int, rows: int) -> np.ndarray:
     return np.packbits(bits.reshape(rows, width), axis=1)
 
 
-def band_rows(width: int) -> int:
-    """Image rows per band: about BAND_PIXELS pixels, and at least one row."""
-    return max(1, BAND_PIXELS // width)
-
-
-def packed_bands(seed: int, width: int, height: int, starts: Iterable[int] | None = None,
+def packed_bands(seed: int, width: int, height: int,
                  tag: bytes = BORN_TAG) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield `(rows, packed)` for the row bands that begin at `starts` (default:
-    every band, in order): `rows` is the band's slice of image rows, and
-    `packed` holds its pixels' keystream bits as read-only packed P4 rows:
-    pixel (x, y) takes bit y*width + x of the `tag` keystream under `seed`."""
-    prefix, band = _prefix(tag, seed), band_rows(width)
-    for y in range(0, height, band) if starts is None else starts:
+    """Yield `(rows, packed)` for every row band, in order: `rows` is the
+    band's slice of image rows, about BAND_PIXELS pixels and at least one
+    row, and `packed` holds its pixels' keystream bits as read-only packed
+    P4 rows: pixel (x, y) takes bit y*width + x of the `tag` keystream under
+    `seed`."""
+    prefix, band = _prefix(tag, seed), max(1, BAND_PIXELS // width)
+    for y in range(0, height, band):
         rows = slice(y, min(y + band, height))
         yield rows, _pixel_rows(prefix, y * width, width, rows.stop - y)
 

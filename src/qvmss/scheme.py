@@ -19,9 +19,7 @@ bit-identical.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -133,10 +131,10 @@ def decode_pixel(u: int, s_k: int) -> int:
 
 def _encode_blocks(
     program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
-    starts: Sequence[int], out: np.ndarray,
+    out: np.ndarray,
 ) -> None:
-    """Encode the `rng.packed_bands` row bands that begin at rows `starts`
-    into the planes of `out`.
+    """Encode the secrets into the planes of `out`, one `rng.packed_bands`
+    row band at a time.
 
     `out` is `(n + 1, height, row_bytes)`, and the band's slice of plane q
     is qubit q's packed P4 rows (U, then S_1..S_n): the X layer loads the
@@ -147,7 +145,7 @@ def _encode_blocks(
     band's packed keystream bit from `rng.packed_bands`.
     """
     width, height = secrets[0].width, secrets[0].height
-    for rows, bits in rng.packed_bands(master_seed, width, height, starts):
+    for rows, bits in rng.packed_bands(master_seed, width, height):
         planes = out[:, rows]
         # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
         planes[0] = 0
@@ -177,16 +175,11 @@ def _encode_blocks(
             planes[q] ^= take_flipped
 
 
-def encrypt(
-    secrets: Sequence[BinaryImage], master_seed: int, *, threads: int = 1
-) -> ShareSet:
+def encrypt(secrets: Sequence[BinaryImage], master_seed: int) -> ShareSet:
     """Encrypt n same-sized secrets into a UniShare plus n share images.
 
     n is len(secrets), 1..MAX_ARITY.  Pixel p takes keystream bit p, so the
-    result is bit-exact reproducible from master_seed (taken mod 2^256)
-    regardless of `threads`, which is capped at the number of CPUs this
-    process may run on and at the band count: threads split the work at
-    band boundaries, so one band runs inline.
+    result is bit-exact reproducible from master_seed (taken mod 2^256).
     The UniShare and the shares are views of one packed, read-only
     `(n + 1, height, row_bytes)` array.
     """
@@ -198,19 +191,7 @@ def encrypt(
 
     width, height = secrets[0].width, secrets[0].height
     out = np.empty((n + 1, *secrets[0].rows.shape), dtype=np.uint8)  # plane q is qubit q
-
-    encode = partial(_encode_blocks, encoding_circuit(n), secrets, master_seed, out=out)
-    starts = range(0, height, rng.band_rows(width))
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    threads = min(threads, cpus, len(starts))
-    if threads <= 1:
-        encode(starts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(encode, [starts[k::threads] for k in range(threads)]))
+    _encode_blocks(encoding_circuit(n), secrets, master_seed, out)
     out.flags.writeable = False  # the images below are views of it
 
     unishare, *shares = (BinaryImage.from_rows(width, height, plane) for plane in out)

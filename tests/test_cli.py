@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -540,14 +541,20 @@ def test_threads_below_one_exits_2(tmp_path, secret_files, capsys, command, valu
     assert not (tmp_path / "out").exists()
 
 
-def test_threads_clamped_to_cpu_count(tmp_path, monkeypatch, pool_sizes):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    # 512x512 is four engine blocks, so only the CPU count limits the pool.
+def test_encrypt_starts_no_thread_whatever_threads_says(tmp_path, monkeypatch):
+    # 512x512 is four bands, fewer than the 64 threads asked for.
     big = tmp_path / "big.pbm"
     big.write_bytes(write_pbm(make_fixture("random", 512, 512, seed=0)))
+    assert main(["encrypt", "--seed", "1", str(big), "-o", str(tmp_path / "plain")]) == 0
+
+    def refuse(thread):
+        raise AssertionError(f"encrypt started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     assert main(["encrypt", "--seed", "1", str(big), "--threads", "64",
-                 "-o", str(tmp_path / "enc")]) == 0
-    assert pool_sizes == [2]
+                 "-o", str(tmp_path / "asked")]) == 0
+    assert ((tmp_path / "asked" / "manifest.json").read_bytes()
+            == (tmp_path / "plain" / "manifest.json").read_bytes())
 
 
 # ------------------------------------------------------------------ surface
@@ -776,7 +783,7 @@ def run_cli(*args, **kwargs):
 
 
 def test_importing_the_cli_leaves_the_thread_pool_unloaded():
-    # Only a threaded encrypt needs concurrent.futures, and with it logging and queue.
+    # No command needs concurrent.futures, which would bring logging and queue with it.
     proc = run_python("-c", "import sys, qvmss.cli; print('concurrent.futures' in sys.modules)",
                       capture_output=True)
     assert proc.returncode == 0, proc.stderr

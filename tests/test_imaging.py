@@ -164,7 +164,8 @@ def test_ones_is_counted_once(monkeypatch):
 @pytest.mark.parametrize("width", [8, 13, 16])
 def test_images_are_built_over_rows_no_one_else_can_write(width, monkeypatch):
     # `ones` is cached, so it holds only while nobody writes an image's rows after it is
-    # made: each array an image is built over must be read-only or reachable only from it.
+    # made: the memory under them must be immutable bytes, or an array that only the
+    # image keeps alive.  A read-only view proves nothing, since its base may be written.
     built = {}
     hold = BinaryImage._hold
     monkeypatch.setattr(BinaryImage, "_hold", lambda self, w, h, rows: built.update(
@@ -172,12 +173,25 @@ def test_images_are_built_over_rows_no_one_else_can_write(width, monkeypatch):
     for source, make in image_makers(width):
         built.clear()
         img = make()
-        rows = built.pop(id(img))
+        root = built.pop(id(img))
         built.clear()
-        if rows.flags.writeable:
-            owner = weakref.ref(rows if rows.base is None else rows.base)
-            del rows, img
-            assert owner() is None, f"{source}: something else holds the image's rows"
+        while isinstance(root, np.ndarray) and root.base is not None:
+            root = root.base
+        if isinstance(root, bytes):
+            continue
+        assert isinstance(root, np.ndarray) and root.flags.owndata, (
+            f"{source}: the image's rows rest on a {type(root).__name__}")
+        owner = weakref.ref(root)
+        del root, img
+        assert owner() is None, f"{source}: something else holds the image's rows"
+
+
+@pytest.mark.parametrize("convert", [memoryview, lambda data: data.decode("latin-1"), list],
+                         ids=["memoryview", "str", "list"])
+def test_read_pbm_names_the_types_it_takes(convert):
+    data = write_pbm(make_fixture("random", 16, 5, seed=1))
+    with pytest.raises(TypeError, match="bytes or bytearray"):
+        read_pbm(convert(data))
 
 
 @pytest.mark.parametrize("width", [8, 13, 16])

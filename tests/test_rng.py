@@ -98,13 +98,6 @@ def test_packed_bands_are_the_keystream_in_p4_rows(tag, width, height, band_pixe
     assert np.array_equal(got, want)
 
 
-def test_packed_bands_yields_only_the_asked_bands():
-    whole = {rows.start: packed.copy() for rows, packed in packed_bands(4, 300, 300)}
-    assert sorted(whole) == [0, 218]
-    (rows, packed), = packed_bands(4, 300, 300, starts=[218])
-    assert rows == slice(218, 300) and np.array_equal(packed, whole[218])
-
-
 def test_negative_seed_wraps_mod_2_256():
     for stream in range(32):
         assert RngStream(-1, stream).next_bit() == RngStream(2**256 - 1, stream).next_bit()

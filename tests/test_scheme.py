@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -162,43 +161,6 @@ def test_encrypt_is_reproducible():
     assert a.shares == b.shares
 
 
-def test_encrypt_threads_match_serial():
-    # 300x300 spans two engine blocks, so threads > 1 reach the pool.
-    secrets = random_images(3, 300, 300, seed=9)
-    serial = encrypt(secrets, 777, threads=1)
-    for threads in (2, 3):
-        parallel = encrypt(secrets, 777, threads=threads)
-        assert serial.unishare == parallel.unishare
-        assert serial.shares == parallel.shares
-
-
-def test_encrypt_threads_capped_at_block_count(pool_sizes, monkeypatch):
-    # Eight usable CPUs, so only the block count limits.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    one_block = random_images(1, 256, 256, seed=3)
-    assert encrypt(one_block, 4, threads=8) == encrypt(one_block, 4)
-    assert pool_sizes == []
-    three_blocks = random_images(1, 256, 600, seed=3)
-    assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
-    assert pool_sizes == [3]
-
-
-def test_encrypt_threads_capped_at_cpu_count(pool_sizes, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    three_blocks = random_images(1, 256, 600, seed=3)
-    assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
-    assert pool_sizes == [2]
-
-
-def test_encrypt_threads_capped_at_the_cpus_this_process_may_run_on(pool_sizes, monkeypatch):
-    # Eight CPUs in the machine, but this process may run on only one of them.
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    three_blocks = random_images(1, 256, 600, seed=3)
-    assert encrypt(three_blocks, 4, threads=8) == encrypt(three_blocks, 4)
-    assert pool_sizes == []
-
-
 # SHA-256 over the bits of U, S_1, ..., S_n from encrypt(seed 7) on a 300x300
 # image (two engine bands); secret k is made by hashlib in `golden_secrets`.
 ENGINE_GOLDEN = {
@@ -217,11 +179,10 @@ def golden_secrets():
         for k in range(16)]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n", sorted(ENGINE_GOLDEN))
-def test_encrypt_output_is_pinned(n, threads, golden_secrets):
+def test_encrypt_output_is_pinned(n, golden_secrets):
     secrets = golden_secrets[:n]
-    share_set = encrypt(secrets, 7, threads=threads)
+    share_set = encrypt(secrets, 7)
     digest = hashlib.sha256()
     for img in (share_set.unishare, *share_set.shares):
         digest.update(flat_bits(img).tobytes())
@@ -239,8 +200,7 @@ def test_encrypt_output_does_not_depend_on_the_band_size(band_pixels, monkeypatc
     monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
     for (n, width, height, secrets), want in zip(cases, expected):
         assert random_images(n, width, height, seed=n) == secrets, (n, width, height)
-        for threads in (1, 2):
-            assert encrypt(secrets, 9, threads=threads) == want, (n, threads)
+        assert encrypt(secrets, 9) == want, (n, width, height)
 
 
 def test_encrypt_images_are_read_only_views_of_one_packed_output():
@@ -256,23 +216,21 @@ def test_encrypt_images_are_read_only_views_of_one_packed_output():
         assert not img.rows.flags.writeable
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch(threads):
+def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch():
     side, n = 2048, 16
     secret = make_fixture("random", side, side, seed=2)
     output = (n + 1) * side * side // 8
-    # Per thread, over one band of pixels: the keystream chunks and their
-    # join (1/8 byte a pixel each, plus up to one chunk before the band), and
-    # the packed Born test (1/8 byte a pixel), which the XORs update in
-    # place; a width that is not a multiple of 8 also unpacks the band's bits
-    # (1 byte a pixel) and packs them again.  The fixed 1 MiB covers the
-    # interpreter's and numpy's own bookkeeping, which does not grow with the
-    # image.  Holding the unpacked output would add 7/8 byte per pixel and
-    # plane, 62 MB here.
-    scratch = (1.5 * rng.BAND_PIXELS + 2 * rng.CHUNK) * threads + (1 << 20)
+    # Over one band of pixels: the keystream chunks and their join (1/8 byte
+    # a pixel each, plus up to one chunk before the band), and the packed Born
+    # test (1/8 byte a pixel), which the XORs update in place; a width that is
+    # not a multiple of 8 also unpacks the band's bits (1 byte a pixel) and
+    # packs them again.  The fixed 1 MiB covers the interpreter's and numpy's
+    # own bookkeeping, which does not grow with the image.  Holding the
+    # unpacked output would add 7/8 byte per pixel and plane, 62 MB here.
+    scratch = 1.5 * rng.BAND_PIXELS + 2 * rng.CHUNK + (1 << 20)
     tracemalloc.start()
     try:
-        encrypt([secret] * n, 3, threads=threads)
+        encrypt([secret] * n, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,19 +291,18 @@ def test_engine_refuses_a_program_it_cannot_run(program):
     secret = make_fixture("random", 4, 4, seed=0)
     out = np.empty((2, 4, 1), dtype=np.uint8)
     with pytest.raises(ValueError, match="cannot apply"):
-        scheme._encode_blocks(program, [secret], 0, [0], out)
+        scheme._encode_blocks(program, [secret], 0, out)
 
 
 def test_engine_measures_a_program_without_hadamard_deterministically():
     secret = make_fixture("random", 4, 4, seed=0)
     out = np.empty((2, 4, 1), dtype=np.uint8)
-    scheme._encode_blocks([cnot(0, 1)], [secret], 0, [0], out)
+    scheme._encode_blocks([cnot(0, 1)], [secret], 0, out)
     assert not out[0].any()
     assert np.array_equal(out[1], secret.rows)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_encrypt_draws_once_per_pixel(threads, monkeypatch):
+def test_encrypt_draws_once_per_pixel(monkeypatch):
     # Each pixel takes exactly one keystream bit: its own.
     secrets = random_images(2, 300, 300, seed=6)  # two bands
     taken, pixel_rows = np.zeros(300 * 300, dtype=np.int64), rng._pixel_rows
@@ -355,14 +312,14 @@ def test_encrypt_draws_once_per_pixel(threads, monkeypatch):
         return pixel_rows(prefix, first, width, rows)
 
     monkeypatch.setattr(rng, "_pixel_rows", counted_pixel_rows)
-    encrypt(secrets, 3, threads=threads)
+    encrypt(secrets, 3)
     assert (taken == 1).all()
 
 
 def test_engine_copies_a_qubit_no_gate_writes():
     secrets = random_images(2, 4, 4, seed=0)
     out = np.empty((3, 4, 1), dtype=np.uint8)
-    scheme._encode_blocks([hadamard(0), cnot(0, 1)], secrets, 0, [0], out)
+    scheme._encode_blocks([hadamard(0), cnot(0, 1)], secrets, 0, out)
     assert np.array_equal(out[1], out[0] ^ secrets[0].rows)
     assert np.array_equal(out[2], secrets[1].rows)
 
@@ -379,7 +336,7 @@ def test_engine_output_does_not_depend_on_what_out_held(program, n):
     zeros = np.zeros((n + 1, 9, 5), dtype=np.uint8)
     ones = np.full_like(zeros, 0xFF)
     for out in (zeros, ones):
-        scheme._encode_blocks(program, secrets, 6, [0], out)
+        scheme._encode_blocks(program, secrets, 6, out)
     assert np.array_equal(zeros, ones)
 
 
@@ -389,7 +346,7 @@ def one_block_engine_peak(n):
     out = np.empty((n + 1, 256, 32), dtype=np.uint8)
     tracemalloc.start()
     try:
-        scheme._encode_blocks(encoding_circuit(n), secrets, 3, [0], out)
+        scheme._encode_blocks(encoding_circuit(n), secrets, 3, out)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

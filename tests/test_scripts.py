@@ -33,41 +33,28 @@ def test_readme_library_example_runs():
 def test_benchmark_encrypt_runs():
     # 300x300 is two bands, of 218 and 82 rows, so the floor crosses a band edge.
     proc = run_script("benchmark_encrypt.py", "--sizes", "16", "300", "--arities", "1", "2",
-                      "--threads", "1", "2", "--repeats", "1")
+                      "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["size", "arity", "threads", "seconds", "median_s", "iqr_s",
+    assert lines[0].split() == ["size", "arity", "seconds", "median_s", "iqr_s",
                                 "Mpixel/s", "floor_x"]
-    assert len(lines) == 1 + 2 * 2 * 2
+    assert len(lines) == 1 + 2 * 2
 
 
 def test_benchmark_encrypt_appends_a_json_entry(tmp_path):
     record = tmp_path / "BENCH_encrypt.json"
     for _ in range(2):
         proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1", "2",
-                          "--threads", "1", "--repeats", "3", "--json", str(record))
+                          "--repeats", "3", "--json", str(record))
         assert proc.returncode == 0, proc.stderr
     entries = json.loads(record.read_text())
     assert len(entries) == 2
     for entry in entries:
         assert set(entry) == {"revision", "python", "numpy", "nproc", "rows"}
-        assert [(row["size"], row["arity"], row["threads"]) for row in entry["rows"]] == [
-            (16, 1, 1), (16, 2, 1)]
+        assert [(row["size"], row["arity"]) for row in entry["rows"]] == [(16, 1), (16, 2)]
         for row in entry["rows"]:
             assert row["floor_x"] == row["seconds"] / row["floor_s"]
             assert row["seconds"] <= row["median_s"] and row["iqr_s"] >= 0.0
-
-
-def test_benchmark_encrypt_has_no_floor_ratio_above_one_thread(tmp_path):
-    # The floor is timed in one thread, so only one-thread rows are divided by it.
-    record = tmp_path / "BENCH_encrypt.json"
-    proc = run_script("benchmark_encrypt.py", "--sizes", "300", "--arities", "2",
-                      "--threads", "1", "2", "--repeats", "1", "--json", str(record))
-    assert proc.returncode == 0, proc.stderr
-    one, two = json.loads(record.read_text())[0]["rows"]
-    assert one["floor_x"] == one["seconds"] / one["floor_s"]
-    assert two["threads"] == 2 and two["floor_x"] is None and two["floor_s"] > 0
-    assert proc.stdout.splitlines()[2].split()[-1] == "-"
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
@@ -91,7 +78,7 @@ def test_benchmark_encrypt_marks_dirty_only_for_package_edits(tmp_path):
         record = tmp_path / "record.json"
         record.unlink(missing_ok=True)
         proc = run_script("benchmark_encrypt.py", "--sizes", "8", "--arities", "1",
-                          "--threads", "1", "--repeats", "1", "--json", str(record),
+                          "--repeats", "1", "--json", str(record),
                           src=checkout / "src")
         assert proc.returncode == 0, proc.stderr
         return json.loads(record.read_text())[0]["revision"]
@@ -111,7 +98,7 @@ def test_benchmark_encrypt_records_the_cpus_it_may_use(tmp_path):
     record = tmp_path / "BENCH_encrypt.json"
     cpu = min(os.sched_getaffinity(0))
     proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1",
-                      "--threads", "1", "--repeats", "1", "--json", str(record),
+                      "--repeats", "1", "--json", str(record),
                       preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(record.read_text())[0]["nproc"] == 1
