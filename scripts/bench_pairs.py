@@ -28,18 +28,28 @@ that is steady enough to tell.
 import argparse
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
-
-from benchmark_encrypt import quartiles
-
-from qvmss.cli import positive_int
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("baseline", "change")
 END_TO_END = {metric["name"]: metric
               for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
+def quartiles(values):
+    """The lower quartile, median and upper quartile of values; one value is all three."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
+def positive_int(text):
+    """An argparse type: a decimal integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def run_benchmark(checkout, workload, seconds, seed):

@@ -90,15 +90,6 @@ def _records_json(records: list[dict]) -> str:
     return "[\n  " + ",\n  ".join(items) + "\n]"
 
 
-def _require_same_dims(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage) -> None:
-    if (a.width, a.height) != (b.width, b.height):
-        raise _Failure(
-            EXIT_SHAPE,
-            f"{name_b}: dimensions {b.width}x{b.height} do not match "
-            f"{name_a} ({a.width}x{a.height})",
-        )
-
-
 def _matching_images(paths: list[str]) -> Iterator[BinaryImage]:
     """The images at `paths` in order, each read only when it is reached and
     checked against the size of the first."""
@@ -106,7 +97,9 @@ def _matching_images(paths: list[str]) -> Iterator[BinaryImage]:
     yield first
     for path in paths[1:]:
         image = _load_image(path)
-        _require_same_dims(paths[0], first, path, image)
+        if (image.width, image.height) != (first.width, first.height):
+            raise _Failure(EXIT_SHAPE, f"{path}: dimensions {image.width}x{image.height} "
+                                       f"do not match {paths[0]} ({first.width}x{first.height})")
         yield image
 
 
@@ -213,7 +206,6 @@ def cmd_decrypt(args) -> int:
 
 
 def _pair_entry(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage) -> dict:
-    _require_same_dims(name_a, a, name_b, b)
     return {"a": name_a, "b": name_b, **metrics.report(a, b).to_dict()}
 
 
@@ -229,10 +221,10 @@ def cmd_metrics(args) -> int:
         if args.images or not (args.secrets and args.shares and args.unishare):
             raise _Failure(EXIT_IO, "--pairs needs --secrets, --shares and --unishare, "
                                     "not positional images")
-        secrets = [(p, _load_image(p)) for p in args.secrets]
-        shares = [(p, _load_image(p)) for p in args.shares]
-        unishare = (args.unishare, _load_image(args.unishare))
-        print(_records_json(_pair_grid(secrets, shares, unishare)))
+        paths = [*args.secrets, *args.shares, args.unishare]
+        named = list(zip(paths, _matching_images(paths)))
+        n = len(args.secrets)
+        print(_records_json(_pair_grid(named[:n], named[n:-1], named[-1])))
         return EXIT_OK
 
     if args.secrets or args.shares or args.unishare:

@@ -146,8 +146,9 @@ class BinaryImage:
 def pack_rows(bits: np.ndarray, width: int) -> np.ndarray:
     """Flat row-major 0/1 or bool bits, `width` to a row, as new packed P4 rows.
 
-    This is the one definition of the layout: most significant bit first,
-    and each row zero-padded to whole bytes.
+    The images' row layout: most significant bit first, and each row
+    zero-padded to whole bytes.  `rng._pixel_rows` packs the keystream so
+    with its own `np.packbits`, as `rng` cannot import this module.
     """
     return np.packbits(bits.reshape(-1, width), axis=1)
 

@@ -9,8 +9,8 @@ With the key as prefix, SHAKE128 is a keyed pseudorandom function under the
 sponge bounds.  A bit depends only on its pixel index, so results are
 identical no matter how work is banded or chunked.
 `BORN_TAG` keys `encrypt`, and the random fixture draws under `FIXTURE_TAG`,
-so the two never share a bit.  Only this module knows that rule:
-`packed_bands` yields it for whole images, `RngStream.next_bit` for one pixel.
+so the two never share a bit.  `_pixel_rows` alone maps pixels to keystream
+bytes: for whole images in `packed_bands`, one pixel in `RngStream.next_bit`.
 """
 from __future__ import annotations
 
@@ -131,8 +131,5 @@ class RngStream:
         if self._cursor:
             raise ValueError(f"stream {self.stream_index} holds one bit, and it was drawn")
         self._cursor = 1
-        byte, bit = divmod(self.stream_index, 8)
-        index, offset = divmod(byte, CHUNK)
-        # A shorter SHAKE digest is a prefix of a longer one, so offset + 1 bytes suffice.
-        head = _chunk(_prefix(BORN_TAG, self.master_seed), index, offset + 1)
-        return head[offset] >> (7 - bit) & 1
+        prefix = _prefix(BORN_TAG, self.master_seed)
+        return int(_pixel_rows(prefix, self.stream_index, 1, 1)[0, 0]) >> 7

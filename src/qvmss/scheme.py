@@ -139,10 +139,11 @@ def _encode_blocks(
     `out` is `(n + 1, height, row_bytes)`, and the band's slice of plane q
     is qubit q's packed P4 rows (U, then S_1..S_n): the X layer loads the
     secrets into it, and every gate acts on it in place, so a CNOT is a
-    byte XOR.  After the H the branches are `planes` and `planes` with the
-    qubits in `flip` negated, of probability 1/2 each; CNOT is linear, so
-    `flip` is shared by all pixels.  Pixel y*width + x's fair bit is the
-    band's packed keystream bit from `rng.packed_bands`.
+    byte XOR.  After its H, qubit 0 is only a control, so by deferred
+    measurement it is measured where the H acts: its plane becomes the
+    band's keystream bits, and the CNOTs carry them on.  Bit 0 gives qubit 0
+    the value 0, the lower basis index that `qsim.measure_all` takes on bit
+    0, as qubit 0 is the most significant and no gate changes it after the H.
     """
     width, height = secrets[0].width, secrets[0].height
     for rows, bits in rng.packed_bands(master_seed, width, height):
@@ -151,28 +152,16 @@ def _encode_blocks(
         planes[0] = 0
         for k, img in enumerate(secrets, start=1):
             planes[k] = img.rows[rows]
-        flip = set()  # one branch until the H splits it
+        measured = False  # qubit 0, once its H has acted
         for gate in program:
             t = gate.target
-            if gate.kind is GateKind.CNOT:
+            if gate.kind is GateKind.CNOT and not (t == 0 and measured):
                 planes[t] ^= planes[gate.control]
-                if gate.control in flip:
-                    flip ^= {t}
-            elif gate.kind is GateKind.HADAMARD and not flip:
-                # |b> -> (|0> + (-1)^b |1>)/sqrt2; the sign would show only under a second H.
-                planes[t] = 0
-                flip = {t}
+            elif gate.kind is GateKind.HADAMARD and t == 0 and not measured:
+                planes[0] = bits
+                measured = True
             else:
-                raise ValueError(f"engine cannot apply {gate} to {1 + bool(flip)} branches")
-        if not flip:  # one branch: the measurement is certain
-            continue
-        # Born sampling takes the lower basis index on bit 0.  The branches
-        # first differ at the most significant qubit in `flip`: where that
-        # qubit is 0, `planes` is the lower branch, and the flipped one is
-        # taken on bit 1; where it is 1, the flipped branch is taken on bit 0.
-        take_flipped = bits ^ planes[min(flip)]
-        for q in flip:
-            planes[q] ^= take_flipped
+                raise ValueError(f"engine cannot apply {gate}")
 
 
 def encrypt(secrets: Sequence[BinaryImage], master_seed: int) -> ShareSet:

@@ -139,11 +139,11 @@ def test_encrypt_holds_one_serialized_file_at_a_time(tmp_path):
     path = tmp_path / "g.pbm"
     path.write_bytes(write_pbm(make_fixture("text_glyphs", side, side)))
     image = side * side // 8
-    # The packed input and output, one band of engine scratch (at most 1.5
+    # The packed input and output, one band of engine scratch (at most 1.375
     # bytes a pixel and two keystream chunks), one serialized file and 1 MiB
     # of bookkeeping.  Serializing every file before writing any would add n
     # more images.
-    bound = ((2 * n + 1) * image + 1.5 * rng.BAND_PIXELS + 2 * rng.CHUNK + image
+    bound = ((2 * n + 1) * image + 1.375 * rng.BAND_PIXELS + 2 * rng.CHUNK + image
              + (1 << 20))
     tracemalloc.start()
     try:
@@ -408,6 +408,18 @@ def pairs_argv(tmp_path, arity, size):
     assert main(["encrypt", "--seed", "5", *secrets, "-o", "."]) == 0
     shares = [f"S{i}.pbm" for i in range(1, arity + 1)]
     return ["metrics", "--pairs", "--secrets", *secrets, "--shares", *shares, "--unishare", "U.pbm"]
+
+
+@pytest.mark.parametrize("odd", ["S2.pbm", "G2.pbm", "U.pbm"])
+def test_metrics_pairs_with_an_image_of_another_size_exits_3(tmp_path, monkeypatch, capsys, odd):
+    monkeypatch.chdir(tmp_path)
+    argv = pairs_argv(tmp_path, 2, 24)
+    (tmp_path / odd).write_bytes(write_pbm(make_fixture("random", 16, 16, seed=0)))
+    capsys.readouterr()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {odd}: dimensions 16x16 do not match G1.pbm (24x16)\n"
+    assert captured.out == ""
 
 
 def test_metrics_pairs_output_is_pinned(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvmss import rng
-from qvmss.imaging import BinaryImage
+from qvmss.imaging import BinaryImage, pack_rows
 from qvmss.rng import RngStream, packed_bands, unit_array
 from qvmss.scheme import encrypt
 
@@ -87,7 +87,7 @@ def test_scalar_matches_stateful_stream(seed, stream):
 def test_packed_bands_are_the_keystream_in_p4_rows(tag, width, height, band_pixels,
                                                    monkeypatch):
     monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
-    want = np.packbits(keystream_bits(tag, 99, width * height).reshape(height, width), axis=1)
+    want = pack_rows(keystream_bits(tag, 99, width * height), width)  # the images' layout
     got = np.empty_like(want)
     covered = 0
     for rows, packed in packed_bands(99, width, height, tag=tag):

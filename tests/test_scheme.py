@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qvmss import rng, scheme
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
-from qvmss.qsim import cnot, hadamard, pauli_x
+from qvmss.qsim import cnot, hadamard, measure_all, pauli_x
 from qvmss.rng import RngStream
 from qvmss.scheme import (
     MAX_ARITY,
@@ -221,13 +221,14 @@ def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch():
     secret = make_fixture("random", side, side, seed=2)
     output = (n + 1) * side * side // 8
     # Over one band of pixels: the keystream chunks and their join (1/8 byte
-    # a pixel each, plus up to one chunk before the band), and the packed Born
-    # test (1/8 byte a pixel), which the XORs update in place; a width that is
-    # not a multiple of 8 also unpacks the band's bits (1 byte a pixel) and
-    # packs them again.  The fixed 1 MiB covers the interpreter's and numpy's
-    # own bookkeeping, which does not grow with the image.  Holding the
-    # unpacked output would add 7/8 byte per pixel and plane, 62 MB here.
-    scratch = 1.5 * rng.BAND_PIXELS + 2 * rng.CHUNK + (1 << 20)
+    # a pixel each, plus up to one chunk before the band), and the previous
+    # band's packed bits, still held while the next band is drawn (1/8 byte a
+    # pixel); a width that is not a multiple of 8 also unpacks the band's
+    # bits (1 byte a pixel) and packs them again.  The fixed 1 MiB covers the
+    # interpreter's and numpy's own bookkeeping, which does not grow with the
+    # image.  Holding the unpacked output would add 7/8 byte per pixel and
+    # plane, 62 MB here.
+    scratch = 1.375 * rng.BAND_PIXELS + 2 * rng.CHUNK + (1 << 20)
     tracemalloc.start()
     try:
         encrypt([secret] * n, 3)
@@ -286,12 +287,51 @@ def test_encrypt_matches_per_pixel_reference(seed, width, height, picks):
 @pytest.mark.parametrize("program", [
     [hadamard(0), hadamard(1)],
     [pauli_x(1), hadamard(0)],
-], ids=["second_hadamard", "pauli_x"])
+    [hadamard(1)],
+    [hadamard(0), cnot(1, 0)],
+], ids=["second_hadamard", "pauli_x", "hadamard_off_qubit_0", "gate_onto_measured_qubit_0"])
 def test_engine_refuses_a_program_it_cannot_run(program):
     secret = make_fixture("random", 4, 4, seed=0)
     out = np.empty((2, 4, 1), dtype=np.uint8)
     with pytest.raises(ValueError, match="cannot apply"):
         scheme._encode_blocks(program, [secret], 0, out)
+
+
+@st.composite
+def engine_programs(draw):
+    """(n, program): up to 5 CNOTs on n + 1 qubits, then optionally the H on
+    qubit 0 and up to 5 CNOTs that leave qubit 0 alone."""
+    n = draw(st.integers(1, 4))
+
+    def cnots(first_target):
+        pair = st.tuples(st.integers(0, n), st.integers(first_target, n)).filter(
+            lambda ct: ct[0] != ct[1])
+        return draw(st.lists(pair.map(lambda ct: cnot(*ct)), max_size=5))
+
+    program = cnots(0)
+    if draw(st.booleans()):
+        program += [hadamard(0), *cnots(1)]
+    return n, program
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=engine_programs(),
+    width=st.integers(1, 11),
+    height=st.integers(1, 4),
+    seed=st.integers(0, 2**256 - 1),
+)
+def test_engine_equals_the_dense_reference_on_every_program_it_accepts(case, width, height, seed):
+    n, program = case
+    secrets = random_images(n, width, height, seed=seed % 2**32)
+    out = np.empty((n + 1, height, (width + 7) // 8), dtype=np.uint8)
+    scheme._encode_blocks(program, secrets, seed, out)
+    got = np.unpackbits(out, axis=2)[:, :, :width].reshape(n + 1, -1)
+    g_bits = [flat_bits(img) for img in secrets]
+    for p in range(width * height):
+        g = tuple(int(bits[p]) for bits in g_bits)
+        want = measure_all(scheme._run_dense((0, *g), program), RngStream(seed, p))
+        assert "".join(str(b) for b in got[:, p]) == want, (p, program)
 
 
 def test_engine_measures_a_program_without_hadamard_deterministically():
