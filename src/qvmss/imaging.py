@@ -94,13 +94,13 @@ class BinaryImage:
         """
         _check_dimensions(width, height)
         rows = np.asarray(rows)
-        if rows.dtype != np.uint8 or rows.shape != (height, _row_bytes(width)):
+        if rows.dtype != np.uint8 or rows.shape != (height, rng.row_bytes(width)):
             raise ValueError(
-                f"expected ({height}, {_row_bytes(width)}) uint8 rows, "
+                f"expected ({height}, {rng.row_bytes(width)}) uint8 rows, "
                 f"got {rows.shape} {rows.dtype}"
             )
         # Rows of whole bytes have no padding bits to check.
-        if width % 8 and (rows[:, -1] & ~_last_byte_mask(width)).any():
+        if width % 8 and (rows[:, -1] & ~rng.last_byte_mask(width)).any():
             raise ValueError("row padding bits must be 0")
         image = object.__new__(cls)
         image._hold(width, height, rows)
@@ -147,20 +147,9 @@ def pack_rows(bits: np.ndarray, width: int) -> np.ndarray:
     """Flat row-major 0/1 or bool bits, `width` to a row, as new packed P4 rows.
 
     The images' row layout: most significant bit first, and each row
-    zero-padded to whole bytes.  `rng._pixel_rows` packs the keystream so
-    with its own `np.packbits`, as `rng` cannot import this module.
+    zero-padded to whole bytes.
     """
     return np.packbits(bits.reshape(-1, width), axis=1)
-
-
-def _row_bytes(width: int) -> int:
-    """Bytes per packed P4 row of `width` pixels."""
-    return (width + 7) // 8
-
-
-def _last_byte_mask(width: int) -> np.uint8:
-    """The pixel bits of a row's last byte; the rest are padding."""
-    return np.uint8((0xFF00 >> (1 + (width - 1) % 8)) & 0xFF)
 
 
 def count_ones(packed: np.ndarray) -> int:
@@ -277,7 +266,7 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise PbmParseError("expected single whitespace before packed raster", pos)
     pos += 1
-    needed = _row_bytes(width) * height
+    needed = rng.row_bytes(width) * height
     if len(data) - pos < needed:
         raise PbmParseError(
             f"packed raster truncated: need {needed} bytes, have {len(data) - pos}",
@@ -290,7 +279,7 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
     if width % 8 == 0 and isinstance(data, bytes) and len(data) - pos == needed:
         return rows
     rows = rows.copy()  # frees the image from `data` and makes it writable for the mask
-    rows[:, -1] &= _last_byte_mask(width)  # the file's padding bits may be anything
+    rows[:, -1] &= rng.last_byte_mask(width)  # the file's padding bits may be anything
     return rows
 
 
@@ -336,9 +325,9 @@ def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryIma
     """
     _check_dimensions(width, height)
     if kind == "random":
-        # Pixel p is bit p of the fixture's keystream, whose tag `encrypt`
-        # never uses, so a fixture shares no bit with an encryption.
-        rows = np.empty((height, _row_bytes(width)), dtype=np.uint8)
+        # Pixel (x, y) is bit 8*y*row_bytes + x of a keystream whose tag
+        # `encrypt` never uses, so a fixture shares no bit with an encryption.
+        rows = np.empty((height, rng.row_bytes(width)), dtype=np.uint8)
         for band, bits in rng.packed_bands(seed, width, height, tag=rng.FIXTURE_TAG):
             rows[band] = bits
         return BinaryImage.from_rows(width, height, rows)
@@ -350,5 +339,5 @@ def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryIma
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
     band = np.tile(tile, (1, width // tile.shape[1] + 1))[:, :width]
-    rows = np.resize(pack_rows(band, width), (height, _row_bytes(width)))
+    rows = np.resize(pack_rows(band, width), (height, rng.row_bytes(width)))
     return BinaryImage.from_rows(width, height, rows)

@@ -1,16 +1,14 @@
 """Keyed keystream for the Born bits, and the benchmark's SplitMix64 draws.
 
 A Born measurement here is one fair bit: an X/H/CNOT circuit on a basis
-state measures to one of two equally likely branches.  Pixel p's bit is bit
-p, most significant first, of one keystream: the concatenated fixed-size
+state measures to one of two equally likely branches.  The keystream is the
 chunks `shake_128(tag || key || c.to_bytes(8, "little")).digest(CHUNK)`,
-c = 0, 1, ..., where `key` is the seed mod 2^256 as 32 little-endian bytes.
-With the key as prefix, SHAKE128 is a keyed pseudorandom function under the
-sponge bounds.  A bit depends only on its pixel index, so results are
-identical no matter how work is banded or chunked.
-`BORN_TAG` keys `encrypt`, and the random fixture draws under `FIXTURE_TAG`,
-so the two never share a bit.  `_pixel_rows` alone maps pixels to keystream
-bytes: for whole images in `packed_bands`, one pixel in `RngStream.next_bit`.
+c = 0, 1, ..., with `key` the seed mod 2^256 as 32 little-endian bytes: a
+keyed pseudorandom function under the sponge bounds.  Its bytes are P4 rows:
+pixel (x, y) takes bit 8*y*row_bytes(width) + x, most significant first, and
+the padding bits are drawn and discarded.  A bit depends only on its
+position, not on banding or chunking.  `BORN_TAG` keys `encrypt` and
+`FIXTURE_TAG` the random fixture, so the two share no bit.
 """
 from __future__ import annotations
 
@@ -30,11 +28,11 @@ KEY_BITS = 256
 # Domain tags, of one fixed length, so tag || key || counter parses one way.
 BORN_TAG = b"qvmss.born.bit\0\0"
 FIXTURE_TAG = b"qvmss.fixture\0\0\0"
-# Keystream bytes per SHAKE128 call: 8 KiB is 65536 pixels.
+# Keystream bytes per SHAKE128 call: 8 KiB is 65536 bits.
 CHUNK = 1 << 13
 
 # Pixels per band, rounded down to whole image rows (at least one): bounds the
-# band scratch.  Bits are keyed by pixel, so no output depends on it.
+# band scratch.  Bits are keyed by position, so no output depends on it.
 BAND_PIXELS = 1 << 16
 
 
@@ -48,30 +46,38 @@ def _chunk(prefix: bytes, index: int, length: int = CHUNK) -> bytes:
     return hashlib.shake_128(prefix + index.to_bytes(8, "little")).digest(length)
 
 
-def _pixel_rows(prefix: bytes, first: int, width: int, rows: int) -> np.ndarray:
-    """Keystream bits first .. first + rows*width - 1 as `(rows, (width + 7) // 8)`
-    packed P4 rows, padding bits 0: pixel first + k takes bit first + k."""
-    start, stop = first // 8, -(-(first + rows * width) // 8)  # the bytes holding the bits
-    low, high = start // CHUNK, (stop - 1) // CHUNK
-    data = b"".join(_chunk(prefix, c, min(CHUNK, stop - c * CHUNK)) for c in range(low, high + 1))
-    raw = np.frombuffer(data, dtype=np.uint8, offset=start - low * CHUNK)
-    if width % 8 == 0:  # whole bytes per row, so rows start at byte edges
-        return raw.reshape(rows, width // 8)
-    bits = np.unpackbits(raw)[first % 8 : first % 8 + rows * width]
-    return np.packbits(bits.reshape(rows, width), axis=1)
+def _keystream(prefix: bytes, start: int, stop: int) -> np.ndarray:
+    """Keystream bytes start .. stop - 1, a read-only view of the chunks that hold them."""
+    low, high = start // CHUNK, -(-stop // CHUNK)
+    data = b"".join(_chunk(prefix, c, min(CHUNK, stop - c * CHUNK)) for c in range(low, high))
+    return np.frombuffer(data, dtype=np.uint8, offset=start - low * CHUNK)
+
+
+def row_bytes(width: int) -> int:
+    """Bytes per packed P4 row of `width` pixels."""
+    return (width + 7) // 8
+
+
+def last_byte_mask(width: int) -> np.uint8:
+    """The pixel bits of a row's last byte; the rest are padding."""
+    return np.uint8((0xFF00 >> (1 + (width - 1) % 8)) & 0xFF)
 
 
 def packed_bands(seed: int, width: int, height: int,
                  tag: bytes = BORN_TAG) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield `(rows, packed)` for every row band, in order: `rows` is the
-    band's slice of image rows, about BAND_PIXELS pixels and at least one
-    row, and `packed` holds its pixels' keystream bits as read-only packed
-    P4 rows: pixel (x, y) takes bit y*width + x of the `tag` keystream under
-    `seed`."""
-    prefix, band = _prefix(tag, seed), max(1, BAND_PIXELS // width)
+    band's slice of image rows, about BAND_PIXELS pixels and at least one,
+    and `packed` those rows of the `tag` keystream under `seed` (its byte
+    y*row_bytes + j is byte j of row y): a read-only view at whole-byte
+    widths, else a copy with the padding bits cleared."""
+    prefix, stride, band = _prefix(tag, seed), row_bytes(width), max(1, BAND_PIXELS // width)
     for y in range(0, height, band):
         rows = slice(y, min(y + band, height))
-        yield rows, _pixel_rows(prefix, y * width, width, rows.stop - y)
+        packed = _keystream(prefix, y * stride, rows.stop * stride).reshape(-1, stride)
+        if width % 8:  # the padding bits were drawn; clear them
+            packed = packed.copy()
+            packed[:, -1] &= last_byte_mask(width)
+        yield rows, packed
 
 
 def _mix(z: int) -> int:
@@ -113,7 +119,8 @@ def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
 
 @dataclass
 class RngStream:
-    """Pixel `stream_index`'s Born bit under `master_seed`, as a one-draw stream.
+    """Bit `stream_index` of the Born keystream under `master_seed`, as a
+    one-draw stream: pixel (x, y) is stream 8*y*row_bytes + x.
 
     Streams with the same key always yield the same bit, and drawing from one
     stream never affects another.  A stream holds exactly one bit, because
@@ -125,11 +132,14 @@ class RngStream:
     _cursor: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.stream_index < 0:
+            raise ValueError(f"stream index must be a bit position >= 0, got {self.stream_index}")
         self.master_seed %= 1 << KEY_BITS
 
     def next_bit(self) -> int:
         if self._cursor:
             raise ValueError(f"stream {self.stream_index} holds one bit, and it was drawn")
         self._cursor = 1
-        prefix = _prefix(BORN_TAG, self.master_seed)
-        return int(_pixel_rows(prefix, self.stream_index, 1, 1)[0, 0]) >> 7
+        chunk, byte = divmod(self.stream_index // 8, CHUNK)
+        data = _chunk(_prefix(BORN_TAG, self.master_seed), chunk, byte + 1)
+        return data[byte] >> (7 - self.stream_index % 8) & 1

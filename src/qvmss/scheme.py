@@ -167,8 +167,8 @@ def _encode_blocks(
 def encrypt(secrets: Sequence[BinaryImage], master_seed: int) -> ShareSet:
     """Encrypt n same-sized secrets into a UniShare plus n share images.
 
-    n is len(secrets), 1..MAX_ARITY.  Pixel p takes keystream bit p, so the
-    result is bit-exact reproducible from master_seed (taken mod 2^256).
+    n is len(secrets), 1..MAX_ARITY.  Pixel (x, y) takes bit 8*y*row_bytes + x
+    of the keystream under master_seed (mod 2^256), which fixes every output bit.
     The UniShare and the shares are views of one packed, read-only
     `(n + 1, height, row_bytes)` array.
     """

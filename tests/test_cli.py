@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import qvmss
 from qvmss import cli, imaging, metrics, rng, scheme
 from qvmss.cli import main
-from qvmss.imaging import BinaryImage, make_fixture, pack_rows, read_pbm, write_pbm
+from qvmss.imaging import BinaryImage, make_fixture, read_pbm, write_pbm
 
 
 @pytest.fixture
@@ -62,11 +62,13 @@ def test_printed_seed_rebuilds_the_unishare(tmp_path, secret_files):
     assert main(["encrypt", "--seed", "1234", *map(str, secret_files), "-o", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     width, height = manifest["width"], manifest["height"]
-    # Pixel p of U is bit p of SHAKE128(tag || 256-bit key || chunk counter).
+    # Row y of U is keystream bytes y*row_bytes .. (y + 1)*row_bytes - 1 of
+    # SHAKE128(tag || 256-bit key || chunk counter); rows of 32 pixels have
+    # no padding bits to clear.
     key = (manifest["seed"] % 2**256).to_bytes(32, "little")
     chunk = hashlib.shake_128(b"qvmss.born.bit\0\0" + key + bytes(8)).digest(8192)
-    born = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))[: width * height]
-    rebuilt = BinaryImage.from_rows(width, height, pack_rows(born, width))
+    rows = np.frombuffer(chunk, dtype=np.uint8)[: height * width // 8].reshape(height, -1)
+    rebuilt = BinaryImage.from_rows(width, height, rows)
     assert rebuilt == read_pbm((out / "U.pbm").read_bytes())
     recovered = read_pbm((out / "S1.pbm").read_bytes()) ^ rebuilt
     assert recovered == read_pbm(secret_files[0].read_bytes())
@@ -139,11 +141,11 @@ def test_encrypt_holds_one_serialized_file_at_a_time(tmp_path):
     path = tmp_path / "g.pbm"
     path.write_bytes(write_pbm(make_fixture("text_glyphs", side, side)))
     image = side * side // 8
-    # The packed input and output, one band of engine scratch (at most 1.375
+    # The packed input and output, one band of engine scratch (at most 0.375
     # bytes a pixel and two keystream chunks), one serialized file and 1 MiB
     # of bookkeeping.  Serializing every file before writing any would add n
     # more images.
-    bound = ((2 * n + 1) * image + 1.375 * rng.BAND_PIXELS + 2 * rng.CHUNK + image
+    bound = ((2 * n + 1) * image + 0.375 * rng.BAND_PIXELS + 2 * rng.CHUNK + image
              + (1 << 20))
     tracemalloc.start()
     try:
@@ -429,7 +431,7 @@ def test_metrics_pairs_output_is_pinned(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "7c194891ecf956c2b2913a48268e59fa8937d32e527a9e9f23afbb5905a52d2c"
+    assert digest == "975a8fc3fb85ad42681db075509236ebf432d8ed427986b4476c968f7ce89643"
 
 
 # Strings that hold what JSON escapes, and the pair grid's own separators.

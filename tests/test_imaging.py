@@ -525,12 +525,12 @@ def test_random_fixture_is_deterministic():
 # widths above a band's 65536 pixels, which take one row per band.
 RANDOM_FIXTURE_GOLDEN = {
     (1, 1, 0): "76be8b528d0075f7aae98d6fa57a6d3c83ae480a8469e668d7b0af968995ac71",
-    (37, 29, 0): "dc7e9850fe962d825d5f07854896cf75481b8fc4de10ddb2db7e2edce6cccc43",
-    (300, 300, 2**64 - 1): "56b28ab94d56eb3a567678f12876a4d3b27968e7e2147e5f6c70a81c3130ee3a",
+    (37, 29, 0): "3fbccaee1cf97cc18b400f45ed9e3dbe0de32ff51e7b9f1f814bc6c52c57b547",
+    (300, 300, 2**64 - 1): "2051cdd20b2acd0dfa6af5a495b2e7aba7dfc761ddcf75bacd2117c504ee3d50",
     (2048, 33, 2**64 - 1): "a303f21b3df11fd027d2a027ed5f8d145115a091a1e4c6f383c616e53a4caf02",
-    (5, 70000, 2**64 - 1): "39fcc7f562285e4281b087afe34ac9dcc30fc1d65942aabbcd92781bb44bd24f",
-    (70001, 3, 0): "e0a213008b98a03258fc3efb3b8a005450e026239b875670c312b58647cebd14",
-    (70001, 2, 2**64 - 1): "195411b1324b428c1f52806ab6689dbe7fbac738dbed9914a37473c82a116b03",
+    (5, 70000, 2**64 - 1): "5ba965370bb641ed310b6a6d8d4fb0d31f365aa01deef48d451750c3ee9b08d1",
+    (70001, 3, 0): "663a30d58afc1caab2b4ec503d9bb42b26b2bd58ed35f8ec9fc42d2320a822c2",
+    (70001, 2, 2**64 - 1): "280dcdd5794f4ea4daf15542b928ee424c3f1b5ee0258ba78c526c6a1619cf46",
 }
 
 
@@ -543,9 +543,10 @@ def test_random_fixture_is_pinned(width, height, seed):
 
 def test_random_fixture_peak_memory_is_one_band_of_draws():
     # The packed image is 512 KiB, and one band of keystream scratch is at
-    # most 1.5 bytes a pixel plus two 8 KiB chunks, about 112 KiB: 2047 is
-    # not a multiple of 8, so its bands are unpacked and packed again.  One
-    # unpacked byte per pixel would be 4 MiB.
+    # most 0.375 bytes a pixel plus two 8 KiB chunks, about 40 KiB: 2047 is
+    # not a multiple of 8, so each band is copied to clear its padding bits.
+    # Measured: 18 KiB beyond the image at width 2048 and 25 KiB at 2047.
+    # One unpacked byte per pixel would be 4 MiB.
     make_fixture("random", 8, 8)
     for width in (2048, 2047):
         tracemalloc.start()

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvmss import rng
-from qvmss.imaging import BinaryImage, pack_rows
+from qvmss.imaging import BinaryImage
 from qvmss.rng import RngStream, packed_bands, unit_array
 from qvmss.scheme import encrypt
 
@@ -15,13 +15,26 @@ u64s = st.integers(min_value=0, max_value=(1 << 64) - 1)
 MASK64 = (1 << 64) - 1
 
 
-def keystream_bits(tag, seed, count):
-    """The first `count` bits of the keystream, from hashlib and the documented layout."""
+def keystream_bytes(tag, seed, count):
+    """The first `count` bytes of the keystream, from hashlib and the documented layout."""
     key = (seed % 2**256).to_bytes(32, "little")
-    chunks = range(-(-count // (8 * 8192)))
     data = b"".join(hashlib.shake_128(tag + key + c.to_bytes(8, "little")).digest(8192)
-                    for c in chunks)
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:count]
+                    for c in range(-(-count // 8192)))
+    return np.frombuffer(data, dtype=np.uint8, count=count)
+
+
+def keystream_bits(tag, seed, count):
+    """The first `count` bits of the keystream, most significant first."""
+    return np.unpackbits(keystream_bytes(tag, seed, -(-count // 8)))[:count]
+
+
+def keystream_rows(tag, seed, width, height):
+    """The keystream as `(height, row_bytes)` P4 rows: byte y*row_bytes + j is
+    byte j of row y, and each row's padding bits are cleared."""
+    row_bytes = (width + 7) // 8
+    rows = keystream_bytes(tag, seed, height * row_bytes).reshape(height, row_bytes).copy()
+    rows[:, -1] &= 0xFF << (8 * row_bytes - width) & 0xFF
+    return rows
 
 
 def splitmix64(seed, stream, cursor):
@@ -60,13 +73,33 @@ def test_a_stream_holds_one_bit():
 
 
 def test_next_bit_is_the_engines_pixel_bit():
-    # 300x300 is two bands of a width that is not a multiple of 8, and bits
-    # 65535, 65536 and 65537 straddle the keystream's first chunk edge.
+    # 300x300 is two bands of a width that is not a multiple of 8: rows are
+    # 38 bytes, so pixel (x, y) is stream 304*y + x.  (99, 217) and (100, 218)
+    # straddle the band edge, and (175, 215) and (176, 215) the keystream's
+    # first chunk edge.
     seed = 2**200 + 5
     blank = BinaryImage(300, 300, np.zeros(300 * 300, dtype=np.uint8))
-    u = encrypt([blank], seed).unishare.as_grid().reshape(-1)
-    for p in (0, 1, 7, 8, 299, 300, 65399, 65400, 65535, 65536, 65537, 89999):
-        assert RngStream(seed, p).next_bit() == u[p], p
+    u = encrypt([blank], seed).unishare.as_grid()
+    for x, y in ((0, 0), (1, 0), (7, 0), (8, 0), (299, 0), (0, 1), (99, 217), (100, 218),
+                 (175, 215), (176, 215), (177, 215), (299, 299)):
+        assert RngStream(seed, 304 * y + x).next_bit() == u[y, x], (x, y)
+
+
+@pytest.mark.parametrize("width, height", [(37, 4000), (300, 500), (70001, 3)])
+def test_unishare_of_a_blank_secret_is_the_keystream_in_p4_rows(width, height):
+    # The expected rows come from hashlib alone, and each case spans three bands.
+    seed, row_bytes = 2**255 + 11, (width + 7) // 8
+    want = keystream_rows(b"qvmss.born.bit\0\0", seed, width, height)
+    blank = BinaryImage(width, height, np.zeros(width * height, dtype=np.uint8))
+    unishare = encrypt([blank], seed).unishare
+    assert np.array_equal(unishare.rows, want)
+    # The bits on both sides of the first two chunk edges, at bytes 8192 and 16384.
+    grid = unishare.as_grid()
+    for edge in (8 * 8192, 16 * 8192):
+        for bit in (edge - 1, edge):
+            y, x = divmod(bit, 8 * row_bytes)
+            assert x < width  # a pixel, not a padding bit
+            assert RngStream(seed, 8 * y * row_bytes + x).next_bit() == grid[y, x], (x, y)
 
 
 @settings(max_examples=50)
@@ -87,7 +120,7 @@ def test_scalar_matches_stateful_stream(seed, stream):
 def test_packed_bands_are_the_keystream_in_p4_rows(tag, width, height, band_pixels,
                                                    monkeypatch):
     monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
-    want = pack_rows(keystream_bits(tag, 99, width * height), width)  # the images' layout
+    want = keystream_rows(tag, 99, width, height)
     got = np.empty_like(want)
     covered = 0
     for rows, packed in packed_bands(99, width, height, tag=tag):
@@ -96,6 +129,12 @@ def test_packed_bands_are_the_keystream_in_p4_rows(tag, width, height, band_pixe
         covered = rows.stop
     assert covered == height
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("index", [-1, -9])
+def test_a_negative_stream_index_is_refused(index):
+    with pytest.raises(ValueError, match=f"got {index}"):
+        RngStream(0, index)
 
 
 def test_negative_seed_wraps_mod_2_256():
