@@ -24,6 +24,13 @@ wider than the bound (as a share of the baseline's median), unless every
 run of the change is better than every run of the baseline, or when a side
 has no sound run; and `-` when the change is within its bound of a baseline
 that is steady enough to tell.
+
+`--json PATH` appends one entry to the JSON list in PATH (made if missing):
+the header of `bench_entry.py` for this checkout's `src/qvmss`, the
+baseline's revision as `baseline`, the workload, the number of pairs and the
+seconds of each run, and one row per metric: its unit, each side's
+quartiles over its sound runs (null when it has none), the change's wins and
+the verdict.  The script imports nothing of either checkout's program.
 """
 import argparse
 import json
@@ -32,6 +39,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from bench_entry import append_entry, source_revision
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("baseline", "change")
@@ -102,7 +111,8 @@ def verdict(metric, pairs, wins, base, change):
 
 
 def report(results):
-    """Print the lost runs, each metric's values run by run, and one row per metric."""
+    """Print the lost runs, each metric's values run by run, and one row per
+    metric; return those rows."""
     for index, pair in enumerate(results, start=1):
         for side in SIDES:
             result = pair[side]
@@ -122,6 +132,7 @@ def report(results):
           + "".join(f" {side + ' q1':>14} {side + ' med':>14} {side + ' q3':>14}"
                     for side in SIDES)
           + f" {'wins':>6} verdict")
+    rows = []
     for metric, spec in END_TO_END.items():
         values = sound[metric]
         wins = sum(change_wins(metric, p["baseline"], p["change"]) for p in results)
@@ -131,6 +142,11 @@ def report(results):
         judged = (verdict(metric, len(results), wins, values["baseline"], values["change"])
                   if all(values.values()) else "unresolved")
         print(f"{metric:<14} {spec['unit']:<6}{cells} {f'{wins}/{len(results)}':>6} {judged}")
+        rows.append({"metric": metric, "unit": spec["unit"],
+                     **{side: list(quartiles(values[side])) if values[side] else None
+                        for side in SIDES},
+                     "wins": wins, "verdict": judged})
+    return rows
 
 
 def main():
@@ -140,6 +156,7 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=positive_int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--json", metavar="PATH", help="append this run's entry to PATH")
     args = parser.parse_args()
     if not (args.baseline / "bench" / "run.py").is_file():
         parser.error(f"argument baseline: no bench/run.py under {args.baseline}")
@@ -153,7 +170,11 @@ def main():
                 for side in order}
         results.append(pair)
         print(f"pair {index + 1} seed {seed}: {' then '.join(order)}", flush=True)
-    report(results)
+    rows = report(results)
+    if args.json:
+        append_entry(args.json, rows, ROOT / "src" / "qvmss",
+                     baseline=source_revision(checkouts["baseline"] / "src" / "qvmss"),
+                     workload=args.workload, pairs=args.pairs, seconds=args.seconds)
 
 
 if __name__ == "__main__":

@@ -22,9 +22,8 @@ inputs.  Each command runs once untimed on each side first, and each side's
 `decrypt` must give back the secrets byte for byte, or the script stops.
 
 `--json PATH` appends one entry to the JSON list in PATH (made if missing),
-with the same revision, Python, numpy and `nproc` header as
-`benchmark_encrypt.py`, the baseline's revision as `baseline` when there is
-one, and one row per case.
+with the header of `bench_entry.py` for the imported `qvmss` sources, the
+baseline's revision as `baseline` when there is one, and one row per case.
 """
 import argparse
 import os
@@ -33,7 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from benchmark_encrypt import append_entry, source_revision, spread, timed
+from bench_entry import append_entry, source_revision
+from benchmark_encrypt import spread, timed
 
 import qvmss
 from qvmss.cli import positive_int
@@ -130,7 +130,7 @@ def main():
                 rows.append(row)
     if args.json:
         fields = {"baseline": source_revision(sources[1] / "qvmss")} if args.baseline else {}
-        append_entry(args.json, rows, **fields)
+        append_entry(args.json, rows, sources[0] / "qvmss", **fields)
 
 
 if __name__ == "__main__":

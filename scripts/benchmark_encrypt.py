@@ -10,22 +10,15 @@ own keystream bits, plus the XOR oracle `classical_encrypt`, on the same
 inputs.  `floor_x` is the best run over the floor.
 
 `--json PATH` appends one entry to the JSON list in PATH (made if missing):
-the git revision of the benchmarked `qvmss` sources (with `-dirty` when a file
-under `src/qvmss` differs from that revision), the Python and numpy
-versions, `nproc` (the number of CPUs this process may run on: its CPU
-affinity where the platform reports one, else the CPU count) and one row
-per case.
+the header of `bench_entry.py` for the imported `qvmss` sources (their git
+revision, the Python and numpy versions and `nproc`) and one row per case.
 """
 import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
 import time
 from pathlib import Path
 
-import numpy as np
+from bench_entry import append_entry
 
 import qvmss
 from qvmss import rng
@@ -73,33 +66,6 @@ def run_case(size, arity, seed, repeats):
     return times, min(timed(repeats, floor))
 
 
-def source_revision(package_dir=Path(qvmss.__file__).parent):
-    """`git describe --always` of the tree holding a qvmss package directory,
-    the imported one by default, with `-dirty` when a file in that directory
-    differs from it."""
-    def git(*args):
-        return subprocess.run(["git", *args], capture_output=True, text=True,
-                              cwd=package_dir)
-
-    try:
-        described, status = git("describe", "--always"), git("status", "--porcelain", "--", ".")
-    except OSError:
-        return "unknown"
-    if described.returncode or status.returncode:
-        return "unknown"
-    return described.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
-
-
-def append_entry(path, rows, **fields):
-    """Append an entry of the header, any extra `fields` and `rows` to PATH."""
-    path = Path(path)
-    entries = json.loads(path.read_text()) if path.exists() else []
-    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    entries.append({"revision": source_revision(), "python": platform.python_version(),
-                    "numpy": np.__version__, "nproc": nproc, **fields, "rows": rows})
-    path.write_text(json.dumps(entries, indent=2) + "\n")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", type=positive_int, nargs="+", default=[128, 256, 512])
@@ -125,7 +91,7 @@ def main():
             rows.append({"size": size, "arity": arity, "seconds": seconds,
                          "median_s": median, "iqr_s": iqr, "floor_s": floor, "floor_x": floor_x})
     if args.json:
-        append_entry(args.json, rows)
+        append_entry(args.json, rows, Path(qvmss.__file__).parent)
 
 
 if __name__ == "__main__":

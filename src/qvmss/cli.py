@@ -22,6 +22,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -76,18 +77,29 @@ def _load_image(path: str) -> BinaryImage:
         raise _Failure(EXIT_IO, f"{path}: {exc}")
 
 
-# The C encoder writes a flat record's fields with the separators that
-# `indent=2` puts inside a list: Python before 3.13 encodes in pure Python
-# whenever `indent` is set.
-_RECORD_FIELDS = json.JSONEncoder(separators=(",\n    ", ": "))
+# One pair record as `json.dumps(records, indent=2)` writes it inside the list.
+# The json module writes a finite float as `float.__repr__`, which `%r` gives.
+_RECORD = ('{\n    "a": %s,\n    "b": %s,\n    "mse": %r,\n    "psnr_db": %s,\n    "ssim": %r,'
+           '\n    "correlation": %s,\n    "mismatch_fraction": %r,\n    "ones_fraction_a": %s,'
+           '\n    "ones_fraction_b": %s,\n    "width": %d,\n    "height": %d\n  }')
 
 
-def _records_json(records: list[dict]) -> str:
-    """Exactly `json.dumps(records, indent=2)` for a list of non-empty flat records."""
-    if not records:
-        return "[]"
-    items = ["{\n    " + _RECORD_FIELDS.encode(record)[1:-1] + "\n  }" for record in records]
-    return "[\n  " + ",\n  ".join(items) + "\n]"
+def _pairs_json(names: list[str], scored: list[tuple[int, int, metrics.MetricsReport]]) -> str:
+    """Exactly `json.dumps(records, indent=2)` of the records `{"a": names[i],
+    "b": names[j], **report.to_dict()}` for each `(i, j, report)`, each from the
+    `_RECORD` template: image i's name is JSON-escaped once, and its ones
+    fraction written once, from the first report that scores it."""
+    quoted, ones, records = [json.dumps(name) for name in names], {}, []
+    for i, j, r in scored:
+        if i not in ones:
+            ones[i] = repr(r.ones_fraction_a)
+        if j not in ones:
+            ones[j] = repr(r.ones_fraction_b)
+        records.append(_RECORD % (
+            quoted[i], quoted[j], r.mse, '"inf"' if math.isinf(r.psnr_db) else repr(r.psnr_db),
+            r.ssim, "null" if r.correlation is None else repr(r.correlation),
+            r.mismatch_fraction, ones[i], ones[j], r.width, r.height))
+    return "[\n  " + ",\n  ".join(records) + "\n]" if records else "[]"
 
 
 def _matching_images(paths: list[str]) -> Iterator[BinaryImage]:
@@ -205,15 +217,15 @@ def cmd_decrypt(args) -> int:
     return EXIT_OK
 
 
-def _pair_entry(name_a: str, a: BinaryImage, name_b: str, b: BinaryImage) -> dict:
-    return {"a": name_a, "b": name_b, **metrics.report(a, b).to_dict()}
+def _pair_grid(n: int) -> list[tuple[int, int]]:
+    """Index pairs over the images G1..Gn, S1..Sn, U: every secret x share
+    pair, then every secret and share against the UniShare."""
+    return [(g, n + s) for g in range(n) for s in range(n)] + [(i, 2 * n) for i in range(2 * n)]
 
 
-def _pair_grid(secrets: list[tuple[str, BinaryImage]], shares: list[tuple[str, BinaryImage]],
-               unishare: tuple[str, BinaryImage]) -> list[dict]:
-    """Every secret x share pair, then every secret and share against the UniShare."""
-    entries = [_pair_entry(gn, g, sn, s) for gn, g in secrets for sn, s in shares]
-    return entries + [_pair_entry(name, image, *unishare) for name, image in [*secrets, *shares]]
+def _scored(images: list[BinaryImage], pairs: list[tuple[int, int]]):
+    """`(i, j, report)` for each index pair, one `metrics.report` call each."""
+    return [(i, j, metrics.report(images[i], images[j])) for i, j in pairs]
 
 
 def cmd_metrics(args) -> int:
@@ -222,9 +234,8 @@ def cmd_metrics(args) -> int:
             raise _Failure(EXIT_IO, "--pairs needs --secrets, --shares and --unishare, "
                                     "not positional images")
         paths = [*args.secrets, *args.shares, args.unishare]
-        named = list(zip(paths, _matching_images(paths)))
-        n = len(args.secrets)
-        print(_records_json(_pair_grid(named[:n], named[n:-1], named[-1])))
+        scored = _scored(list(_matching_images(paths)), _pair_grid(len(args.secrets)))
+        print(_pairs_json(paths, scored))
         return EXIT_OK
 
     if args.secrets or args.shares or args.unishare:
@@ -236,13 +247,6 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _format_metric(value) -> str:
-    """An 8-wide table cell for a report value: None is n/a, and PSNR may be "inf"."""
-    if value is None or value == "inf":
-        return f"{value or 'n/a':>8}"
-    return f"{value:8.4f}"
-
-
 def cmd_demo(args) -> int:
     seed = _resolve_seed(args.seed)
     fixtures = [make_fixture(k, 512, 512) for k in ("text_glyphs", "checkerboard")]
@@ -251,10 +255,12 @@ def cmd_demo(args) -> int:
     share_files = _share_files(share_set)
     recovered = dict(_recovered_files(share_set.unishare, share_set.shares))
 
-    unishare, *shares = share_files.items()
-    entries = [_pair_entry(*g, *r) for g, r in zip(secrets.items(), recovered.items())]
-    entries += _pair_grid(list(secrets.items()), shares, unishare)
-    pairs_json = (_records_json(entries) + "\n").encode("ascii")
+    # G1 G2 S1 S2 U, as `_pair_grid` takes them, then G1_rec G2_rec.
+    graded = {**secrets, **dict(_numbered("S{}.pbm", share_set.shares)),
+              "U.pbm": share_set.unishare, **recovered}
+    names, n = list(graded), len(fixtures)
+    scored = _scored(list(graded.values()), [(k, 2 * n + 1 + k) for k in range(n)] + _pair_grid(n))
+    pairs_json = (_pairs_json(names, scored) + "\n").encode("ascii")
     artifacts = _publish(args.out_dir, {**secrets, **share_files, **recovered,
                                         "metrics_pairs.json": pairs_json}.items(),
                          "p4", manifest=_run_manifest(seed, share_set))
@@ -264,10 +270,10 @@ def cmd_demo(args) -> int:
     header = f"{'pair':<24} {'psnr_db':>8} {'ssim':>8} {'corr':>8} {'mismatch':>8}"
     print(header)
     print("-" * len(header))
-    for entry in entries:
-        label = f"{entry['a'][:-4]} vs {entry['b'][:-4]}"
-        cells = [_format_metric(entry[key])
-                 for key in ("psnr_db", "ssim", "correlation", "mismatch_fraction")]
+    for i, j, r in scored:
+        label = f"{names[i][:-4]} vs {names[j][:-4]}"
+        cells = [f"{'n/a':>8}" if v is None else f"{v:8.4f}"  # PSNR may be inf
+                 for v in (r.psnr_db, r.ssim, r.correlation, r.mismatch_fraction)]
         print(f"{label:<24} {' '.join(cells)}")
     return EXIT_OK
 

@@ -127,13 +127,18 @@ class BinaryImage:
         return BinaryImage.from_rows(self.width, self.height, self.rows ^ other.rows)
 
     @functools.cached_property
+    def flat(self) -> np.ndarray:
+        """`rows` as one flat uint8 view, made on first use and then cached."""
+        return self.rows.reshape(-1)
+
+    @functools.cached_property
     def ones(self) -> int:
         """The number of 1 pixels, popcounted on first use and then cached.
 
         The cache is valid because `rows` is a read-only view and nobody
         writes the array it views afterwards (see `from_rows`).
         """
-        return count_ones(self.rows)
+        return count_ones(self.flat)
 
     def ones_fraction(self) -> float:
         return self.ones / (self.width * self.height)
@@ -154,7 +159,7 @@ def pack_rows(bits: np.ndarray, width: int) -> np.ndarray:
 
 def count_ones(packed: np.ndarray) -> int:
     """Set bits in a uint8 array, popcounted 8 bytes at a time where the size allows."""
-    flat = packed.reshape(-1)  # a copy only if `packed` is not contiguous
+    flat = packed if packed.ndim == 1 else packed.reshape(-1)  # a copy only if not contiguous
     if flat.size % 8 == 0:
         flat = flat.view(np.uint64)
     return int(np.bitwise_count(flat).sum())

@@ -51,11 +51,11 @@ def report(a: BinaryImage, b: BinaryImage) -> MetricsReport:
     """Every metric for a pair of equal-sized binary images.
 
     The counts are popcounts over the packed rows, whose padding bits are
-    0 and so count nothing.  Each image counts its own ones once and caches
-    them, so a pair costs one AND and one popcount.
+    0 and so count nothing.  Each image caches its ones count and the `flat`
+    view of its rows, so a pair costs one AND and one popcount, and no reshape.
     """
     require_same_shape(a, b)
-    n_11 = count_ones(np.bitwise_and(a.rows, b.rows))
+    n_11 = count_ones(np.bitwise_and(a.flat, b.flat))
     return from_counts(a.width, a.height, a.ones, b.ones, n_11)
 
 

@@ -46,13 +46,6 @@ def _chunk(prefix: bytes, index: int, length: int = CHUNK) -> bytes:
     return hashlib.shake_128(prefix + index.to_bytes(8, "little")).digest(length)
 
 
-def _keystream(prefix: bytes, start: int, stop: int) -> np.ndarray:
-    """Keystream bytes start .. stop - 1, a read-only view of the chunks that hold them."""
-    low, high = start // CHUNK, -(-stop // CHUNK)
-    data = b"".join(_chunk(prefix, c, min(CHUNK, stop - c * CHUNK)) for c in range(low, high))
-    return np.frombuffer(data, dtype=np.uint8, offset=start - low * CHUNK)
-
-
 def row_bytes(width: int) -> int:
     """Bytes per packed P4 row of `width` pixels."""
     return (width + 7) // 8
@@ -69,11 +62,19 @@ def packed_bands(seed: int, width: int, height: int,
     band's slice of image rows, about BAND_PIXELS pixels and at least one,
     and `packed` those rows of the `tag` keystream under `seed` (its byte
     y*row_bytes + j is byte j of row y): a read-only view at whole-byte
-    widths, else a copy with the padding bits cleared."""
+    widths, else a copy with the padding bits cleared.  Each chunk is hashed
+    once: the chunk that a band ends in is carried over to the next band."""
     prefix, stride, band = _prefix(tag, seed), row_bytes(width), max(1, BAND_PIXELS // width)
+    total, carried, carry = height * stride, -1, b""
     for y in range(0, height, band):
         rows = slice(y, min(y + band, height))
-        packed = _keystream(prefix, y * stride, rows.stop * stride).reshape(-1, stride)
+        start, stop = y * stride, rows.stop * stride
+        low, high = start // CHUNK, -(-stop // CHUNK)
+        chunks = [carry if c == carried else _chunk(prefix, c, min(CHUNK, total - c * CHUNK))
+                  for c in range(low, high)]
+        carried, carry = high - 1, chunks[-1]
+        packed = np.frombuffer(b"".join(chunks), dtype=np.uint8, count=stop - start,
+                               offset=start - low * CHUNK).reshape(-1, stride)
         if width % 8:  # the padding bits were drawn; clear them
             packed = packed.copy()
             packed[:, -1] &= last_byte_mask(width)

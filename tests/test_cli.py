@@ -436,21 +436,36 @@ def test_metrics_pairs_output_is_pinned(tmp_path, monkeypatch, capsys):
 
 # Strings that hold what JSON escapes, and the pair grid's own separators.
 json_text = st.text() | st.text(st.sampled_from('ab"\\\n\t,: {}[]é€\x00\U0001f600'))
-flat_record = st.dictionaries(
-    json_text,
-    st.one_of(json_text, st.integers(), st.floats(), st.none(), st.booleans()),
-    min_size=1,
-    max_size=6,
-)
+
+
+@st.composite
+def scored_grids(draw):
+    """Image names, and `(i, j, report)` records over images of one size, each
+    image with one ones count: a pair of an image with itself is identical
+    (PSNR inf), and an image of no or all ones is constant (no correlation)."""
+    width, height = draw(st.integers(1, 4096)), draw(st.integers(1, 4096))
+    n = width * height
+    ones = st.sampled_from([0, n]) | st.integers(0, n)
+    images = draw(st.lists(st.tuples(json_text, ones), min_size=1, max_size=5))
+    index = st.integers(0, len(images) - 1)
+    scored = []
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=6)):
+        n_a, n_b = images[i][1], images[j][1]
+        n_11 = n_a if i == j else draw(st.integers(max(0, n_a + n_b - n), min(n_a, n_b)))
+        scored.append((i, j, metrics.from_counts(width, height, n_a, n_b, n_11)))
+    return [name for name, _ in images], scored
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(flat_record, max_size=4))
-@example([])
-@example([{"a": 'G1, "x"\n\\é', "nan": float("nan"), "inf": float("inf"),
-           "-inf": float("-inf"), "none": None, "yes": True, "n": -3, "x": 0.1}])
-def test_records_json_is_json_dumps_indent_2(records):
-    assert cli._records_json(records) == json.dumps(records, indent=2)
+@given(scored_grids())
+@example((["G1.pbm"], []))
+@example((['G1, "x"\n\\é', "U.pbm", "C.pbm"], [(0, 1, metrics.from_counts(3, 1, 1, 2, 1)),
+                                               (1, 1, metrics.from_counts(3, 1, 2, 2, 2)),
+                                               (2, 0, metrics.from_counts(3, 1, 3, 1, 1))]))
+def test_pairs_json_is_json_dumps_indent_2(grid):
+    names, scored = grid
+    records = [{"a": names[i], "b": names[j], **r.to_dict()} for i, j, r in scored]
+    assert cli._pairs_json(names, scored) == json.dumps(records, indent=2)
 
 
 @pytest.mark.parametrize("arity", [2, 8])

@@ -352,23 +352,40 @@ def test_engine_measures_a_program_without_hadamard_deterministically():
     assert np.array_equal(out[1], secret.rows)
 
 
+def counted_chunks(monkeypatch):
+    """The `(index, length)` of every keystream chunk hashed from now on."""
+    calls, chunk = [], rng._chunk
+
+    def counted(prefix, index, length=rng.CHUNK):
+        calls.append((index, length))
+        return chunk(prefix, index, length)
+
+    monkeypatch.setattr(rng, "_chunk", counted)
+    return calls
+
+
 def test_encrypt_draws_once_per_pixel(monkeypatch):
     # Each pixel takes exactly one keystream bit, its own: every byte of the
-    # image's 300 rows of 38 bytes is read once, and no byte past them.
+    # image's 300 rows of 38 bytes is hashed once, and no byte past them.
     secrets = random_images(2, 300, 300, seed=6)  # two bands
-    reads, keystream = [], rng._keystream
-
-    def counted_keystream(prefix, start, stop):
-        reads.append((start, stop))
-        return keystream(prefix, start, stop)
-
-    monkeypatch.setattr(rng, "_keystream", counted_keystream)
+    calls = counted_chunks(monkeypatch)
     encrypt(secrets, 3)
     taken = np.zeros(300 * 38, dtype=np.int64)
-    for start, stop in reads:
-        assert 0 <= start < stop <= taken.size
-        taken[start:stop] += 1
+    for index, length in calls:
+        start = index * rng.CHUNK
+        assert 0 <= start < start + length <= taken.size
+        taken[start:start + length] += 1
     assert (taken == 1).all()
+
+
+@pytest.mark.parametrize("width", [2040, 2047])
+def test_encrypt_hashes_each_keystream_chunk_once(width, monkeypatch):
+    # At width 2040 a row is 255 bytes, so most bands end inside a chunk.
+    secrets = random_images(1, width, 2048, seed=1)
+    calls = counted_chunks(monkeypatch)
+    encrypt(secrets, 3)
+    chunks = -(-2048 * rng.row_bytes(width) // rng.CHUNK)
+    assert [index for index, _ in calls] == list(range(chunks))
 
 
 def test_engine_copies_a_qubit_no_gate_writes():

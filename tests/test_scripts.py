@@ -161,6 +161,20 @@ def stub_checkout(path, results):
     (path / "results.json").write_text(json.dumps(results))
 
 
+def run_judge(tmp_path, baseline, change, *args):
+    """Run bench_pairs.py, as a copy inside a stand-in change checkout, against
+    a stand-in baseline checkout: each prints its results[seed]."""
+    stub_checkout(tmp_path / "base", baseline)
+    stub_checkout(tmp_path / "change", change)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
+    (tmp_path / "change" / "scripts").mkdir()
+    for script in ("bench_pairs.py", "bench_entry.py"):
+        shutil.copy(ROOT / "scripts" / script, tmp_path / "change" / "scripts")
+    # The judge imports nothing of the program it judges.
+    return run_python(str(tmp_path / "change" / "scripts" / "bench_pairs.py"),
+                      str(tmp_path / "base"), *args, src=tmp_path / "no-such-src")
+
+
 def bench_result(correct=True, failed=0, **values):
     units = {"setup_s": "s", "encrypt_s": "s", "metrics_s": "s", "secret_mpx_s": "Mpx/s",
              "peak_rss_mib": "MiB"}
@@ -183,15 +197,8 @@ def test_bench_pairs_alternates_two_checkouts_and_judges_each_metric(tmp_path):
     change = {str(seed): bench_result(correct=seed != 3, metrics_s=0.004, secret_mpx_s=60.0,
                                       encrypt_s=0.0045, peak_rss_mib=100.0)
               for seed in range(1, 11)}
-    stub_checkout(tmp_path / "base", baseline)
-    stub_checkout(tmp_path / "change", change)
-    shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
-    (tmp_path / "change" / "scripts").mkdir()
-    shutil.copy(ROOT / "scripts" / "bench_pairs.py", tmp_path / "change" / "scripts")
-    # The judge imports nothing of the program it judges.
-    proc = run_python(str(tmp_path / "change" / "scripts" / "bench_pairs.py"),
-                      str(tmp_path / "base"), "--workload", "high-arity", "--pairs", "10",
-                      "--seconds", "45", src=tmp_path / "no-such-src")
+    proc = run_judge(tmp_path, baseline, change, "--workload", "high-arity", "--pairs", "10",
+                     "--seconds", "45")
     assert proc.returncode == 0, proc.stderr
 
     calls = (tmp_path / "calls.log").read_text().splitlines()
@@ -216,6 +223,35 @@ def test_bench_pairs_alternates_two_checkouts_and_judges_each_metric(tmp_path):
         "peak_rss_mib": ["1/10", "worse"],
     }
     assert rows["metrics_s"][2:8] == ["0.00525", "0.0056", "0.00585", "0.004", "0.004", "0.004"]
+
+
+def test_bench_pairs_appends_a_json_entry(tmp_path):
+    # Three pairs: the change's metrics_s is lower in each, and pair 2's change run is lost.
+    baseline = {str(seed): bench_result(metrics_s=0.005 + 0.001 * seed) for seed in (1, 2, 3)}
+    change = {str(seed): bench_result(correct=seed != 2, metrics_s=0.004) for seed in (1, 2, 3)}
+    record = tmp_path / "BENCH_pairs.json"
+    for _ in range(2):
+        proc = run_judge(tmp_path, baseline, change, "--workload", "paper-n2", "--pairs", "3",
+                         "--seconds", "2", "--json", str(record))
+        assert proc.returncode == 0, proc.stderr
+        shutil.rmtree(tmp_path / "base")
+        shutil.rmtree(tmp_path / "change")
+    entries = json.loads(record.read_text())
+    assert len(entries) == 2
+    for entry in entries:
+        assert set(entry) == {"revision", "python", "numpy", "nproc", "baseline", "workload",
+                              "pairs", "seconds", "rows"}
+        # Neither stand-in is a git checkout.
+        assert (entry["revision"], entry["baseline"]) == ("unknown", "unknown")
+        assert (entry["workload"], entry["pairs"], entry["seconds"]) == ("paper-n2", 3, 2.0)
+        rows = {row["metric"]: row for row in entry["rows"]}
+        assert list(rows) == ["setup_s", "encrypt_s", "metrics_s", "secret_mpx_s",
+                              "peak_rss_mib"]
+        assert rows["metrics_s"] == {"metric": "metrics_s", "unit": "s",
+                                     "baseline": [0.006, 0.007, 0.008],
+                                     "change": [0.004, 0.004, 0.004],
+                                     "wins": 2, "verdict": "-"}
+        assert rows["setup_s"]["wins"] == 0 and rows["setup_s"]["verdict"] == "-"
 
 
 @pytest.mark.parametrize("script, args", [
