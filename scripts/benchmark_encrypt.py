@@ -5,9 +5,10 @@ Times `encrypt` across image sizes and arities, and verifies each run
 round-trips before reporting it.  Each case runs `--repeats` times:
 `seconds` is the best run, and `median_s` and `iqr_s` (upper minus lower
 quartile, 0.0 below two repeats) show their spread.  `floor_s` is the best
-time of the floor: one `rng.packed_bands` pass over the image, the engine's
-own keystream bits, plus the XOR oracle `classical_encrypt`, on the same
-inputs.  `floor_x` is the best run over the floor.
+time of the floor: one `rng.keystream_into` pass over the image, drawing
+the engine's own keystream bytes into a buffer made beforehand, plus the
+XOR oracle `classical_encrypt`, on the same inputs.  `floor_x` is the best
+run over the floor.
 
 `--json PATH` appends one entry to the JSON list in PATH (made if missing):
 the header of `bench_entry.py` for the imported `qvmss` sources (their git
@@ -58,9 +59,10 @@ def run_case(size, arity, seed, repeats):
     assert decrypt_all(share_set) == secrets, "round trip failed"
     times = timed(repeats, lambda: encrypt(secrets, seed))
 
+    keystream = bytearray(size * rng.row_bytes(size))
+
     def floor():
-        for _ in rng.packed_bands(seed, size, size):
-            pass
+        rng.keystream_into(keystream, seed)
         classical_encrypt(secrets, share_set.unishare)
 
     return times, min(timed(repeats, floor))

@@ -325,16 +325,18 @@ def _text_tile() -> np.ndarray:
 def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryImage:
     """Deterministic test image: checkerboard, random, or text_glyphs.
 
-    Each is born as packed rows: `random` one `rng.packed_bands` band at a
-    time, the tiled kinds as one tile-high band, packed once and repeated down.
+    Each is born as packed rows: `random` drawn into them in one
+    `rng.keystream_into` pass, the tiled kinds as one tile-high band, packed
+    once and repeated down.
     """
     _check_dimensions(width, height)
     if kind == "random":
         # Pixel (x, y) is bit 8*y*row_bytes + x of a keystream whose tag
         # `encrypt` never uses, so a fixture shares no bit with an encryption.
         rows = np.empty((height, rng.row_bytes(width)), dtype=np.uint8)
-        for band, bits in rng.packed_bands(seed, width, height, tag=rng.FIXTURE_TAG):
-            rows[band] = bits
+        rng.keystream_into(rows, seed, tag=rng.FIXTURE_TAG)
+        if width % 8:  # the padding bits were drawn; clear them
+            rows[:, -1] &= rng.last_byte_mask(width)
         return BinaryImage.from_rows(width, height, rows)
     if kind == "checkerboard":
         tile = np.array([[0, 1], [1, 0]], dtype=np.uint8)

@@ -7,13 +7,13 @@ c = 0, 1, ..., with `key` the seed mod 2^256 as 32 little-endian bytes: a
 keyed pseudorandom function under the sponge bounds.  Its bytes are P4 rows:
 pixel (x, y) takes bit 8*y*row_bytes(width) + x, most significant first, and
 the padding bits are drawn and discarded.  A bit depends only on its
-position, not on banding or chunking.  `BORN_TAG` keys `encrypt` and
-`FIXTURE_TAG` the random fixture, so the two share no bit.
+position, so `keystream_into` may draw any byte range, in any pieces.
+`BORN_TAG` keys `encrypt` and `FIXTURE_TAG` the random fixture, so the two
+share no bit.
 """
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +30,6 @@ BORN_TAG = b"qvmss.born.bit\0\0"
 FIXTURE_TAG = b"qvmss.fixture\0\0\0"
 # Keystream bytes per SHAKE128 call: 8 KiB is 65536 bits.
 CHUNK = 1 << 13
-
-# Pixels per band, rounded down to whole image rows (at least one): bounds the
-# band scratch.  Bits are keyed by position, so no output depends on it.
-BAND_PIXELS = 1 << 16
 
 
 def _prefix(tag: bytes, seed: int) -> bytes:
@@ -56,29 +52,26 @@ def last_byte_mask(width: int) -> np.uint8:
     return np.uint8((0xFF00 >> (1 + (width - 1) % 8)) & 0xFF)
 
 
-def packed_bands(seed: int, width: int, height: int,
-                 tag: bytes = BORN_TAG) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield `(rows, packed)` for every row band, in order: `rows` is the
-    band's slice of image rows, about BAND_PIXELS pixels and at least one,
-    and `packed` those rows of the `tag` keystream under `seed` (its byte
-    y*row_bytes + j is byte j of row y): a read-only view at whole-byte
-    widths, else a copy with the padding bits cleared.  Each chunk is hashed
-    once: the chunk that a band ends in is carried over to the next band."""
-    prefix, stride, band = _prefix(tag, seed), row_bytes(width), max(1, BAND_PIXELS // width)
-    total, carried, carry = height * stride, -1, b""
-    for y in range(0, height, band):
-        rows = slice(y, min(y + band, height))
-        start, stop = y * stride, rows.stop * stride
-        low, high = start // CHUNK, -(-stop // CHUNK)
-        chunks = [carry if c == carried else _chunk(prefix, c, min(CHUNK, total - c * CHUNK))
-                  for c in range(low, high)]
-        carried, carry = high - 1, chunks[-1]
-        packed = np.frombuffer(b"".join(chunks), dtype=np.uint8, count=stop - start,
-                               offset=start - low * CHUNK).reshape(-1, stride)
-        if width % 8:  # the padding bits were drawn; clear them
-            packed = packed.copy()
-            packed[:, -1] &= last_byte_mask(width)
-        yield rows, packed
+def keystream_into(out, seed: int, start: int = 0, tag: bytes = BORN_TAG) -> None:
+    """Fill `out` with bytes `start .. start + size` of the `tag` keystream
+    under `seed`, where size is `out`'s length in bytes.
+
+    `out` is any writable C-contiguous buffer: a flat uint8 array, a
+    bytearray, a whole numpy plane.  Each chunk the range overlaps is
+    hashed once, and only up to the last byte the range needs from it.
+    """
+    if start < 0:
+        raise ValueError(f"keystream start must be a byte position >= 0, got {start}")
+    view = memoryview(out).cast("B")
+    prefix, stop = _prefix(tag, seed), start + len(view)
+    if stop == start:
+        return  # else the chunk that start is inside would be hashed for nothing
+    for index in range(start // CHUNK, -(-stop // CHUNK)):
+        base = index * CHUNK
+        low, high = max(start, base), min(stop, base + CHUNK)
+        # No name holds the chunk, so it is freed before the next is hashed.
+        view[low - start:high - start] = memoryview(
+            _chunk(prefix, index, high - base))[low - base:]
 
 
 def _mix(z: int) -> int:
@@ -141,6 +134,6 @@ class RngStream:
         if self._cursor:
             raise ValueError(f"stream {self.stream_index} holds one bit, and it was drawn")
         self._cursor = 1
-        chunk, byte = divmod(self.stream_index // 8, CHUNK)
-        data = _chunk(_prefix(BORN_TAG, self.master_seed), chunk, byte + 1)
-        return data[byte] >> (7 - self.stream_index % 8) & 1
+        byte = bytearray(1)
+        keystream_into(byte, self.master_seed, start=self.stream_index // 8)
+        return byte[0] >> (7 - self.stream_index % 8) & 1

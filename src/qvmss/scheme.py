@@ -11,10 +11,10 @@ runs the receiver-side `decoding_circuit`, as the per-pixel reference.
 The circuit is Clifford on a basis state, so `encrypt` runs the same
 `encoding_circuit` program on a bit-plane engine instead of looping the
 dense reference `encode_pixel`: its state is the packed output itself, one
-P4 bit plane per qubit that every gate updates in place (`_encode_blocks`),
-one `rng.packed_bands` band of rows at a time, whose keystream bits arrive
-already packed.  Both routes take the same per-pixel bit and are
-bit-identical.
+whole P4 bit plane per qubit that every gate updates in place
+(`_encode_planes`), and its H draws the keystream, already packed, straight
+into plane 0 with `rng.keystream_into`.  Both routes take the same
+per-pixel bit and are bit-identical.
 `classical_encrypt` is the plain XOR oracle kept to cross-check them.
 """
 from __future__ import annotations
@@ -129,39 +129,40 @@ def decode_pixel(u: int, s_k: int) -> int:
     return int(measure_all(_run_dense((u, s_k), decoding_circuit()), rng.RngStream(0, 0))[1])
 
 
-def _encode_blocks(
+def _encode_planes(
     program: Sequence[GateOp], secrets: Sequence[BinaryImage], master_seed: int,
     out: np.ndarray,
 ) -> None:
-    """Encode the secrets into the planes of `out`, one `rng.packed_bands`
-    row band at a time.
+    """Encode the secrets into the whole planes of `out`, one pass per gate.
 
-    `out` is `(n + 1, height, row_bytes)`, and the band's slice of plane q
+    `out` is a C-contiguous `(n + 1, height, row_bytes)` array, and plane q
     is qubit q's packed P4 rows (U, then S_1..S_n): the X layer loads the
     secrets into it, and every gate acts on it in place, so a CNOT is a
-    byte XOR.  After its H, qubit 0 is only a control, so by deferred
-    measurement it is measured where the H acts: its plane becomes the
-    band's keystream bits, and the CNOTs carry them on.  Bit 0 gives qubit 0
-    the value 0, the lower basis index that `qsim.measure_all` takes on bit
-    0, as qubit 0 is the most significant and no gate changes it after the H.
+    byte XOR of one plane into another.  After its H, qubit 0 is only a
+    control, so by deferred measurement it is measured where the H acts:
+    `rng.keystream_into` fills its plane with the image's keystream bytes,
+    the padding bits are cleared, and the CNOTs carry the bits on.  Bit 0
+    gives qubit 0 the value 0, the lower basis index that
+    `qsim.measure_all` takes on bit 0, as qubit 0 is the most significant
+    and no gate changes it after the H.
     """
-    width, height = secrets[0].width, secrets[0].height
-    for rows, bits in rng.packed_bands(master_seed, width, height):
-        planes = out[:, rows]
-        # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
-        planes[0] = 0
-        for k, img in enumerate(secrets, start=1):
-            planes[k] = img.rows[rows]
-        measured = False  # qubit 0, once its H has acted
-        for gate in program:
-            t = gate.target
-            if gate.kind is GateKind.CNOT and not (t == 0 and measured):
-                planes[t] ^= planes[gate.control]
-            elif gate.kind is GateKind.HADAMARD and t == 0 and not measured:
-                planes[0] = bits
-                measured = True
-            else:
-                raise ValueError(f"engine cannot apply {gate}")
+    width = secrets[0].width
+    # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
+    out[0] = 0
+    for k, img in enumerate(secrets, start=1):
+        out[k] = img.rows
+    measured = False  # qubit 0, once its H has acted
+    for gate in program:
+        t = gate.target
+        if gate.kind is GateKind.CNOT and not (t == 0 and measured):
+            out[t] ^= out[gate.control]
+        elif gate.kind is GateKind.HADAMARD and t == 0 and not measured:
+            rng.keystream_into(out[0], master_seed)
+            if width % 8:  # the padding bits were drawn; clear them
+                out[0, :, -1] &= rng.last_byte_mask(width)
+            measured = True
+        else:
+            raise ValueError(f"engine cannot apply {gate}")
 
 
 def encrypt(secrets: Sequence[BinaryImage], master_seed: int) -> ShareSet:
@@ -180,7 +181,7 @@ def encrypt(secrets: Sequence[BinaryImage], master_seed: int) -> ShareSet:
 
     width, height = secrets[0].width, secrets[0].height
     out = np.empty((n + 1, *secrets[0].rows.shape), dtype=np.uint8)  # plane q is qubit q
-    _encode_blocks(encoding_circuit(n), secrets, master_seed, out)
+    _encode_planes(encoding_circuit(n), secrets, master_seed, out)
     out.flags.writeable = False  # the images below are views of it
 
     unishare, *shares = (BinaryImage.from_rows(width, height, plane) for plane in out)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvmss import imaging
+from qvmss import imaging, rng
 from qvmss.imaging import (
     BinaryImage,
     PbmParseError,
@@ -521,8 +521,9 @@ def test_random_fixture_is_deterministic():
 
 
 # SHA-256 of the packed rows of make_fixture("random", width, height, seed):
-# one band, two bands (300x300 and 2048x33), six bands of a narrow image, and
-# widths above a band's 65536 pixels, which take one row per band.
+# one chunk of keystream or less, several chunks at widths that are and are
+# not a multiple of 8 (300x300, 2048x33), a narrow image of 70000 rows, and
+# rows wider than a chunk.
 RANDOM_FIXTURE_GOLDEN = {
     (1, 1, 0): "76be8b528d0075f7aae98d6fa57a6d3c83ae480a8469e668d7b0af968995ac71",
     (37, 29, 0): "3fbccaee1cf97cc18b400f45ed9e3dbe0de32ff51e7b9f1f814bc6c52c57b547",
@@ -541,21 +542,21 @@ def test_random_fixture_is_pinned(width, height, seed):
     assert digest == RANDOM_FIXTURE_GOLDEN[width, height, seed]
 
 
-def test_random_fixture_peak_memory_is_one_band_of_draws():
-    # The packed image is 512 KiB, and one band of keystream scratch is at
-    # most 0.375 bytes a pixel plus two 8 KiB chunks, about 40 KiB: 2047 is
-    # not a multiple of 8, so each band is copied to clear its padding bits.
-    # Measured: 18 KiB beyond the image at width 2048 and 25 KiB at 2047.
-    # One unpacked byte per pixel would be 4 MiB.
+def test_random_fixture_peak_memory_is_the_image_plus_one_chunk():
+    # The keystream is drawn straight into the packed image, about 512 KiB,
+    # one 8 KiB chunk at a time, and its padding bits are cleared in place:
+    # one chunk's digest, plus one chunk's worth of bookkeeping.  Measured:
+    # 9.2 KiB beyond the image at widths 2048, 2047 and 2040.  One unpacked
+    # byte per pixel would be 4 MiB.
     make_fixture("random", 8, 8)
-    for width in (2048, 2047):
+    for width in (2048, 2047, 2040):
         tracemalloc.start()
         try:
-            make_fixture("random", width, 2048, seed=1)
+            image = make_fixture("random", width, 2048, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1 << 20, width
+        assert peak <= image.rows.nbytes + 2 * rng.CHUNK, width
 
 
 # SHA-256 of the packed rows of make_fixture(kind, width, height) for the tiled

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qvmss import rng
 from qvmss.imaging import BinaryImage
-from qvmss.rng import RngStream, packed_bands, unit_array
+from qvmss.rng import RngStream, keystream_into, unit_array
 from qvmss.scheme import encrypt
 
 u64s = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -73,10 +73,9 @@ def test_a_stream_holds_one_bit():
 
 
 def test_next_bit_is_the_engines_pixel_bit():
-    # 300x300 is two bands of a width that is not a multiple of 8: rows are
-    # 38 bytes, so pixel (x, y) is stream 304*y + x.  (99, 217) and (100, 218)
-    # straddle the band edge, and (175, 215) and (176, 215) the keystream's
-    # first chunk edge.
+    # 300 is a width that is not a multiple of 8: rows are 38 bytes, so pixel
+    # (x, y) is stream 304*y + x.  (99, 217) and (100, 218) straddle a row
+    # edge, and (175, 215) and (176, 215) the keystream's first chunk edge.
     seed = 2**200 + 5
     blank = BinaryImage(300, 300, np.zeros(300 * 300, dtype=np.uint8))
     u = encrypt([blank], seed).unishare.as_grid()
@@ -87,7 +86,7 @@ def test_next_bit_is_the_engines_pixel_bit():
 
 @pytest.mark.parametrize("width, height", [(37, 4000), (300, 500), (70001, 3)])
 def test_unishare_of_a_blank_secret_is_the_keystream_in_p4_rows(width, height):
-    # The expected rows come from hashlib alone, and each case spans three bands.
+    # The expected rows come from hashlib alone, and each case spans three chunks or more.
     seed, row_bytes = 2**255 + 11, (width + 7) // 8
     want = keystream_rows(b"qvmss.born.bit\0\0", seed, width, height)
     blank = BinaryImage(width, height, np.zeros(width * height, dtype=np.uint8))
@@ -116,19 +115,44 @@ def test_scalar_matches_stateful_stream(seed, stream):
 @pytest.mark.parametrize("width, height", [
     (37, 29), (8, 9000), (1000, 1048), (70001, 3), (1, 70000), (4096, 33),
 ])
-@pytest.mark.parametrize("band_pixels", [8, 64, 65536, 1 << 20])
-def test_packed_bands_are_the_keystream_in_p4_rows(tag, width, height, band_pixels,
-                                                   monkeypatch):
-    monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
+@pytest.mark.parametrize("piece", [8, 64, 65536, 1 << 20])
+def test_keystream_into_draws_p4_rows_in_any_pieces(tag, width, height, piece):
+    # The rows are drawn `piece` bytes at a time, each piece at its own start:
+    # 8 and 64 bytes cut rows and chunks, 65536 bytes is eight chunks, and
+    # 1 MiB is the whole image at once.
     want = keystream_rows(tag, 99, width, height)
     got = np.empty_like(want)
-    covered = 0
-    for rows, packed in packed_bands(99, width, height, tag=tag):
-        assert rows.start == covered
-        got[rows] = packed
-        covered = rows.stop
-    assert covered == height
+    flat = got.reshape(-1)
+    for start in range(0, flat.size, piece):
+        keystream_into(flat[start:start + piece], 99, start=start, tag=tag)
+    got[:, -1] &= rng.last_byte_mask(width)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("start, count", [
+    (100, 1000),  # inside the first chunk
+    (3 * 8192 + 5, 1),  # one byte inside the fourth chunk
+    (8192 - 7, 20),  # across the first chunk edge
+    (2 * 8192 - 1, 8192 + 2),  # across two chunk edges
+    (8192, 8192),  # exactly the second chunk
+], ids=["inside", "one_byte", "across_one_edge", "across_two_edges", "whole_chunk"])
+def test_keystream_into_is_the_hashlib_keystream(start, count):
+    want = keystream_bytes(rng.BORN_TAG, 2**256 + 3, start + count)[start:]
+    got = bytearray(count)
+    keystream_into(got, 2**256 + 3, start=start)
+    assert bytes(got) == want.tobytes()
+
+
+def test_keystream_into_an_empty_buffer_hashes_nothing(monkeypatch):
+    monkeypatch.setattr(rng, "_chunk", lambda *args: pytest.fail("hashed a chunk"))
+    for start in (0, 5, 8192, 1 << 40):
+        keystream_into(bytearray(), 1, start=start)
+        keystream_into(np.empty(0, dtype=np.uint8), 1, start=start)
+
+
+def test_keystream_into_refuses_a_negative_start():
+    with pytest.raises(ValueError, match="got -1"):
+        keystream_into(bytearray(1), 0, start=-1)
 
 
 @pytest.mark.parametrize("index", [-1, -9])

@@ -168,7 +168,7 @@ def test_encrypt_is_reproducible():
 
 
 # SHA-256 over the bits of U, S_1, ..., S_n from encrypt(seed 7) on a 300x300
-# image (two engine bands); secret k is made by hashlib in `golden_secrets`.
+# image; secret k is made by hashlib in `golden_secrets`.
 ENGINE_GOLDEN = {
     1: "33175b9b9de41b82037ed28b9287524ed8fbf912ff5b56600ad4ca10d5c28b1b",
     2: "3f8096a24932a712e890132e72e24526dda3a9d3dbc8c161cbd7bb5a3801d191",
@@ -195,20 +195,6 @@ def test_encrypt_output_is_pinned(n, golden_secrets):
     assert digest.hexdigest() == ENGINE_GOLDEN[n]
 
 
-@pytest.mark.parametrize("band_pixels", [8, 64, 1 << 16, 1 << 20])
-def test_encrypt_output_does_not_depend_on_the_band_size(band_pixels, monkeypatch):
-    # Widths 37 and 300 clear each band's padding bits, and the bands
-    # of 1000x1048 and 70001x3 straddle the keystream's 65536-bit chunks.
-    sizes = ((37, 29), (300, 300), (1000, 1048), (70001, 3))
-    cases = [(n, width, height, random_images(n, width, height, seed=n))
-             for n in (1, 2, 16) for width, height in sizes]
-    expected = [encrypt(secrets, 9) for *_, secrets in cases]
-    monkeypatch.setattr(rng, "BAND_PIXELS", band_pixels)
-    for (n, width, height, secrets), want in zip(cases, expected):
-        assert random_images(n, width, height, seed=n) == secrets, (n, width, height)
-        assert encrypt(secrets, 9) == want, (n, width, height)
-
-
 def test_encrypt_images_are_read_only_views_of_one_packed_output():
     secrets = random_images(3, 37, 20, seed=4)
     share_set = encrypt(secrets, 5)
@@ -222,19 +208,17 @@ def test_encrypt_images_are_read_only_views_of_one_packed_output():
         assert not img.rows.flags.writeable
 
 
-def test_encrypt_peak_memory_is_the_packed_output_plus_band_scratch():
+def test_encrypt_peak_memory_is_the_packed_output_plus_one_chunk():
     n = 16
-    # Over one band of pixels: the keystream chunks and their join (1/8 byte
-    # a pixel each, plus up to one chunk before the band), and the previous
-    # band's rows, still held while the next band is drawn (1/8 byte a
-    # pixel).  A width that is not a multiple of 8 copies each band to clear
-    # its padding bits, after the join.  The fixed 32 KiB covers the
-    # interpreter's and numpy's own bookkeeping, which does not grow with the
-    # image.  Measured beyond the output and two chunks: about 0.1 byte a
-    # band pixel at width 2048 and 0.18 at 2047.  Unpacking each band's bits
-    # would make it about 1.4.
-    scratch = 0.375 * rng.BAND_PIXELS + 2 * rng.CHUNK + (1 << 15)
-    for width in (2048, 2047):
+    # Every gate acts in place on the whole planes of the output, so the
+    # only scratch that the image size could grow is the keystream, and it
+    # is drawn into plane 0 one chunk at a time: one chunk's digest, freed
+    # before the next is hashed, plus two chunks' worth for the interpreter's
+    # and numpy's own bookkeeping, which does not grow with the image.
+    # Measured beyond the output: 13.5, 11.5 and 11.4 KiB at widths 2048,
+    # 2047 and 2040 (255-byte rows, so rows straddle the chunk edges).
+    scratch = 3 * rng.CHUNK
+    for width in (2048, 2047, 2040):
         secret = make_fixture("random", width, 2048, seed=2)
         output = (n + 1) * secret.rows.nbytes
         tracemalloc.start()
@@ -303,7 +287,7 @@ def test_engine_refuses_a_program_it_cannot_run(program):
     secret = make_fixture("random", 4, 4, seed=0)
     out = np.empty((2, 4, 1), dtype=np.uint8)
     with pytest.raises(ValueError, match="cannot apply"):
-        scheme._encode_blocks(program, [secret], 0, out)
+        scheme._encode_planes(program, [secret], 0, out)
 
 
 @st.composite
@@ -334,7 +318,7 @@ def test_engine_equals_the_dense_reference_on_every_program_it_accepts(case, wid
     n, program = case
     secrets = random_images(n, width, height, seed=seed % 2**32)
     out = np.empty((n + 1, height, (width + 7) // 8), dtype=np.uint8)
-    scheme._encode_blocks(program, secrets, seed, out)
+    scheme._encode_planes(program, secrets, seed, out)
     got = np.unpackbits(out, axis=2)[:, :, :width].reshape(n + 1, -1)
     g_bits = [flat_bits(img) for img in secrets]
     for p in range(width * height):
@@ -347,7 +331,7 @@ def test_engine_equals_the_dense_reference_on_every_program_it_accepts(case, wid
 def test_engine_measures_a_program_without_hadamard_deterministically():
     secret = make_fixture("random", 4, 4, seed=0)
     out = np.empty((2, 4, 1), dtype=np.uint8)
-    scheme._encode_blocks([cnot(0, 1)], [secret], 0, out)
+    scheme._encode_planes([cnot(0, 1)], [secret], 0, out)
     assert not out[0].any()
     assert np.array_equal(out[1], secret.rows)
 
@@ -367,7 +351,7 @@ def counted_chunks(monkeypatch):
 def test_encrypt_draws_once_per_pixel(monkeypatch):
     # Each pixel takes exactly one keystream bit, its own: every byte of the
     # image's 300 rows of 38 bytes is hashed once, and no byte past them.
-    secrets = random_images(2, 300, 300, seed=6)  # two bands
+    secrets = random_images(2, 300, 300, seed=6)
     calls = counted_chunks(monkeypatch)
     encrypt(secrets, 3)
     taken = np.zeros(300 * 38, dtype=np.int64)
@@ -378,20 +362,31 @@ def test_encrypt_draws_once_per_pixel(monkeypatch):
     assert (taken == 1).all()
 
 
-@pytest.mark.parametrize("width", [2040, 2047])
+def chunk_indices(width, height):
+    """The index of every keystream chunk that an image's packed rows overlap."""
+    return list(range(-(-height * rng.row_bytes(width) // rng.CHUNK)))
+
+
+@pytest.mark.parametrize("width", [2040, 2047, 2048])
 def test_encrypt_hashes_each_keystream_chunk_once(width, monkeypatch):
-    # At width 2040 a row is 255 bytes, so most bands end inside a chunk.
+    # At width 2040 a row is 255 bytes, so most chunk edges fall inside a row.
     secrets = random_images(1, width, 2048, seed=1)
     calls = counted_chunks(monkeypatch)
     encrypt(secrets, 3)
-    chunks = -(-2048 * rng.row_bytes(width) // rng.CHUNK)
-    assert [index for index, _ in calls] == list(range(chunks))
+    assert [index for index, _ in calls] == chunk_indices(width, 2048)
+
+
+@pytest.mark.parametrize("width", [2040, 2047, 2048])
+def test_random_fixture_hashes_each_keystream_chunk_once(width, monkeypatch):
+    calls = counted_chunks(monkeypatch)
+    make_fixture("random", width, 2048, seed=1)
+    assert [index for index, _ in calls] == chunk_indices(width, 2048)
 
 
 def test_engine_copies_a_qubit_no_gate_writes():
     secrets = random_images(2, 4, 4, seed=0)
     out = np.empty((3, 4, 1), dtype=np.uint8)
-    scheme._encode_blocks([hadamard(0), cnot(0, 1)], secrets, 0, out)
+    scheme._encode_planes([hadamard(0), cnot(0, 1)], secrets, 0, out)
     assert np.array_equal(out[1], out[0] ^ secrets[0].rows)
     assert np.array_equal(out[2], secrets[1].rows)
 
@@ -408,24 +403,24 @@ def test_engine_output_does_not_depend_on_what_out_held(program, n):
     zeros = np.zeros((n + 1, 9, 5), dtype=np.uint8)
     ones = np.full_like(zeros, 0xFF)
     for out in (zeros, ones):
-        scheme._encode_blocks(program, secrets, 6, out)
+        scheme._encode_planes(program, secrets, 6, out)
     assert np.array_equal(zeros, ones)
 
 
 def one_block_engine_peak(n):
-    """tracemalloc peak of `_encode_blocks` over one full band at arity n."""
+    """tracemalloc peak of `_encode_planes` over a 256x256 image at arity n."""
     secrets = random_images(n, 256, 256, seed=5)
     out = np.empty((n + 1, 256, 32), dtype=np.uint8)
     tracemalloc.start()
     try:
-        scheme._encode_blocks(encoding_circuit(n), secrets, 3, out)
+        scheme._encode_planes(encoding_circuit(n), secrets, 3, out)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_engine_scratch_does_not_grow_with_arity():
-    # The qubit planes are rows of the caller's output; only the band's bits are scratch.
+    # The qubit planes are the caller's output; only a keystream chunk is scratch.
     assert one_block_engine_peak(16) - one_block_engine_peak(1) <= 16 * 1024
 
 

@@ -31,7 +31,7 @@ def test_readme_library_example_runs():
 
 
 def test_benchmark_encrypt_runs():
-    # 300x300 is two bands, of 218 and 82 rows, so the floor crosses a band edge.
+    # 300x300 is 11400 keystream bytes, so the floor crosses a chunk edge.
     proc = run_script("benchmark_encrypt.py", "--sizes", "16", "300", "--arities", "1", "2",
                       "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
