@@ -115,16 +115,16 @@ def test_scalar_matches_stateful_stream(seed, stream):
 @pytest.mark.parametrize("width, height", [
     (37, 29), (8, 9000), (1000, 1048), (70001, 3), (1, 70000), (4096, 33),
 ])
-@pytest.mark.parametrize("piece", [8, 64, 65536, 1 << 20])
-def test_keystream_into_draws_p4_rows_in_any_pieces(tag, width, height, piece):
-    # The rows are drawn `piece` bytes at a time, each piece at its own start:
-    # 8 and 64 bytes cut rows and chunks, 65536 bytes is eight chunks, and
-    # 1 MiB is the whole image at once.
+@pytest.mark.parametrize("band_pixels", [8, 64, 65536, 1 << 20])
+def test_packed_bands_are_the_keystream_in_p4_rows(tag, width, height, band_pixels):
+    # The packed rows are drawn a band at a time, each band of whole rows (at
+    # most `band_pixels` pixels, one row at least) at its own start: a band
+    # may begin or end inside a chunk, and 1 MiB covers most images at once.
     want = keystream_rows(tag, 99, width, height)
     got = np.empty_like(want)
-    flat = got.reshape(-1)
-    for start in range(0, flat.size, piece):
-        keystream_into(flat[start:start + piece], 99, start=start, tag=tag)
+    band = max(1, band_pixels // width)
+    for y in range(0, height, band):
+        keystream_into(got[y:y + band], 99, start=y * got.shape[1], tag=tag)
     got[:, -1] &= rng.last_byte_mask(width)
     assert np.array_equal(got, want)
 
