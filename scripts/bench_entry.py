@@ -1,4 +1,5 @@
-"""The record that the benchmark scripts append to a `BENCH_*.json` file.
+"""The record that the benchmark scripts append to a `BENCH_*.json` file, and
+the timing helpers they share.
 
 Each entry starts with the same header: the git revision of the benchmarked
 `qvmss` sources (with `-dirty` when a file in that package directory differs
@@ -11,8 +12,31 @@ import importlib.metadata
 import json
 import os
 import platform
+import statistics
 import subprocess
+import time
 from pathlib import Path
+
+
+def timed(repeats, fn):
+    """The wall time of each of `repeats` calls of fn, in seconds."""
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    return times
+
+
+def quartiles(values):
+    """The lower quartile, median and upper quartile of values; one value is all three."""
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
+
+
+def spread(times):
+    """The median of times and their interquartile range, 0.0 below two times."""
+    lower, median, upper = quartiles(times)
+    return median, upper - lower
 
 
 def source_revision(package_dir):

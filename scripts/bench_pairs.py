@@ -35,22 +35,16 @@ the verdict.  The script imports nothing of either checkout's program.
 import argparse
 import json
 import shutil
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-from bench_entry import append_entry, source_revision
+from bench_entry import append_entry, quartiles, source_revision
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("baseline", "change")
 END_TO_END = {metric["name"]: metric
               for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-
-
-def quartiles(values):
-    """The lower quartile, median and upper quartile of values; one value is all three."""
-    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
 
 
 def positive_int(text):

@@ -32,8 +32,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_entry import append_entry, source_revision
-from benchmark_encrypt import spread, timed
+from bench_entry import append_entry, source_revision, spread, timed
 
 import qvmss
 from qvmss.cli import positive_int

@@ -13,43 +13,25 @@ run over the floor.
 `--json PATH` appends one entry to the JSON list in PATH (made if missing):
 the header of `bench_entry.py` for the imported `qvmss` sources (their git
 revision, the Python and numpy versions and `nproc`) and one row per case.
+
+Two entries are runs made at different times on a host whose load moves,
+not a comparison of two trees: `seconds` and `floor_x` differ between them
+by more than an engine change (two runs one after the other on a shared
+2-vCPU host read 2.85 and 2.30 ms at 2048², n=2, while an interleaved
+comparison of the same two trees ranked them the other way).  Compare two
+trees with `benchmark_cli.py --baseline` or `bench_pairs.py`, which run
+both sides in turn.
 """
 import argparse
-import statistics
-import time
 from pathlib import Path
 
-from bench_entry import append_entry
+from bench_entry import append_entry, spread, timed
 
 import qvmss
 from qvmss import rng
 from qvmss.cli import positive_int
-from qvmss.imaging import make_fixture
+from qvmss.imaging import make_fixture, row_bytes
 from qvmss.scheme import MAX_ARITY, classical_encrypt, decrypt_all, encrypt
-
-
-def timed(repeats, fn):
-    """The wall time of each of `repeats` calls of fn, in seconds."""
-    times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - started)
-    return times
-
-
-def quartiles(values):
-    """The lower quartile, median and upper quartile of values; one value is all three."""
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    lower, median, upper = statistics.quantiles(values, n=4)
-    return lower, median, upper
-
-
-def spread(times):
-    """The median of times and their interquartile range, 0.0 below two times."""
-    lower, median, upper = quartiles(times)
-    return median, upper - lower
 
 
 def run_case(size, arity, seed, repeats):
@@ -59,7 +41,7 @@ def run_case(size, arity, seed, repeats):
     assert decrypt_all(share_set) == secrets, "round trip failed"
     times = timed(repeats, lambda: encrypt(secrets, seed))
 
-    keystream = bytearray(size * rng.row_bytes(size))
+    keystream = bytearray(size * row_bytes(size))
 
     def floor():
         rng.keystream_into(keystream, seed)

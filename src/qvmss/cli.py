@@ -14,7 +14,7 @@ manifest.json's `seed` rebuild U.pbm, and with it every secret.  A small
 seed is a small key.  An auto-drawn seed is 256 bits of OS entropy.
 
 Exit codes: 0 success, 1 selftest property failure, 2 I/O or parse
-failure (a closed stdout included), 3 image dimension mismatch.
+failure (a failed write to stdout included), 3 image dimension mismatch.
 """
 from __future__ import annotations
 
@@ -235,6 +235,9 @@ def cmd_metrics(args) -> int:
         if args.images or not (args.secrets and args.shares and args.unishare):
             raise _Failure(EXIT_IO, "--pairs needs --secrets, --shares and --unishare, "
                                     "not positional images")
+        if len(args.secrets) != len(args.shares):  # before reading any file
+            raise _Failure(EXIT_IO, f"--pairs needs one share per secret, got "
+                                    f"{len(args.secrets)} secrets and {len(args.shares)} shares")
         paths = [*args.secrets, *args.shares, args.unishare]
         scored = _scored(list(_matching_images(paths)), _pair_grid(len(args.secrets)))
         print(_pairs_json(paths, scored))
@@ -421,17 +424,15 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # Nobody reads stdout; send what is still buffered to devnull so the
-        # interpreter's exit-time flush does not raise again.
+    except OSError as exc:
+        # Every file error is a _Failure, so stdout failed (a closed pipe, a full disk); its
+        # buffer goes to devnull, so the interpreter's exit-time flush does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: standard output: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
-    except _Failure as exc:
+    except (_Failure, scheme.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except scheme.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return getattr(exc, "code", EXIT_IO)  # an arity out of range is a usage error
 
 
 if __name__ == "__main__":

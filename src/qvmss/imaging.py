@@ -94,13 +94,13 @@ class BinaryImage:
         """
         _check_dimensions(width, height)
         rows = np.asarray(rows)
-        if rows.dtype != np.uint8 or rows.shape != (height, rng.row_bytes(width)):
+        if rows.dtype != np.uint8 or rows.shape != (height, row_bytes(width)):
             raise ValueError(
-                f"expected ({height}, {rng.row_bytes(width)}) uint8 rows, "
+                f"expected ({height}, {row_bytes(width)}) uint8 rows, "
                 f"got {rows.shape} {rows.dtype}"
             )
         # Rows of whole bytes have no padding bits to check.
-        if width % 8 and (rows[:, -1] & ~rng.last_byte_mask(width)).any():
+        if width % 8 and (rows[:, -1] & ~last_byte_mask(width)).any():
             raise ValueError("row padding bits must be 0")
         image = object.__new__(cls)
         image._hold(width, height, rows)
@@ -148,6 +148,16 @@ class BinaryImage:
         return np.unpackbits(self.rows, axis=1, count=self.width)
 
 
+def row_bytes(width: int) -> int:
+    """Bytes per packed P4 row of `width` pixels."""
+    return (width + 7) // 8
+
+
+def last_byte_mask(width: int) -> np.uint8:
+    """The pixel bits of a row's last byte; the rest are padding."""
+    return np.uint8((0xFF00 >> (1 + (width - 1) % 8)) & 0xFF)
+
+
 def pack_rows(bits: np.ndarray, width: int) -> np.ndarray:
     """Flat row-major 0/1 or bool bits, `width` to a row, as new packed P4 rows.
 
@@ -155,6 +165,14 @@ def pack_rows(bits: np.ndarray, width: int) -> np.ndarray:
     zero-padded to whole bytes.
     """
     return np.packbits(bits.reshape(-1, width), axis=1)
+
+
+def fill_keystream(rows: np.ndarray, width: int, seed: int, tag: bytes) -> None:
+    """Draw the `tag` keystream under `seed` into a `width`-wide image's P4 `rows` in one
+    `rng.keystream_into` pass (pixel (x, y) is bit 8*y*row_bytes + x), then clear the padding."""
+    rng.keystream_into(rows, seed, tag=tag)
+    if width % 8:
+        rows[:, -1] &= last_byte_mask(width)
 
 
 def count_ones(packed: np.ndarray) -> int:
@@ -271,7 +289,7 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise PbmParseError("expected single whitespace before packed raster", pos)
     pos += 1
-    needed = rng.row_bytes(width) * height
+    needed = row_bytes(width) * height
     if len(data) - pos < needed:
         raise PbmParseError(
             f"packed raster truncated: need {needed} bytes, have {len(data) - pos}",
@@ -284,7 +302,7 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
     if width % 8 == 0 and isinstance(data, bytes) and len(data) - pos == needed:
         return rows
     rows = rows.copy()  # frees the image from `data` and makes it writable for the mask
-    rows[:, -1] &= rng.last_byte_mask(width)  # the file's padding bits may be anything
+    rows[:, -1] &= last_byte_mask(width)  # the file's padding bits may be anything
     return rows
 
 
@@ -325,18 +343,14 @@ def _text_tile() -> np.ndarray:
 def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryImage:
     """Deterministic test image: checkerboard, random, or text_glyphs.
 
-    Each is born as packed rows: `random` drawn into them in one
-    `rng.keystream_into` pass, the tiled kinds as one tile-high band, packed
-    once and repeated down.
+    Each is born as packed rows: `random` drawn into them by `fill_keystream`,
+    the tiled kinds as one tile-high band, packed once and repeated down.
     """
     _check_dimensions(width, height)
     if kind == "random":
-        # Pixel (x, y) is bit 8*y*row_bytes + x of a keystream whose tag
-        # `encrypt` never uses, so a fixture shares no bit with an encryption.
-        rows = np.empty((height, rng.row_bytes(width)), dtype=np.uint8)
-        rng.keystream_into(rows, seed, tag=rng.FIXTURE_TAG)
-        if width % 8:  # the padding bits were drawn; clear them
-            rows[:, -1] &= rng.last_byte_mask(width)
+        # A tag that `encrypt` never uses, so a fixture shares no bit with an encryption.
+        rows = np.empty((height, row_bytes(width)), dtype=np.uint8)
+        fill_keystream(rows, width, seed, rng.FIXTURE_TAG)
         return BinaryImage.from_rows(width, height, rows)
     if kind == "checkerboard":
         tile = np.array([[0, 1], [1, 0]], dtype=np.uint8)
@@ -346,5 +360,5 @@ def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryIma
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
     band = np.tile(tile, (1, width // tile.shape[1] + 1))[:, :width]
-    rows = np.resize(pack_rows(band, width), (height, rng.row_bytes(width)))
+    rows = np.resize(pack_rows(band, width), (height, row_bytes(width)))
     return BinaryImage.from_rows(width, height, rows)

@@ -37,19 +37,9 @@ def _prefix(tag: bytes, seed: int) -> bytes:
     return tag + (seed % (1 << KEY_BITS)).to_bytes(KEY_BITS // 8, "little")
 
 
-def _chunk(prefix: bytes, index: int, length: int = CHUNK) -> bytes:
+def _chunk(prefix: bytes, index: int, length: int) -> bytes:
     """The first `length` bytes of keystream chunk `index`."""
     return hashlib.shake_128(prefix + index.to_bytes(8, "little")).digest(length)
-
-
-def row_bytes(width: int) -> int:
-    """Bytes per packed P4 row of `width` pixels."""
-    return (width + 7) // 8
-
-
-def last_byte_mask(width: int) -> np.uint8:
-    """The pixel bits of a row's last byte; the rest are padding."""
-    return np.uint8((0xFF00 >> (1 + (width - 1) % 8)) & 0xFF)
 
 
 def keystream_into(out, seed: int, start: int = 0, tag: bytes = BORN_TAG) -> None:
@@ -90,20 +80,17 @@ def _mix_array(z: np.ndarray, tmp: np.ndarray) -> None:
             np.multiply(z, factor, out=z)
 
 
-def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int,
-               out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+def unit_array(master_seed: int, stream_indices: np.ndarray, cursor: int) -> np.ndarray:
     """SplitMix64 draws: for each stream p, mix(mix(mix(seed + golden) ^ p) ^ cursor)
-    over uint64 (seed, p and cursor taken mod 2^64).  Given `out` and `scratch`
-    (uint64, of the streams' shape; scratch may be stream_indices), it
-    allocates nothing.
+    over uint64 (seed, p and cursor taken mod 2^64).
 
     No Born bit comes from here.  Only the benchmark calls it, as its floor
     (`bench/run.py` `_time_floor`) and as a traced span (`bench/spans.py`).
     """
     streams = np.ascontiguousarray(stream_indices, dtype=np.uint64)
     # The seed's mix is one value for every stream, so it is computed once.
-    x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)), out=out)
-    tmp = np.empty_like(x) if scratch is None else scratch
+    x = np.bitwise_xor(streams, np.uint64(_mix((master_seed + _GOLDEN) & _MASK64)))
+    tmp = np.empty_like(x)
     _mix_array(x, tmp)
     if cursor & _MASK64:  # x ^ 0 is x
         np.bitwise_xor(x, np.uint64(cursor & _MASK64), out=x)

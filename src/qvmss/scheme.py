@@ -13,7 +13,7 @@ The circuit is Clifford on a basis state, so `encrypt` runs the same
 dense reference `encode_pixel`: its state is the packed output itself, one
 whole P4 bit plane per qubit that every gate updates in place
 (`_encode_planes`), and its H draws the keystream, already packed, straight
-into plane 0 with `rng.keystream_into`.  Both routes take the same
+into plane 0 with `imaging.fill_keystream`.  Both routes take the same
 per-pixel bit and are bit-identical.
 `classical_encrypt` is the plain XOR oracle kept to cross-check them.
 """
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .imaging import BinaryImage, require_same_shape
+from .imaging import BinaryImage, fill_keystream, require_same_shape
 from .qsim import (
     MAX_QUBITS,
     GateKind,
@@ -140,13 +140,11 @@ def _encode_planes(
     secrets into it, and every gate acts on it in place, so a CNOT is a
     byte XOR of one plane into another.  After its H, qubit 0 is only a
     control, so by deferred measurement it is measured where the H acts:
-    `rng.keystream_into` fills its plane with the image's keystream bytes,
-    the padding bits are cleared, and the CNOTs carry the bits on.  Bit 0
-    gives qubit 0 the value 0, the lower basis index that
-    `qsim.measure_all` takes on bit 0, as qubit 0 is the most significant
-    and no gate changes it after the H.
+    `fill_keystream` fills its plane with the image's Born keystream, and
+    the CNOTs carry the bits on.  Bit 0 gives qubit 0 the value 0, the
+    lower basis index that `qsim.measure_all` takes on bit 0, as qubit 0 is
+    the most significant and no gate changes it after the H.
     """
-    width = secrets[0].width
     # X layer: qubit 0 starts at 0 and qubits 1..n are the secret bits.
     out[0] = 0
     for k, img in enumerate(secrets, start=1):
@@ -157,9 +155,7 @@ def _encode_planes(
         if gate.kind is GateKind.CNOT and not (t == 0 and measured):
             out[t] ^= out[gate.control]
         elif gate.kind is GateKind.HADAMARD and t == 0 and not measured:
-            rng.keystream_into(out[0], master_seed)
-            if width % 8:  # the padding bits were drawn; clear them
-                out[0, :, -1] &= rng.last_byte_mask(width)
+            fill_keystream(out[0], secrets[0].width, master_seed, rng.BORN_TAG)
             measured = True
         else:
             raise ValueError(f"engine cannot apply {gate}")

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import importlib
 import json
@@ -141,7 +142,7 @@ def test_encrypt_holds_one_serialized_file_at_a_time(tmp_path):
     for width in (2048, 2040):
         path = tmp_path / f"g{width}.pbm"
         path.write_bytes(write_pbm(make_fixture("text_glyphs", width, height)))
-        image = height * rng.row_bytes(width)
+        image = height * imaging.row_bytes(width)
         # The packed input and output, the engine's keystream scratch (one
         # chunk, and one more for its bookkeeping), one serialized file and
         # 512 KiB of bookkeeping: about 236 KiB measured on a first run, 30
@@ -422,6 +423,20 @@ def test_metrics_pairs_with_an_image_of_another_size_exits_3(tmp_path, monkeypat
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.err == f"error: {odd}: dimensions 16x16 do not match G1.pbm (24x16)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("secrets, shares", [(2, 3), (3, 1)])
+def test_metrics_pairs_with_unequal_secret_and_share_counts_exits_2(monkeypatch, capsys,
+                                                                     secrets, shares):
+    # More shares would score the last as the UniShare; fewer would index past the grid.
+    monkeypatch.setattr(cli, "_load_image", lambda path: pytest.fail(f"read {path}"))
+    argv = ["metrics", "--pairs", "--secrets", *[f"G{i}.pbm" for i in range(secrets)],
+            "--shares", *[f"S{i}.pbm" for i in range(shares)], "--unishare", "U.pbm"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: --pairs needs one share per secret, got {secrets} "
+                            f"secrets and {shares} shares\n")
     assert captured.out == ""
 
 
@@ -818,6 +833,15 @@ def test_closed_stdout_exits_2_without_traceback():
         os.close(write_end)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_a_full_stdout_exits_2_with_one_error_line(tmp_path, secret_files):
+    with open("/dev/full", "w") as full:
+        proc = run_cli("encrypt", "--seed", "2", str(secret_files[0]), "-o", str(tmp_path),
+                       stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [f"error: standard output: {os.strerror(errno.ENOSPC)}"]
 
 
 def test_module_entry_point_runs(tmp_path, secret_files):

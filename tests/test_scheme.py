@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qvmss import rng, scheme
-from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture
+from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture, row_bytes
 from qvmss.qsim import cnot, hadamard, measure_all, pauli_x
 from qvmss.rng import RngStream
 from qvmss.scheme import (
@@ -364,7 +364,7 @@ def test_encrypt_draws_once_per_pixel(monkeypatch):
 
 def chunk_indices(width, height):
     """The index of every keystream chunk that an image's packed rows overlap."""
-    return list(range(-(-height * rng.row_bytes(width) // rng.CHUNK)))
+    return list(range(-(-height * row_bytes(width) // rng.CHUNK)))
 
 
 @pytest.mark.parametrize("width", [2040, 2047, 2048])
