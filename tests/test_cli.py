@@ -833,6 +833,7 @@ def test_closed_stdout_exits_2_without_traceback():
         os.close(write_end)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: standard output: {os.strerror(errno.EPIPE)}"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
