@@ -58,7 +58,8 @@ def positive_int(text):
 def run_benchmark(checkout, workload, seconds, seed):
     """The last line of `bench/run.py --trace 0` in checkout, as a dict.
 
-    A run that ends without a result line gives an unsound result that says why.
+    A run that ends without a result line gives an unsound result that says why,
+    with the last non-empty line the run wrote to stderr.
     """
     for cache in list((checkout / "src").rglob("__pycache__")):
         shutil.rmtree(cache)
@@ -68,8 +69,9 @@ def run_benchmark(checkout, workload, seconds, seed):
     try:
         return json.loads(proc.stdout.splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
+        said = [line.strip() for line in proc.stderr.splitlines() if line.strip()]
         return {"correct": False, "failed": None, "metrics": {},
-                "error": f"exit {proc.returncode}, no result line"}
+                "error": ": ".join([f"exit {proc.returncode}, no result line", *said[-1:]])}
 
 
 def is_sound(result):

@@ -14,7 +14,8 @@ manifest.json's `seed` rebuild U.pbm, and with it every secret.  A small
 seed is a small key.  An auto-drawn seed is 256 bits of OS entropy.
 
 Exit codes: 0 success, 1 selftest property failure, 2 I/O or parse
-failure (a failed write to stdout included), 3 image dimension mismatch.
+failure (a failed write to stdout included, and a closed stdout, which is
+refused before anything is written), 3 image dimension mismatch.
 """
 from __future__ import annotations
 
@@ -68,12 +69,8 @@ def _resolve_seed(explicit: int | None) -> int:
 def _load_image(path: str) -> BinaryImage:
     try:
         with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise _Failure(EXIT_IO, f"{path}: {exc}")
-    try:
-        return read_pbm(data)
-    except PbmParseError as exc:
+            return read_pbm(handle.read())
+    except (OSError, PbmParseError) as exc:
         raise _Failure(EXIT_IO, f"{path}: {exc}")
 
 
@@ -171,9 +168,9 @@ def _numbered(pattern: str, images: Iterable[BinaryImage]) -> Iterator[tuple[str
     return ((pattern.format(i), image) for i, image in enumerate(images, start=1))
 
 
-def _share_files(share_set: scheme.ShareSet) -> dict[str, BinaryImage]:
+def _share_files(share_set: scheme.ShareSet) -> list[tuple[str, BinaryImage]]:
     """The images `encrypt` writes: U.pbm, then S1.pbm .. Sn.pbm."""
-    return dict([("U.pbm", share_set.unishare), *_numbered("S{}.pbm", share_set.shares)])
+    return [("U.pbm", share_set.unishare), *_numbered("S{}.pbm", share_set.shares)]
 
 
 def _recovered_files(unishare: BinaryImage, shares) -> Iterator[tuple[str, BinaryImage]]:
@@ -203,7 +200,7 @@ def cmd_encrypt(args) -> int:
     scheme._check_arity(len(args.secrets), "secret images")  # before reading any file
     secrets = list(_matching_images(args.secrets))
     share_set = encrypt(secrets, seed)
-    names = _publish(args.out_dir, _share_files(share_set).items(), args.format,
+    names = _publish(args.out_dir, _share_files(share_set), args.format,
                      manifest=_run_manifest(seed, share_set))
     print(f"seed: {seed}")
     _print_written(args.out_dir, names)
@@ -220,9 +217,10 @@ def cmd_decrypt(args) -> int:
 
 
 def _pair_grid(n: int) -> list[tuple[int, int]]:
-    """Index pairs over the images G1..Gn, S1..Sn, U: every secret x share
-    pair, then every secret and share against the UniShare."""
-    return [(g, n + s) for g in range(n) for s in range(n)] + [(i, 2 * n) for i in range(2 * n)]
+    """Index pairs over G1..Gn, U, S1..Sn, as a run writes them: every secret
+    x share pair, then every secret and share against the UniShare."""
+    return ([(g, n + 1 + s) for g in range(n) for s in range(n)]
+            + [(i, n) for i in range(2 * n + 1) if i != n])
 
 
 def _scored(images: list[BinaryImage], pairs: list[tuple[int, int]]):
@@ -238,7 +236,7 @@ def cmd_metrics(args) -> int:
         if len(args.secrets) != len(args.shares):  # before reading any file
             raise _Failure(EXIT_IO, f"--pairs needs one share per secret, got "
                                     f"{len(args.secrets)} secrets and {len(args.shares)} shares")
-        paths = [*args.secrets, *args.shares, args.unishare]
+        paths = [*args.secrets, args.unishare, *args.shares]
         scored = _scored(list(_matching_images(paths)), _pair_grid(len(args.secrets)))
         print(_pairs_json(paths, scored))
         return EXIT_OK
@@ -256,19 +254,14 @@ def cmd_demo(args) -> int:
     seed = _resolve_seed(args.seed)
     fixtures = [make_fixture(k, 512, 512) for k in ("text_glyphs", "checkerboard")]
     share_set = encrypt(fixtures, seed)
-    secrets = dict(_numbered("G{}.pbm", fixtures))
-    share_files = _share_files(share_set)
-    recovered = dict(_recovered_files(share_set.unishare, share_set.shares))
-
-    # G1 G2 S1 S2 U, as `_pair_grid` takes them, then G1_rec G2_rec.
-    graded = {**secrets, **dict(_numbered("S{}.pbm", share_set.shares)),
-              "U.pbm": share_set.unishare, **recovered}
-    names, n = list(graded), len(fixtures)
-    scored = _scored(list(graded.values()), [(k, 2 * n + 1 + k) for k in range(n)] + _pair_grid(n))
-    pairs_json = (_pairs_json(names, scored) + "\n").encode("ascii")
-    artifacts = _publish(args.out_dir, {**secrets, **share_files, **recovered,
-                                        "metrics_pairs.json": pairs_json}.items(),
-                         "p4", manifest=_run_manifest(seed, share_set))
+    # G1 G2 U S1 S2, as `_pair_grid` takes them, then G1_rec G2_rec: each image
+    # is graded and written in this order, and metrics_pairs.json written last.
+    files = dict([*_numbered("G{}.pbm", fixtures), *_share_files(share_set),
+                  *_recovered_files(share_set.unishare, share_set.shares)])
+    names, n = list(files), len(fixtures)
+    scored = _scored(list(files.values()), [(k, 2 * n + 1 + k) for k in range(n)] + _pair_grid(n))
+    files["metrics_pairs.json"] = (_pairs_json(names, scored) + "\n").encode("ascii")
+    artifacts = _publish(args.out_dir, files.items(), "p4", manifest=_run_manifest(seed, share_set))
 
     print(f"seed: {seed}")
     print(f"artifacts in {args.out_dir}: {' '.join(artifacts)}")
@@ -420,6 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_IO
     try:
         code = args.handler(args)
         sys.stdout.flush()
@@ -427,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         # Every file error is a _Failure, so stdout failed (a closed pipe, a full disk); its
         # buffer goes to devnull, so the interpreter's exit-time flush does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"error: standard output: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
     except (_Failure, scheme.ConfigError) as exc:

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import stat
 import subprocess
 import sys
@@ -55,6 +56,16 @@ def test_encrypt_writes_shares_and_manifest(tmp_path, secret_files, capsys):
     assert manifest["width"] == 32 and manifest["height"] == 32
     assert set(manifest["files"]) == {"U.pbm", "S1.pbm", "S2.pbm"}
     assert all(len(d) == 64 for d in manifest["files"].values())
+
+
+def test_encrypt_prints_its_files_in_write_order(tmp_path, secret_files, capsys):
+    # U first, then the shares in secret order, then the manifest: the order of a run.
+    out = tmp_path / "out"
+    assert main(["encrypt", "--seed", "1", *map(str, secret_files), *map(str, secret_files[:1]),
+                 "-o", str(out)]) == 0
+    printed = capsys.readouterr().out.replace(str(out), "OUT")
+    assert printed == ("seed: 1\nwrote OUT/U.pbm\nwrote OUT/S1.pbm\nwrote OUT/S2.pbm\n"
+                       "wrote OUT/S3.pbm\nwrote OUT/manifest.json\n")
 
 
 def test_printed_seed_rebuilds_the_unishare(tmp_path, secret_files):
@@ -545,6 +556,32 @@ def test_demo_deterministic_across_runs_and_threads(tmp_path):
     assert trees[0] == trees[1]
 
 
+# The whole stdout of `demo --seed 7`, its output directory written OUT: the
+# files in write order, then each graded pair's row in the order it is scored.
+DEMO_STDOUT = """\
+seed: 7
+artifacts in OUT: G1.pbm G2.pbm U.pbm S1.pbm S2.pbm G1_rec.pbm G2_rec.pbm metrics_pairs.json manifest.json
+pair                      psnr_db     ssim     corr mismatch
+------------------------------------------------------------
+G1 vs G1_rec                  inf   1.0000   1.0000   0.0000
+G2 vs G2_rec                  inf   1.0000   1.0000   0.0000
+G1 vs S1                   3.0048   0.0001  -0.0018   0.5006
+G1 vs S2                   3.0058   0.0001  -0.0018   0.5005
+G2 vs S1                   3.0058   0.0008  -0.0010   0.5005
+G2 vs S2                   3.0048   0.0005  -0.0013   0.5006
+G1 vs U                    3.0167   0.0036   0.0020   0.4993
+G2 vs U                    3.0201   0.0041   0.0023   0.4989
+S1 vs U                    4.6499   0.3157   0.3145   0.3428
+S2 vs U                    3.0103   0.0018   0.0000   0.5000
+"""
+
+
+def test_demo_stdout_is_pinned(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert main(["demo", "--seed", "7", "-o", str(out)]) == 0
+    assert capsys.readouterr().out.replace(str(out), "OUT") == DEMO_STDOUT
+
+
 # (format, manifest.json digest, edge length) of `demo --seed 7`, which always
 # writes its 512x512 fixtures as P4.  The id leaves the digest out, so a
 # re-pin keeps the test's name.
@@ -804,11 +841,12 @@ def test_console_script_is_cli_main():
     assert getattr(importlib.import_module(module), attr) is main
 
 
-def run_python(*args, **kwargs):
-    """`python ARGS` in a child that imports this same package."""
+def run_python(*args, wrapper=(), **kwargs):
+    """`python ARGS` in a child that imports this same package, run by the
+    command `wrapper` if one is given."""
     src = str(Path(qvmss.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args], text=True, env=env, **kwargs)
+    return subprocess.run([*wrapper, sys.executable, *args], text=True, env=env, **kwargs)
 
 
 def run_cli(*args, **kwargs):
@@ -843,6 +881,27 @@ def test_a_full_stdout_exits_2_with_one_error_line(tmp_path, secret_files):
                        stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [f"error: standard output: {os.strerror(errno.ENOSPC)}"]
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell")
+def test_a_closed_fd_1_exits_2_before_writing_anything(tmp_path, secret_files):
+    # With fd 1 closed at start-up, sys.stdout is None: the run is refused before its files.
+    out = tmp_path / "out"
+    proc = run_cli("encrypt", "--seed", "1", str(secret_files[0]), "-o", str(out),
+                   wrapper=("sh", "-c", 'exec "$@" >&-', "sh"), stderr=subprocess.PIPE)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: standard output is closed"]
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                    reason="no /dev/full or /proc/self/fd on this platform")
+def test_a_failed_stdout_leaves_no_descriptor_open(secret_files, monkeypatch):
+    with open("/dev/full", "w") as full:
+        monkeypatch.setattr(sys, "stdout", full)
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(["metrics", *map(str, secret_files)]) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_module_entry_point_runs(tmp_path, secret_files):

@@ -153,19 +153,21 @@ print(json.dumps(json.loads((root / "results.json").read_text())[seed]))
 """
 
 
-def stub_checkout(path, results):
-    """A checkout whose bench/run.py prints results[seed] as its result line."""
+def stub_checkout(path, results, run=STUB_RUN):
+    """A checkout whose bench/run.py is `run`: by default, it prints
+    results[seed] as its result line."""
     (path / "bench").mkdir(parents=True)
     (path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
-    (path / "bench" / "run.py").write_text(STUB_RUN)
+    (path / "bench" / "run.py").write_text(run)
     (path / "results.json").write_text(json.dumps(results))
 
 
-def run_judge(tmp_path, baseline, change, *args):
+def run_judge(tmp_path, baseline, change, *args, change_run=STUB_RUN):
     """Run bench_pairs.py, as a copy inside a stand-in change checkout, against
-    a stand-in baseline checkout: each prints its results[seed]."""
+    a stand-in baseline checkout: each prints its results[seed], unless the
+    change's bench/run.py is `change_run`."""
     stub_checkout(tmp_path / "base", baseline)
-    stub_checkout(tmp_path / "change", change)
+    stub_checkout(tmp_path / "change", change, change_run)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "change")
     (tmp_path / "change" / "scripts").mkdir()
     for script in ("bench_pairs.py", "bench_entry.py"):
@@ -223,6 +225,22 @@ def test_bench_pairs_alternates_two_checkouts_and_judges_each_metric(tmp_path):
         "peak_rss_mib": ["1/10", "worse"],
     }
     assert rows["metrics_s"][2:8] == ["0.00525", "0.0056", "0.00585", "0.004", "0.004", "0.004"]
+
+
+@pytest.mark.parametrize("stderr, reason", [
+    ("warming up\nValueError: no such workload\n  \n",
+     "exit 1, no result line: ValueError: no such workload"),
+    ("", "exit 1, no result line"),
+], ids=["stderr", "silent"])
+def test_bench_pairs_says_why_a_run_was_lost(tmp_path, stderr, reason):
+    # The change's bench/run.py exits 1 before its result line.
+    failing_run = f"import sys\nprint('progress')\nsys.stderr.write({stderr!r})\nsys.exit(1)\n"
+    results = {"1": bench_result()}
+    proc = run_judge(tmp_path, results, results, "--workload", "paper-n2", "--pairs", "1",
+                     "--seconds", "1", change_run=failing_run)
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.splitlines() if line.startswith("lost:")] == [
+        f"lost: pair 1 change ({reason})"]
 
 
 def test_bench_pairs_appends_a_json_entry(tmp_path):
