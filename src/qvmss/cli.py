@@ -411,10 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: str) -> None:
+    """Print `error: message` to stderr, if it can take it: a closed or full
+    stderr drops the line, so the run still ends in its own exit code."""
+    if sys.stderr is not None:  # None when fd 2 was closed at start-up
+        try:
+            print(f"error: {message}", file=sys.stderr)
+        except OSError:
+            pass
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if sys.stdout is None:  # fd 1 was closed when the interpreter started
-        print("error: standard output is closed", file=sys.stderr)
+        _error("standard output is closed")
         return EXIT_IO
     try:
         code = args.handler(args)
@@ -425,10 +435,10 @@ def main(argv: list[str] | None = None) -> int:
         # buffer goes to devnull, so the interpreter's exit-time flush does not raise again.
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print(f"error: standard output: {exc.strerror}", file=sys.stderr)
+        _error(f"standard output: {exc.strerror}")
         return EXIT_IO
     except (_Failure, scheme.ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(str(exc))
         return getattr(exc, "code", EXIT_IO)  # an arity out of range is a usage error
 
 

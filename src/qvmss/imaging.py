@@ -22,16 +22,13 @@ from . import rng
 MAX_DIMENSION = 1 << 20
 MAX_PIXELS = 1 << 26
 
-_WHITESPACE = frozenset(b" \t\n\r\v\f")
-# Whitespace and `#` comments (to the line end) may sit between header tokens.
-_HEADER_FILLER = re.compile(rb"(?:[ \t\n\r\v\f]|#[^\n\r]*)*")
+_WHITESPACE = b" \t\n\r\v\f"
+# Whitespace runs and `#` comments (to the line end) may sit between header tokens.  One
+# match takes at most 1024 of them, so the regex holds bounded state; `_read_dimension`
+# repeats it until no filler is left.
+_HEADER_FILLER = re.compile(rb"(?:[%s]+|#[^\n\r]*){0,1024}" % re.escape(_WHITESPACE))
 _DIGITS = re.compile(rb"[0-9]*")
 
-# What each byte of a P1 raster is once its comments are blanked.
-_FILLER, _DIGIT, _STRAY = 0, 1, 2
-_P1_BYTE_KIND = np.full(256, _STRAY, dtype=np.uint8)
-_P1_BYTE_KIND[list(_WHITESPACE)] = _FILLER
-_P1_BYTE_KIND[list(b"01")] = _DIGIT
 # Bytes of a P1 raster scanned per step when blanking comments.
 _COMMENT_CHUNK = 1 << 16
 
@@ -196,7 +193,8 @@ def require_same_shape(a: BinaryImage, b: BinaryImage) -> None:
 
 
 def _read_dimension(data: bytes, pos: int, name: str) -> tuple[int, int]:
-    pos = _HEADER_FILLER.match(data, pos).end()
+    while (end := _HEADER_FILLER.match(data, pos).end()) > pos:
+        pos = end
     if pos >= len(data):
         raise PbmParseError(f"unexpected end of input while reading {name}", pos)
     start = pos
@@ -249,28 +247,27 @@ def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:
             f"raster truncated: need at least {count} bytes, have {len(data) - pos}",
             len(data),
         )
-    raw = np.frombuffer(data, dtype=np.uint8, offset=pos)
-    if data.find(b"#", pos) >= 0:
-        raw = _blank_comments(raw)
-    kind = _P1_BYTE_KIND[raw]
-    stray = int(kind.argmax())  # _STRAY is the largest kind: the first stray byte, if any
-    is_digit = np.equal(kind, _DIGIT, out=kind.view(np.bool_))  # reuses kind's buffer
-    # Parsing stops at the count-th digit, so only a stray byte before it is an error.
-    if _P1_BYTE_KIND[raw[stray]] == _STRAY and np.count_nonzero(is_digit[:stray]) < count:
-        raise PbmParseError(f"unexpected raster byte {chr(raw[stray])!r}", pos + stray)
-    digits = raw[is_digit][:count]
-    if digits.size < count:
-        raise PbmParseError(f"raster ended after {digits.size} of {count} pixels", len(data))
+    raster = bytearray(memoryview(data)[pos:])  # one writable copy; a slice first would be two
+    if b"#" in raster:
+        _blank_comments(np.frombuffer(raster, dtype=np.uint8))
+    pixels = raster.translate(None, _WHITESPACE)
+    del pixels[count:]
+    # Parsing stops at the count-th pixel, so only a stray byte before it is an error.
+    if pixels.translate(None, b"01"):
+        stray = len(raster) - len(raster.lstrip(_WHITESPACE + b"01"))  # the first stray byte
+        raise PbmParseError(f"unexpected raster byte {chr(raster[stray])!r}", pos + stray)
+    if len(pixels) < count:
+        raise PbmParseError(f"raster ended after {len(pixels)} of {count} pixels", len(data))
+    digits = np.frombuffer(pixels, dtype=np.uint8)
     return np.subtract(digits, 0x30, out=digits)
 
 
-def _blank_comments(raw: np.ndarray) -> np.ndarray:
-    """Copy of `raw` with each `#` comment, up to its line end, turned into spaces."""
-    out = raw.copy()
+def _blank_comments(raw: np.ndarray) -> None:
+    """Turn each `#` comment in `raw`, up to its line end, into spaces, in place."""
     in_comment = False  # whether a comment runs on from the previous chunk
     # Chunks bound the int64 mark indices to a fixed size, however many comments there are.
-    for lo in range(0, out.size, _COMMENT_CHUNK):
-        chunk = out[lo:lo + _COMMENT_CHUNK]
+    for lo in range(0, raw.size, _COMMENT_CHUNK):
+        chunk = raw[lo:lo + _COMMENT_CHUNK]
         marks = np.flatnonzero((chunk == 0x23) | (chunk == 0x0A) | (chunk == 0x0D))
         is_hash = chunk[marks] == 0x23
         after_hash = np.concatenate(([in_comment], is_hash[:-1]))
@@ -282,7 +279,6 @@ def _blank_comments(raw: np.ndarray) -> np.ndarray:
         blank = np.cumsum(edges, dtype=np.int8).astype(bool)
         in_comment = bool(blank[-1])
         chunk[blank] = 0x20
-    return out
 
 
 def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -892,6 +893,32 @@ def test_a_closed_fd_1_exits_2_before_writing_anything(tmp_path, secret_files):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == ["error: standard output is closed"]
     assert not out.exists()
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="no POSIX shell")
+@pytest.mark.parametrize("redirect", [">&-", "2>&-", ">&- 2>&-", ">/dev/full", "2>/dev/full"])
+def test_descriptor_states_end_in_the_documented_exit_code(redirect, tmp_path, secret_files):
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    secret, missing = str(secret_files[0]), str(tmp_path / "missing.pbm")
+    runs = {  # each command's arguments, and whether it succeeds with both descriptors open
+        ("encrypt", "--seed", "1", secret, "-o", str(tmp_path / "ok")): True,
+        ("encrypt", "--seed", "1", missing, "-o", str(tmp_path / "failed")): False,
+        ("metrics", secret, secret): True,
+        ("metrics", missing, secret): False,
+    }
+    wrapper = ("sh", "-c", f'exec "$@" {redirect}', "sh")
+    # The four runs start together, so the five states take a few seconds in all.
+    with ThreadPoolExecutor(len(runs)) as pool:
+        procs = pool.map(lambda argv: run_cli(*argv, wrapper=wrapper, capture_output=True), runs)
+    stdout_open, stderr_open = redirect.startswith("2>"), "2>" not in redirect
+    for (argv, succeeds), proc in zip(runs.items(), procs):
+        assert proc.returncode == (0 if succeeds and stdout_open else 2), argv
+        assert "error:" not in proc.stdout, argv  # a lost stderr line never lands on stdout
+        if stderr_open:
+            assert "Traceback" not in proc.stderr, argv
+            assert len(proc.stderr.splitlines()) == (proc.returncode != 0), argv
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),

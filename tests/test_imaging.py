@@ -402,12 +402,14 @@ def _reference_p1_raster(data, pos, count):
 
 @settings(max_examples=300)
 @given(width=st.integers(1, 6), height=st.integers(1, 3), raster=st.lists(
-    st.sampled_from([b"0", b"1", b" ", b"\n", b"\r", b"\t", b"#", b"# 1 #", b"x", b"\xff"]),
+    st.sampled_from([b"0", b"1", b"2", b" ", b"\n", b"\r", b"\t", b"\v", b"\f", b"#",
+                     b"# 1 #", b"# 0\r", b"x", b"\xff"]),
     max_size=40,
-).map(b"".join), chunk=st.sampled_from([1, 2, 3, 7, imaging._COMMENT_CHUNK]))
-def test_read_p1_matches_byte_loop_reference(width, height, raster, chunk):
+).map(b"".join), chunk=st.sampled_from([1, 2, 3, 7, imaging._COMMENT_CHUNK]),
+    convert=st.sampled_from([bytes, bytearray]))
+def test_read_p1_matches_byte_loop_reference(width, height, raster, chunk, convert):
     header = f"P1\n{width} {height}".encode()
-    data = header + b"\n" + raster
+    data = convert(header + b"\n" + raster)
     expected = _reference_p1_raster(data, len(header), width * height)
     try:
         # Small chunks put comments across the boundaries of the blanking pass.
@@ -432,6 +434,31 @@ def test_read_p1_comment_heavy_payload_peaks_below_4x(header, line, tail):
     finally:
         tracemalloc.stop()
     assert peak < 4 * len(data)
+
+
+@pytest.mark.parametrize("data, size", [
+    (b"P1\n" + b"#\n" * (1 << 20) + b"2 1\n01", (2, 1)),
+    (b"P4\n" + b"#\n" * (1 << 20) + b"9 1\n\xff\x80", (9, 1)),
+], ids=["p1", "p4"])
+def test_comment_heavy_header_peaks_below_4x(data, size):
+    tracemalloc.start()
+    try:
+        image = read_pbm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (image.width, image.height) == size
+    assert peak < 4 * len(data)
+
+
+@pytest.mark.parametrize("data, name", [
+    (b"P1\n" + b"#\n" * 1500 + b"x 1\n0", "width"),
+    (b"P4 8" + b" # \n" * 1500 + b"x\n\x00", "height"),
+], ids=["width", "height"])
+def test_bad_digit_after_1024_filler_runs_reports_its_offset(data, name):
+    with pytest.raises(PbmParseError, match=f"expected decimal {name}") as excinfo:
+        read_pbm(data)
+    assert excinfo.value.offset == data.index(b"x")
 
 
 @pytest.mark.parametrize("comment", [b"", b" # row"], ids=["plain", "comment_per_row"])
