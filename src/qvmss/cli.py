@@ -15,7 +15,8 @@ seed is a small key.  An auto-drawn seed is 256 bits of OS entropy.
 
 Exit codes: 0 success, 1 selftest property failure, 2 I/O or parse
 failure (a failed write to stdout included, and a closed stdout, which is
-refused before anything is written), 3 image dimension mismatch.
+refused before anything is written), 3 image dimension mismatch.  A closed
+or full stderr leaves the code as it is and drops the `error:` line.
 """
 from __future__ import annotations
 
