@@ -1,5 +1,6 @@
-"""The record that the benchmark scripts append to a `BENCH_*.json` file, and
-the timing helpers they share.
+"""The record that the benchmark scripts append to a `BENCH_*.json` file, the
+timing helpers they share, and `positive_int`, the argparse type of their
+counts.
 
 Each entry starts with the same header: the git revision of the benchmarked
 `qvmss` sources (with `-dirty` when a file in that package directory differs
@@ -8,6 +9,7 @@ of CPUs this process may run on: its CPU affinity where the platform reports
 one, else the CPU count).  This module imports neither numpy nor qvmss, so a
 script that judges another checkout can use it without importing either.
 """
+import argparse
 import importlib.metadata
 import json
 import os
@@ -16,6 +18,17 @@ import statistics
 import subprocess
 import time
 from pathlib import Path
+
+
+def positive_int(text):
+    """An argparse type: a decimal integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def timed(repeats, fn):

@@ -39,20 +39,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_entry import append_entry, quartiles, source_revision
+from bench_entry import append_entry, positive_int, quartiles, source_revision
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("baseline", "change")
 END_TO_END = {metric["name"]: metric
               for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-
-
-def positive_int(text):
-    """An argparse type: a decimal integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def run_benchmark(checkout, workload, seconds, seed):

@@ -32,10 +32,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_entry import append_entry, source_revision, spread, timed
+from bench_entry import append_entry, positive_int, source_revision, spread, timed
 
 import qvmss
-from qvmss.cli import positive_int
 from qvmss.imaging import make_fixture, write_pbm
 from qvmss.scheme import MAX_ARITY
 

@@ -25,11 +25,10 @@ both sides in turn.
 import argparse
 from pathlib import Path
 
-from bench_entry import append_entry, spread, timed
+from bench_entry import append_entry, positive_int, spread, timed
 
 import qvmss
 from qvmss import rng
-from qvmss.cli import positive_int
 from qvmss.imaging import make_fixture, row_bytes
 from qvmss.scheme import MAX_ARITY, classical_encrypt, decrypt_all, encrypt
 

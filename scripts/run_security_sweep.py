@@ -9,7 +9,8 @@ the 4-sigma uniformity bound; exits 1 if more than one run lands outside it.
 import argparse
 import sys
 
-from qvmss.cli import positive_int
+from bench_entry import positive_int
+
 from qvmss.imaging import make_fixture
 from qvmss.metrics import report, uniformity_bound
 from qvmss.scheme import encrypt

@@ -62,8 +62,9 @@ def _resolve_seed(explicit: int | None) -> int:
     if env is not None:
         try:
             return _seed(env)
-        except argparse.ArgumentTypeError as exc:
-            raise _Failure(EXIT_IO, f"QVMSS_SEED is {exc}")
+        except argparse.ArgumentTypeError:
+            # The value is key material: the error, and any traceback, names only the variable.
+            raise _Failure(EXIT_IO, "QVMSS_SEED is not an integer") from None
     return int.from_bytes(os.urandom(rng.KEY_BITS // 8), "big")
 
 

@@ -4,9 +4,9 @@ Bit value 1 is an opaque/black pixel and 0 is transparent/white, which is
 exactly PBM's polarity, so nothing in the pipeline ever inverts pixel values.
 Both netpbm variants are supported: P1 (ASCII) and P4 (bit-packed, the
 canonical output format).  A `BinaryImage` holds its pixels as P4 rows, so a
-P4 read is a header parse plus at most one buffer copy (none when the rows
-are whole bytes and end an immutable input), a P4 write is the header plus
-the rows' bytes, and only P1 packs on read and unpacks on write.
+P4 read is a header parse plus at most one buffer copy (none when whole-byte
+rows end the input), a P1 read packs its digits into the same rows, a P4
+write is the header plus the rows' bytes, and a P1 write unpacks them.
 """
 from __future__ import annotations
 
@@ -69,15 +69,12 @@ class BinaryImage:
     def __init__(self, width: int, height: int, bits) -> None:
         _check_dimensions(width, height)
         raw = np.asarray(bits)
-        # A cast to uint8 would wrap or truncate other dtypes, so check them first.
-        if raw.dtype not in (np.uint8, np.bool_) and not ((raw == 0) | (raw == 1)).all():
+        if raw.shape != (width * height,):
+            raise ValueError(f"expected {width * height} bits, got shape {raw.shape}")
+        # A cast to uint8 would wrap or truncate other values, so test them before it.
+        if not ((raw == 0) | (raw == 1)).all():
             raise ValueError("bits must be 0 or 1")
-        flat = raw.astype(np.uint8, copy=False)
-        if flat.shape != (width * height,):
-            raise ValueError(f"expected {width * height} bits, got shape {flat.shape}")
-        if flat.max(initial=0) > 1:
-            raise ValueError("bits must be 0 or 1")
-        self._hold(width, height, pack_rows(flat, width))
+        self._hold(width, height, pack_rows(raw.astype(np.uint8, copy=False), width))
 
     @classmethod
     def from_rows(cls, width: int, height: int, rows: np.ndarray) -> "BinaryImage":
@@ -172,9 +169,8 @@ def fill_keystream(rows: np.ndarray, width: int, seed: int, tag: bytes) -> None:
         rows[:, -1] &= last_byte_mask(width)
 
 
-def count_ones(packed: np.ndarray) -> int:
-    """Set bits in a uint8 array, popcounted 8 bytes at a time where the size allows."""
-    flat = packed if packed.ndim == 1 else packed.reshape(-1)  # a copy only if not contiguous
+def count_ones(flat: np.ndarray) -> int:
+    """Set bits in a flat uint8 array, popcounted 8 bytes at a time where the size allows."""
     if flat.size % 8 == 0:
         flat = flat.view(np.uint64)
     return int(np.bitwise_count(flat).sum())
@@ -211,22 +207,22 @@ def _read_dimension(data: bytes, pos: int, name: str) -> tuple[int, int]:
     return value, pos
 
 
-def read_pbm(data: bytes | bytearray) -> BinaryImage:
+def read_pbm(data: bytes) -> BinaryImage:
     """Parse a P1 or P4 PBM file into a BinaryImage.
 
     Header comments and arbitrary whitespace are accepted; P4 row padding
-    bits are ignored (cleared).  Raises TypeError unless data is bytes or a
-    bytearray, and PbmParseError (with a byte offset) on bad magic, malformed
-    dimensions, or truncated payload.  A P4 image whose width is a multiple
-    of 8, read from `bytes` that its raster ends, views those bytes; any
-    other image owns a copy.
+    bits are ignored (cleared).  Raises TypeError unless data is bytes, and
+    PbmParseError (with a byte offset) on bad magic, malformed dimensions,
+    or truncated payload.  Either raster is read as packed P4 rows: a P4
+    image whose width is a multiple of 8, read from bytes that its raster
+    ends, views those bytes; any other image owns its rows.
     """
-    if not isinstance(data, (bytes, bytearray)):
-        raise TypeError(f"read_pbm takes bytes or bytearray, not {type(data).__name__}")
+    if not isinstance(data, bytes):
+        raise TypeError(f"read_pbm takes bytes, not {type(data).__name__}")
     if len(data) < 2 or data[0] != 0x50 or data[1] not in (0x31, 0x34):
         magic = data[:2].decode("ascii", errors="replace") if data else "<empty>"
         raise PbmParseError(f"unsupported magic {magic!r}, expected P1 or P4", 0)
-    variant = PbmVariant.P1_ASCII if data[1] == 0x31 else PbmVariant.P4_PACKED
+    read_raster = _read_p1_raster if data[1] == 0x31 else _read_p4_raster
     if len(data) < 3 or (data[2] not in _WHITESPACE and data[2] != 0x23):
         raise PbmParseError("expected whitespace after magic", 2)
 
@@ -234,13 +230,11 @@ def read_pbm(data: bytes | bytearray) -> BinaryImage:
     height, pos = _read_dimension(data, pos, "height")
     if width * height > MAX_PIXELS:
         raise PbmParseError(f"image {width}x{height} exceeds {MAX_PIXELS} pixels", 2)
-
-    if variant is PbmVariant.P1_ASCII:
-        return BinaryImage(width, height, _read_p1_raster(data, pos, width * height))
-    return BinaryImage.from_rows(width, height, _read_p4_raster(data, pos, width, height))
+    return BinaryImage.from_rows(width, height, read_raster(data, pos, width, height))
 
 
-def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:
+def _read_p1_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarray:
+    count = width * height
     # Every pixel takes at least one byte; check before allocating `count`.
     if len(data) - pos < count:
         raise PbmParseError(
@@ -259,7 +253,7 @@ def _read_p1_raster(data: bytes, pos: int, count: int) -> np.ndarray:
     if len(pixels) < count:
         raise PbmParseError(f"raster ended after {len(pixels)} of {count} pixels", len(data))
     digits = np.frombuffer(pixels, dtype=np.uint8)
-    return np.subtract(digits, 0x30, out=digits)
+    return pack_rows(np.subtract(digits, 0x30, out=digits), width)
 
 
 def _blank_comments(raw: np.ndarray) -> None:
@@ -292,10 +286,9 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
             len(data),
         )
     rows = np.frombuffer(data, dtype=np.uint8, count=needed, offset=pos).reshape(height, -1)
-    # Whole-byte rows that end immutable bytes are used in place: read-only, with
-    # no padding bits to clear, and pinning no bytes but the header.  A copy
-    # otherwise, so the image never aliases a buffer that can change.
-    if width % 8 == 0 and isinstance(data, bytes) and len(data) - pos == needed:
+    # Whole-byte rows that end the bytes are used in place: read-only, with no
+    # padding bits to clear, and pinning no bytes but the header.
+    if width % 8 == 0 and len(data) - pos == needed:
         return rows
     rows = rows.copy()  # frees the image from `data` and makes it writable for the mask
     rows[:, -1] &= last_byte_mask(width)  # the file's padding bits may be anything

@@ -90,7 +90,7 @@ def test_binary_image_packs_rows_msb_first_with_zero_padding():
     img = BinaryImage(9, 2, [1, 0, 0, 0, 0, 0, 0, 1, 1] + [0] * 8 + [1])
     assert img.rows.dtype == np.uint8
     assert img.rows.tolist() == [[0x81, 0x80], [0x00, 0x80]]
-    assert imaging.count_ones(img.rows) == 4
+    assert imaging.count_ones(img.flat) == 4
 
 
 def test_from_rows_wraps_packed_rows_without_a_copy():
@@ -132,7 +132,6 @@ def image_makers(width, height=5):
         ("read_p4_padding_set", lambda: read_pbm(padding_set)),
         # A view of the bytes when width % 8 == 0, a copy otherwise.
         ("read_p4_bytes", lambda: read_pbm(bytes(write_pbm(a)))),
-        ("read_p4_bytearray", lambda: read_pbm(bytearray(write_pbm(a)))),
         ("read_p4_trailing_bytes", lambda: read_pbm(write_pbm(a) + b"\n")),
         ("xor", lambda: a ^ b),
         ("encrypt_unishare", lambda: encrypt([a, b], width).unishare),
@@ -146,7 +145,7 @@ def image_makers(width, height=5):
 def test_cached_ones_is_the_popcount_of_the_rows(width):
     for source, make in image_makers(width):
         img = make()
-        assert img.ones == imaging.count_ones(img.rows) == img.as_grid().sum(), source
+        assert img.ones == imaging.count_ones(img.flat) == img.as_grid().sum(), source
         assert img.ones_fraction() == img.ones / (width * 5), source
         if source == "read_p4_padding_set":
             assert img.ones == width * 5  # the set padding bits count nothing
@@ -186,34 +185,21 @@ def test_images_are_built_over_rows_no_one_else_can_write(width, monkeypatch):
         assert owner() is None, f"{source}: something else holds the image's rows"
 
 
-@pytest.mark.parametrize("convert", [memoryview, lambda data: data.decode("latin-1"), list],
-                         ids=["memoryview", "str", "list"])
+@pytest.mark.parametrize("convert", [bytearray, memoryview, lambda data: data.decode("latin-1"),
+                                     list], ids=["bytearray", "memoryview", "str", "list"])
 def test_read_pbm_names_the_types_it_takes(convert):
     data = write_pbm(make_fixture("random", 16, 5, seed=1))
-    with pytest.raises(TypeError, match="bytes or bytearray"):
+    with pytest.raises(TypeError, match="takes bytes, not"):
         read_pbm(convert(data))
 
 
 @pytest.mark.parametrize("width", [8, 13, 16])
 def test_p4_read_views_only_immutable_bytes_that_whole_byte_rows_end(width):
     data = write_pbm(make_fixture("random", width, 5, seed=2))
-    for source, viewed in [(data, width % 8 == 0), (bytearray(data), False),
-                           (data + b"\n", False)]:
+    for source, viewed in [(data, width % 8 == 0), (data + b"\n", False)]:
         img = read_pbm(source)
         assert np.shares_memory(img.rows, np.frombuffer(source, np.uint8)) == viewed, source
         assert not img.rows.flags.writeable
-
-
-@pytest.mark.parametrize("width", [8, 13, 16])
-def test_writing_a_bytearray_after_read_pbm_changes_no_image(width):
-    expected = make_fixture("random", width, 5, seed=4)
-    data = bytearray(write_pbm(expected))
-    counted, uncounted = read_pbm(data), read_pbm(data)
-    assert counted.ones == expected.ones
-    data[-expected.rows.size:] = b"\xff" * expected.rows.size
-    for img in (counted, uncounted):
-        assert img == expected
-        assert img.ones == expected.ones == imaging.count_ones(img.rows)
 
 
 def test_xor_shape_mismatch():
@@ -405,11 +391,10 @@ def _reference_p1_raster(data, pos, count):
     st.sampled_from([b"0", b"1", b"2", b" ", b"\n", b"\r", b"\t", b"\v", b"\f", b"#",
                      b"# 1 #", b"# 0\r", b"x", b"\xff"]),
     max_size=40,
-).map(b"".join), chunk=st.sampled_from([1, 2, 3, 7, imaging._COMMENT_CHUNK]),
-    convert=st.sampled_from([bytes, bytearray]))
-def test_read_p1_matches_byte_loop_reference(width, height, raster, chunk, convert):
+).map(b"".join), chunk=st.sampled_from([1, 2, 3, 7, imaging._COMMENT_CHUNK]))
+def test_read_p1_matches_byte_loop_reference(width, height, raster, chunk):
     header = f"P1\n{width} {height}".encode()
-    data = convert(header + b"\n" + raster)
+    data = header + b"\n" + raster
     expected = _reference_p1_raster(data, len(header), width * height)
     try:
         # Small chunks put comments across the boundaries of the blanking pass.

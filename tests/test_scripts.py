@@ -281,11 +281,14 @@ def test_bench_pairs_appends_a_json_entry(tmp_path):
     ("benchmark_cli.py", ["--arities", "17"]),
     ("benchmark_cli.py", ["--baseline", "no/such/src"]),
     ("bench_pairs.py", ["--pairs", "0", "base", "--workload", "w", "--seconds", "1"]),
+    ("bench_pairs.py", ["--pairs", "x", "base", "--workload", "w", "--seconds", "1"]),
 ])
 def test_scripts_reject_out_of_range_counts(script, args):
     proc = run_script(script, *args)
     assert proc.returncode == 2
     assert f"argument {args[0]}" in proc.stderr and "Traceback" not in proc.stderr
+    if args[1] == "x":  # every script says the same of a count that is not a number
+        assert "not an integer: 'x'" in proc.stderr
 
 
 def test_run_security_sweep_on_constant_images():
