@@ -3,9 +3,11 @@ score image pairs, run the built-in demo, or self-check the scheme.
 
 Every run is reproducible: an explicit --seed (or QVMSS_SEED in the
 environment) pins all randomness, and an auto-drawn seed is always echoed
-so the run can be repeated.  Each output file is staged under a unique
-temporary name and renamed into place, so it is replaced atomically;
-manifest.json is renamed last.  manifest.json records
+so the run can be repeated.  Each output file is staged as
+`.{name}.{token}.tmp` beside it, under one random token per command, and
+renamed into place, so it is replaced atomically; manifest.json is renamed
+last.  A staged name is created exclusively and no link is followed, so a
+name that already exists fails the run with exit 2.  manifest.json records
 `{"seed", "arity", "width", "height", "files": {name: sha256-hex}}`.
 
 The seed is key material, as secret as U.pbm: reduced mod 2**256, it keys
@@ -27,7 +29,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -116,29 +117,46 @@ def _matching_images(paths: list[str]) -> Iterator[BinaryImage]:
         yield image
 
 
+# A staged file is created, never opened: an existing name or a planted link raises.
+_STAGE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+def _prefix(out_dir: str) -> str:
+    """What `str(Path(out_dir) / name)` puts before a name: "" for the current
+    directory, else the normalized directory and one slash."""
+    directory = str(Path(out_dir))
+    return "" if directory == "." else directory if directory.endswith("/") else directory + "/"
+
+
 def _publish(out_dir: str, files: Iterable[tuple[str, BinaryImage | bytes]], fmt: str,
              manifest: dict | None = None) -> list[str]:
     """Write the `(name, item)` pairs of `files` to out_dir in order: an image
     as a `fmt` PBM file, bytes as they are.
 
-    Each file is serialized and staged under a unique name in turn, so only
-    one is held in memory, and `files` may make each item as it is reached.
-    With a `manifest`, each is also hashed, and manifest.json (its fields
-    plus the SHA-256 of every file) is staged last.  Then each staged file
-    is renamed into place in order, so manifest.json lands last.  Returns
-    the file names in write order.
+    Each file is serialized and staged in turn, so only one is held in
+    memory, and `files` may make each item as it is reached.  It is staged
+    at `.{name}.{token}.tmp` in out_dir, with one random token per call (the
+    names of one call already differ), created with mode 0600 by an
+    exclusive open that follows no link: a name that already exists, a
+    planted link included, is an OSError, so nothing is followed or
+    overwritten.  With a `manifest`, each file is also hashed, and
+    manifest.json (its fields plus the SHA-256 of every file) is staged
+    last.  Then each staged file is renamed into place in order, so
+    manifest.json lands last.  Any exception removes every staged file; an
+    OSError exits 2.  Returns the file names in write order.
     """
-    directory, variant = Path(out_dir), PbmVariant(fmt)
+    prefix, variant, token = _prefix(out_dir), PbmVariant(fmt), os.urandom(8).hex()
     digests, staged = {}, []
 
     def stage(name: str, payload: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
-        staged.append((Path(tmp), directory / name))
-        with os.fdopen(fd, "wb") as handle:
+        tmp = f"{prefix}.{name}.{token}.tmp"
+        fd = os.open(tmp, _STAGE_FLAGS, 0o600)
+        staged.append((tmp, name))
+        with open(fd, "wb") as handle:
             handle.write(payload)
 
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        os.makedirs(prefix or ".", exist_ok=True)
         try:
             for name, item in files:
                 payload = item if isinstance(item, bytes) else write_pbm(item, variant)
@@ -149,20 +167,24 @@ def _publish(out_dir: str, files: Iterable[tuple[str, BinaryImage | bytes]], fmt
             if manifest is not None:
                 text = json.dumps({**manifest, "files": digests}, indent=2, sort_keys=True)
                 stage("manifest.json", (text + "\n").encode("ascii"))
-            for tmp, final in staged:
-                os.replace(tmp, final)
+            for tmp, name in staged:
+                os.replace(tmp, prefix + name)
         except BaseException:  # an interrupt too must not leave staged files behind
             for tmp, _ in staged:
-                tmp.unlink(missing_ok=True)
+                try:
+                    os.unlink(tmp)
+                except FileNotFoundError:  # already renamed into place
+                    pass
             raise
     except OSError as exc:
         raise _Failure(EXIT_IO, f"{out_dir}: {exc}")
-    return [final.name for _, final in staged]
+    return [name for _, name in staged]
 
 
 def _print_written(out_dir: str, names: list[str]) -> None:
+    prefix = _prefix(out_dir)
     for name in names:
-        print(f"wrote {Path(out_dir) / name}")
+        print(f"wrote {prefix}{name}")
 
 
 def _numbered(pattern: str, images: Iterable[BinaryImage]) -> Iterator[tuple[str, BinaryImage]]:

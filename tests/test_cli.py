@@ -113,21 +113,58 @@ def test_encrypt_failed_write_keeps_the_previous_run(tmp_path, secret_files, mon
     before = read_tree(out)
     assert all(stat.S_IMODE((out / name).stat().st_mode) == 0o600 for name in before)
 
-    real_mkstemp, staged = tempfile.mkstemp, []
+    real_open, staged = os.open, []
 
-    def third_write_fails(*args, **kwargs):
-        fd, path = real_mkstemp(*args, **kwargs)
-        staged.append(path)
-        if len(staged) == 3:
-            os.close(fd)
-            fd = os.open(path, os.O_RDONLY)  # so writing the payload raises OSError
-        return fd, path
+    def third_write_fails(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        if os.fspath(path).endswith(".tmp") and flags & os.O_CREAT:
+            staged.append(path)
+            if len(staged) == 3:
+                os.close(fd)
+                fd = real_open(path, os.O_RDONLY)  # so writing the payload raises OSError
+        return fd
 
-    monkeypatch.setattr(tempfile, "mkstemp", third_write_fails)
+    monkeypatch.setattr(os, "open", third_write_fails)
     assert main(["encrypt", "--seed", "2", *map(str, secret_files), "-o", str(out)]) == 2
     assert len(staged) == 3
     assert "error:" in capsys.readouterr().err
     assert not list(out.glob(".*.tmp"))
+    assert read_tree(out) == before
+
+
+@pytest.mark.parametrize("out_dir", ["", "./out", "out/", "out//", "a/../out"])
+def test_encrypt_prints_each_path_as_pathlib_joins_it(out_dir, tmp_path, secret_files,
+                                                       monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["encrypt", "--seed", "3", *map(str, secret_files), "-o", out_dir]) == 0
+    names = ["U.pbm", "S1.pbm", "S2.pbm", "manifest.json"]
+    assert capsys.readouterr().out.splitlines() == [
+        "seed: 3", *(f"wrote {Path(out_dir) / name}" for name in names)]
+    landed = tmp_path / "out" if out_dir else tmp_path
+    manifest = json.loads((landed / "manifest.json").read_text())
+    for name in names[:-1]:
+        assert hashlib.sha256((landed / name).read_bytes()).hexdigest() == manifest["files"][name]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("planted", ["U.pbm", "S2.pbm", "manifest.json"])
+def test_staging_never_follows_or_overwrites_an_existing_path(planted, tmp_path, secret_files,
+                                                               monkeypatch, capsys):
+    out = tmp_path / "out"
+    assert main(["encrypt", "--seed", "1", *map(str, secret_files), "-o", str(out)]) == 0
+    before = read_tree(out)
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"not a share")
+    monkeypatch.setattr(cli.os, "urandom", lambda size: bytes(size))  # so the token is known
+    link = out / f".{planted}.{'00' * 8}.tmp"
+    link.symlink_to(victim)
+    capsys.readouterr()
+    assert main(["encrypt", "--seed", "2", *map(str, secret_files), "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert victim.read_bytes() == b"not a share"
+    assert [p.name for p in out.glob(".*.tmp")] == [link.name]  # none of this run's is left
+    link.unlink()
     assert read_tree(out) == before
 
 

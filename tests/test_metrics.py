@@ -153,6 +153,19 @@ def test_mismatch_secret_vs_share_is_half():
     assert report(secret, share_set.shares[0]).mismatch_fraction == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize("width, height, seed", [(1, 1, 0), (7, 5, 1), (64, 64, 2), (257, 130, 3)])
+def test_npcr_and_uaci_are_the_mismatch_fraction(width, height, seed):
+    # NPCR and UACI (Wu, Noonan & Agaian, 2011) by their definitions, as fractions,
+    # on the 0/255 grey levels of two binary images: a pixel that differs differs by 255.
+    bits = np.random.default_rng(seed).integers(0, 2, (2, width * height), dtype=np.uint8)
+    c1, c2 = 255 * bits.astype(np.int64)
+    npcr = np.mean(c1 != c2)
+    uaci = np.mean(np.abs(c1 - c2) / 255)
+    a, b = (BinaryImage(width, height, plane) for plane in bits)
+    assert npcr == report(a, b).mismatch_fraction
+    assert uaci == report(a, b).mismatch_fraction
+
+
 # --------------------------------------------------------------- properties
 
 @settings(max_examples=200)

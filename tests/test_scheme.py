@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qvmss import rng, scheme
+from qvmss import metrics, rng, scheme
 from qvmss.imaging import BinaryImage, ShapeMismatchError, make_fixture, row_bytes
 from qvmss.qsim import cnot, hadamard, measure_all, pauli_x
 from qvmss.rng import RngStream
@@ -157,6 +157,18 @@ def test_encrypt_round_trip_64():
     recovered = decrypt_all(encrypt(secrets, 42))
     assert recovered[0] == secrets[0]
     assert recovered[1] == secrets[1]
+
+
+@pytest.mark.parametrize("bit", [0, 1, 127, 255])
+def test_one_key_bit_changes_about_half_of_the_unishare(bit):
+    # Key sensitivity: the UniShare under a key one bit away is another uniform draw,
+    # so about half of its pixels differ from the UniShare under the first key.
+    seed, size = 0x5EED_0F_4B1_F11B, 256
+    secret = [make_fixture("text_glyphs", size, size)]
+    original = encrypt(secret, seed).unishare
+    flipped = encrypt(secret, seed ^ (1 << bit)).unishare
+    mismatch = metrics.report(original, flipped).mismatch_fraction
+    assert abs(mismatch - 0.5) <= metrics.uniformity_bound(size * size)
 
 
 def test_encrypt_is_reproducible():
