@@ -307,26 +307,19 @@ def write_pbm(image: BinaryImage, variant: PbmVariant = PbmVariant.P4_PACKED) ->
         return header + text.data
     # Already P4 rows with zero padding.  Joined from the array's buffer, not
     # from a tobytes() copy, the pixels are copied once.
-    return header + np.ascontiguousarray(image.rows).data
+    return header + image.rows.data
 
 
-# 3x5 glyphs for the text_glyphs fixture, 1 = opaque.
-_GLYPHS_3X5 = {
-    "S": ["111", "100", "111", "001", "111"],
-    "H": ["101", "101", "111", "101", "101"],
-    "A": ["010", "101", "111", "101", "101"],
-    "R": ["110", "101", "110", "101", "101"],
-    "E": ["111", "100", "110", "100", "111"],
-}
-_GLYPH_TEXT = "SHARE"
-
-
-def _text_tile() -> np.ndarray:
-    """7x21 tile: the 3x5 glyphs 1 column apart, with a blank row above and below."""
-    tile = np.zeros((7, 4 * len(_GLYPH_TEXT) + 1), dtype=np.uint8)
-    for i, ch in enumerate(_GLYPH_TEXT):
-        tile[1:6, 1 + 4 * i : 4 + 4 * i] = [[int(b) for b in line] for line in _GLYPHS_3X5[ch]]
-    return tile
+# The text_glyphs tile: "SHARE" in 3x5 glyphs a column apart, framed by blanks; '#' is opaque.
+_TEXT_TILE = np.array([[ch == "#" for ch in line] for line in """
+.....................
+.###.#.#..#..##..###.
+.#...#.#.#.#.#.#.#...
+.###.###.###.##..##..
+...#.#.#.#.#.#.#.#...
+.###.#.#.#.#.#.#.###.
+.....................
+""".split()], dtype=np.uint8)
 
 
 def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryImage:
@@ -345,7 +338,7 @@ def make_fixture(kind: str, width: int, height: int, seed: int = 0) -> BinaryIma
         tile = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     elif kind == "text_glyphs":
         scale = max(1, min(width, height) // 64)
-        tile = np.kron(_text_tile(), np.ones((scale, scale), dtype=np.uint8))
+        tile = np.kron(_TEXT_TILE, np.ones((scale, scale), dtype=np.uint8))
     else:
         raise ValueError(f"unknown fixture kind {kind!r}")
     band = np.tile(tile, (1, width // tile.shape[1] + 1))[:, :width]

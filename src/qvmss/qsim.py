@@ -4,6 +4,7 @@ Conventions used throughout the package:
 
 * Basis index bit order: qubit 0 is the MOST significant bit, so for a
   3-qubit register the basis state |q0 q1 q2> = |110> has index 6.
+  In the (2,) * k reshaped state axis j is qubit j; `_half(j, b)` indexes the half where j is b.
 * Gate set is exactly what the share scheme needs: Pauli-X, Hadamard and
   CNOT, with the standard matrices H = (1/sqrt 2) [[1, 1], [1, -1]] and
   X = [[0, 1], [1, 0]].
@@ -120,32 +121,29 @@ def _check_qubit(index: int, num_qubits: int, role: str) -> None:
         raise IndexError(f"{role} qubit {index} out of range for {num_qubits}-qubit register")
 
 
+def _half(qubit: int, bit: int) -> tuple:
+    return (slice(None),) * qubit + (bit,)
+
+
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Unitary image of `state` under `gate`; the input is left untouched."""
-    k = state.num_qubits
-    _check_qubit(gate.target, k, "target")
-    if gate.control is not None:
-        _check_qubit(gate.control, k, "control")
+    k, t, c = state.num_qubits, gate.target, gate.control
+    _check_qubit(t, k, "target")
+    if c is not None:
+        _check_qubit(c, k, "control")
 
-    # Axis j of the reshaped array is qubit j (MSB-first index convention).
     psi = state.amplitudes.reshape([2] * k)
-
     if gate.kind is GateKind.PAULI_X:
-        out = np.flip(psi, axis=gate.target).copy()
+        out = np.flip(psi, axis=t).copy()
     elif gate.kind is GateKind.HADAMARD:
-        lo: list = [slice(None)] * k
-        hi: list = [slice(None)] * k
-        lo[gate.target], hi[gate.target] = 0, 1
-        a0, a1 = psi[tuple(lo)], psi[tuple(hi)]
+        lo, hi = _half(t, 0), _half(t, 1)
+        a0, a1 = psi[lo], psi[hi]
         out = np.empty_like(psi)
-        out[tuple(lo)] = (a0 + a1) * INV_SQRT2
-        out[tuple(hi)] = (a0 - a1) * INV_SQRT2
-    else:  # CNOT: flip target within the control=1 subspace
+        out[lo] = (a0 + a1) * INV_SQRT2
+        out[hi] = (a0 - a1) * INV_SQRT2
+    else:  # CNOT: flip the target within the control=1 half, whose axes skip the control's
         out = psi.copy()
-        sel: list = [slice(None)] * k
-        sel[gate.control] = 1
-        sub_target = gate.target - 1 if gate.target > gate.control else gate.target
-        out[tuple(sel)] = np.flip(psi[tuple(sel)], axis=sub_target)
+        out[_half(c, 1)] = np.flip(psi[_half(c, 1)], axis=t - (t > c))
 
     return StateVector(out.reshape(-1))
 

@@ -181,6 +181,56 @@ def test_every_gate_is_self_inverse(num_qubits, seed):
         assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
 
 
+def _bit(num_qubits, qubit):
+    return 1 << (num_qubits - 1 - qubit)
+
+
+def _gate_matrix(num_qubits, gate):
+    """Dense 2^k x 2^k matrix of `gate`, built from its definition."""
+    if gate.kind is GateKind.CNOT:
+        c, t = _bit(num_qubits, gate.control), _bit(num_qubits, gate.target)
+        matrix = np.zeros((1 << num_qubits, 1 << num_qubits))
+        for i in range(1 << num_qubits):
+            matrix[i ^ t if i & c else i, i] = 1.0
+        return matrix
+    single = {GateKind.PAULI_X: np.array([[0, 1], [1, 0]]),
+              GateKind.HADAMARD: np.array([[1, 1], [1, -1]]) * INV_SQRT2}[gate.kind]
+    matrix = np.ones((1, 1))
+    for q in range(num_qubits):  # qubit 0 is the leftmost factor
+        matrix = np.kron(matrix, single if q == gate.target else np.eye(2))
+    return matrix
+
+
+def _gate_by_index(psi, num_qubits, gate):
+    """`gate` applied to `psi` through basis-index arithmetic, one gather per gate."""
+    i = np.arange(psi.size)
+    b = _bit(num_qubits, gate.target)
+    if gate.kind is GateKind.PAULI_X:
+        return psi[i ^ b]
+    if gate.kind is GateKind.CNOT:
+        return psi[i ^ np.where(i & _bit(num_qubits, gate.control), b, 0)]
+    a0, a1 = psi[i & ~b], psi[i | b]
+    return np.where(i & b, a0 - a1, a0 + a1) * INV_SQRT2
+
+
+def test_every_gate_matches_its_definition():
+    # Every gate on every position, against its dense matrix.
+    for num_qubits in range(1, 5):
+        state = random_state(num_qubits, num_qubits)
+        for gate in _gates_for(num_qubits):
+            expected = _gate_matrix(num_qubits, gate) @ state.amplitudes
+            assert np.allclose(apply_gate(state, gate).amplitudes, expected, rtol=0, atol=1e-12), gate
+    # Wide registers on the first, middle and last qubits, byte for byte.
+    for num_qubits in (9, MAX_QUBITS):
+        state = random_state(num_qubits, num_qubits)
+        ends = (0, num_qubits // 2, num_qubits - 1)
+        gates = [pauli_x(q) for q in ends] + [hadamard(q) for q in ends]
+        gates += [cnot(c, t) for c in ends for t in ends if c != t]
+        for gate in gates:
+            expected = _gate_by_index(state.amplitudes, num_qubits, gate)
+            assert apply_gate(state, gate).amplitudes.tobytes() == expected.tobytes(), gate
+
+
 def test_gate_results_stay_finite():
     state = random_state(3, 99)
     for gate in _gates_for(3):
