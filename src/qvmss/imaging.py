@@ -263,14 +263,9 @@ def _blank_comments(raw: np.ndarray) -> None:
     for lo in range(0, raw.size, _COMMENT_CHUNK):
         chunk = raw[lo:lo + _COMMENT_CHUNK]
         marks = np.flatnonzero((chunk == 0x23) | (chunk == 0x0A) | (chunk == 0x0D))
-        is_hash = chunk[marks] == 0x23
-        after_hash = np.concatenate(([in_comment], is_hash[:-1]))
-        # A comment opens at a '#' not already inside one, and closes at the next line end.
-        edges = np.zeros(chunk.size, dtype=np.int8)
-        edges[marks[is_hash & ~after_hash]] = 1
-        edges[marks[~is_hash & after_hash]] = -1
-        edges[0] += in_comment  # a comment carried over starts the count at 1
-        blank = np.cumsum(edges, dtype=np.int8).astype(bool)
+        # A byte is in a comment when the last `#` or line end at or before it is a `#`.
+        blank = np.repeat(np.append(in_comment, chunk[marks] == 0x23),
+                          np.diff(marks, prepend=0, append=chunk.size))
         in_comment = bool(blank[-1])
         chunk[blank] = 0x20
 

@@ -342,8 +342,13 @@ def test_read_p1_rejects_stray_raster_bytes():
         read_pbm(b"P1\n2 2\n0 1\n1 7\n")
 
 
-def test_read_p1_comment_in_raster_hides_rest_of_line():
-    assert read_pbm(b"P1\n2 1\n1 #0 0\n0") == BinaryImage(2, 1, [1, 0])
+@pytest.mark.parametrize("data", [
+    b"P1\n2 1\n1 #0 0\n0",
+    # A comment that runs on past whole chunks of the blanking pass.
+    b"P1\n2 1\n1 #" + b"1 " * imaging._COMMENT_CHUNK + b"1\n0",
+], ids=["short", "past_whole_chunks"])
+def test_read_p1_comment_in_raster_hides_rest_of_line(data):
+    assert read_pbm(data) == BinaryImage(2, 1, [1, 0])
 
 
 def test_read_p1_ignores_bytes_after_last_pixel():
