@@ -4,7 +4,8 @@ counts.
 
 Each entry starts with the same header: the git revision of the benchmarked
 `qvmss` sources (with `-dirty` when a file in that package directory differs
-from that revision), the Python and numpy versions, and `nproc` (the number
+from that revision; for sources in no git tree, the commit of this repository
+that they match), the Python and numpy versions, and `nproc` (the number
 of CPUs this process may run on: its CPU affinity where the platform reports
 one, else the CPU count).  This module imports neither numpy nor qvmss, so a
 script that judges another checkout can use it without importing either.
@@ -18,6 +19,8 @@ import statistics
 import subprocess
 import time
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def positive_int(text):
@@ -54,18 +57,35 @@ def spread(times):
 
 def source_revision(package_dir):
     """`git describe --always` of the tree holding a qvmss package directory,
-    with `-dirty` when a file in that directory differs from it."""
-    def git(*args):
-        return subprocess.run(["git", *args], capture_output=True, text=True,
-                              cwd=package_dir)
+    with `-dirty` when a file in that directory differs from it.
+
+    A directory in no git tree, such as one unpacked from `git archive`, is
+    named by the newest commit of the repository holding these scripts whose
+    `src/qvmss` has the same `*.py` files, compared by blob id; `unknown` when
+    no commit has them.
+    """
+    def git(*args, cwd=package_dir):
+        return subprocess.run(["git", *args], capture_output=True, text=True, cwd=cwd)
 
     try:
         described, status = git("describe", "--always"), git("status", "--porcelain", "--", ".")
+        if not (described.returncode or status.returncode):
+            return described.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
+        names = sorted(path.relative_to(package_dir).as_posix()
+                       for path in Path(package_dir).rglob("*.py"))
+        hashed = git("hash-object", "--", *names)  # without -w it writes nothing
+        if not names or hashed.returncode:
+            return "unknown"
+        blobs = set(zip(names, hashed.stdout.split()))
+        for commit in git("rev-list", "HEAD", cwd=ROOT).stdout.split():
+            listed = git("ls-tree", "-r", commit, "--", "src/qvmss", cwd=ROOT).stdout
+            entries = (line.split("\t", 1) for line in listed.splitlines())
+            if blobs == {(path.removeprefix("src/qvmss/"), meta.split()[2])
+                         for meta, path in entries if path.endswith(".py")}:
+                return git("describe", "--always", commit, cwd=ROOT).stdout.strip()
     except OSError:
-        return "unknown"
-    if described.returncode or status.returncode:
-        return "unknown"
-    return described.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
+        pass
+    return "unknown"
 
 
 def append_entry(path, rows, package_dir, **fields):

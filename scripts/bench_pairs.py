@@ -34,6 +34,7 @@ the verdict.  The script imports nothing of either checkout's program.
 """
 import argparse
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -146,6 +147,8 @@ def main():
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--json", metavar="PATH", help="append this run's entry to PATH")
     args = parser.parse_args()
+    if not 0 < args.seconds < math.inf:  # bench/run.py would never stop on NaN or inf
+        parser.error(f"argument --seconds: must be positive and finite, got {args.seconds}")
     if not (args.baseline / "bench" / "run.py").is_file():
         parser.error(f"argument baseline: no bench/run.py under {args.baseline}")
     checkouts = {"baseline": args.baseline.resolve(), "change": ROOT}

@@ -342,7 +342,7 @@ def _check_two_branch_support():
     for n in range(1, 5):
         for value in range(1 << n):
             g = [(value >> (n - 1 - j)) & 1 for j in range(n)]
-            support = scheme.transmitter_state(g).probabilities()
+            support = abs(scheme.transmitter_state(g)) ** 2
             idx = [i for i, p in enumerate(support) if p > 0.0]
             if len(idx) != 2:
                 return ("two_branch_support", False, f"support size {len(idx)} for g={g}")

@@ -14,8 +14,10 @@ Conventions used throughout the package:
   all that an X/H/CNOT circuit on a basis state can produce (a stabilizer
   state measures uniformly over its support), so one fair bit decides.
 
-Registers are capped at MAX_QUBITS = 17, the widest the package builds: the
-UniShare qubit plus 16 secret qubits (the statevector has 2^k amplitudes).
+A register is a 1-D complex array of 2^k amplitudes, k in 1..MAX_QUBITS = 17 (the
+UniShare qubit plus 16 secret qubits).  `new_register` makes a valid one, `apply_gate`
+checks the shape it indexes, and `measure_all` checks the shape and the norm, which
+refuses NaN or inf, before it draws a bit; an X, H or CNOT keeps amplitudes finite.
 """
 from __future__ import annotations
 
@@ -79,60 +81,41 @@ def cnot(control: int, target: int) -> GateOp:
     return GateOp(GateKind.CNOT, target, control=control)
 
 
-@dataclass
-class StateVector:
-    """Complex amplitudes over the 2^num_qubits basis states.
-
-    Construction checks shape and finiteness but not normalization, so
-    tests can build deliberately bad states; `measure_all` enforces the
-    norm guard.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        size = self.amplitudes.size
-        if self.amplitudes.ndim != 1 or not 2 <= size <= 1 << MAX_QUBITS or size & (size - 1):
-            raise ValueError(f"amplitudes must be 1-D of length 2^k for k in 1..{MAX_QUBITS}, "
-                             f"got shape {self.amplitudes.shape}")
-        if not np.isfinite(self.amplitudes).all():
-            raise ValueError("amplitudes must be finite")
-
-    @property
-    def num_qubits(self) -> int:
-        return self.amplitudes.size.bit_length() - 1
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def new_register(num_qubits: int) -> StateVector:
+def new_register(num_qubits: int) -> np.ndarray:
     """Fresh register with every qubit in |0>."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
     amplitudes = np.zeros(1 << num_qubits, dtype=np.complex128)
     amplitudes[0] = 1.0
-    return StateVector(amplitudes)
+    return amplitudes
 
 
-def _check_qubit(index: int, num_qubits: int, role: str) -> None:
-    if not 0 <= index < num_qubits:
-        raise IndexError(f"{role} qubit {index} out of range for {num_qubits}-qubit register")
+def _num_qubits(register: np.ndarray) -> int:
+    """k for a 1-D register of 2^k amplitudes with k in 1..MAX_QUBITS."""
+    size = register.size
+    if register.ndim != 1 or not 2 <= size <= 1 << MAX_QUBITS or size & (size - 1):
+        raise ValueError(f"amplitudes must be 1-D of length 2^k for k in 1..{MAX_QUBITS}, "
+                         f"got shape {register.shape}")
+    return size.bit_length() - 1
+
+
+def _check_qubit(index: int, width: int, role: str) -> None:
+    if not 0 <= index < width:
+        raise IndexError(f"{role} qubit {index} out of range for {width}-qubit register")
 
 
 def _half(qubit: int, bit: int) -> tuple:
     return (slice(None),) * qubit + (bit,)
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Unitary image of `state` under `gate`; the input is left untouched."""
-    k, t, c = state.num_qubits, gate.target, gate.control
+def apply_gate(register: np.ndarray, gate: GateOp) -> np.ndarray:
+    """Unitary image of `register` under `gate`, in new memory; the input is left untouched."""
+    k, t, c = _num_qubits(register), gate.target, gate.control
     _check_qubit(t, k, "target")
     if c is not None:
         _check_qubit(c, k, "control")
 
-    psi = state.amplitudes.reshape([2] * k)
+    psi = register.reshape([2] * k)
     if gate.kind is GateKind.PAULI_X:
         out = np.flip(psi, axis=t).copy()
     elif gate.kind is GateKind.HADAMARD:
@@ -145,19 +128,20 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         out = psi.copy()
         out[_half(c, 1)] = np.flip(psi[_half(c, 1)], axis=t - (t > c))
 
-    return StateVector(out.reshape(-1))
+    return out.reshape(-1)
 
 
-def measure_all(state: StateVector, rng: RngStream) -> str:
+def measure_all(register: np.ndarray, rng: RngStream) -> str:
     """Sample a full computational-basis outcome, q0 first in the bitstring.
 
     Consumes exactly one fair bit and picks between the (at most two)
     nonzero amplitudes: the lower basis index on 0.  A wider support, or two
     branches of unequal probability, is refused before any bit is drawn.
     """
-    probs = state.probabilities()
+    k = _num_qubits(register)
+    probs = np.abs(register) ** 2
     total = probs.sum()
-    if abs(total - 1.0) > NORM_TOLERANCE:
+    if not abs(total - 1.0) <= NORM_TOLERANCE:  # also true of a NaN or inf total
         raise StateError(f"state norm^2 = {total!r} deviates from 1 beyond {NORM_TOLERANCE}")
 
     support = np.flatnonzero(probs)
@@ -167,4 +151,4 @@ def measure_all(state: StateVector, rng: RngStream) -> str:
     if abs(first - last) > NORM_TOLERANCE:
         raise StateError(f"one fair bit cannot pick between probabilities {first!r}, {last!r}")
     outcome = int(support[-1] if rng.next_bit() else support[0])
-    return format(outcome, f"0{state.num_qubits}b")
+    return format(outcome, f"0{k}b")

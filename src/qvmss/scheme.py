@@ -30,7 +30,6 @@ from .qsim import (
     MAX_QUBITS,
     GateKind,
     GateOp,
-    StateVector,
     apply_gate,
     cnot,
     hadamard,
@@ -96,7 +95,7 @@ def decoding_circuit() -> list[GateOp]:
     return [cnot(0, 1)]
 
 
-def _run_dense(bits: tuple[int, ...], program: Sequence[GateOp]) -> StateVector:
+def _run_dense(bits: tuple[int, ...], program: Sequence[GateOp]) -> np.ndarray:
     """Dense reference: X gates load `bits` into qubits 0.., then `program` runs."""
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"bits must be 0 or 1, got {bits}")
@@ -106,7 +105,7 @@ def _run_dense(bits: tuple[int, ...], program: Sequence[GateOp]) -> StateVector:
     return state
 
 
-def transmitter_state(secret_bits: Sequence[int]) -> StateVector:
+def transmitter_state(secret_bits: Sequence[int]) -> np.ndarray:
     """Pre-measurement state of the encoding circuit for one pixel.
 
     Support is exactly two complementary basis states, |0, g_1..g_n> and

@@ -57,7 +57,7 @@ def test_criterion_3_two_branch_transmitter_states():
         full_mask = (1 << (n + 1)) - 1
         for value in range(1 << n):
             g = [(value >> (n - 1 - j)) & 1 for j in range(n)]
-            probs = transmitter_state(g).probabilities()
+            probs = abs(transmitter_state(g)) ** 2
             support = np.flatnonzero(probs)
             assert len(support) == 2
             i0, i1 = support

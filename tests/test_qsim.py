@@ -10,7 +10,6 @@ from qvmss.qsim import (
     GateKind,
     GateOp,
     StateError,
-    StateVector,
     apply_gate,
     cnot,
     hadamard,
@@ -27,28 +26,28 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def basis_state(num_qubits, index):
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(amps)
+    return amps
 
 
 def random_state(num_qubits, seed):
     gen = np.random.default_rng(seed)
     amps = gen.normal(size=1 << num_qubits) + 1j * gen.normal(size=1 << num_qubits)
     amps /= np.linalg.norm(amps)
-    return StateVector(amps)
+    return amps
 
 
 # ---------------------------------------------------------------- registers
 
 def test_new_register_single_qubit_is_ket_zero():
     reg = new_register(1)
-    assert np.array_equal(reg.amplitudes, np.array([1, 0], dtype=complex))
+    assert np.array_equal(reg, np.array([1, 0], dtype=complex))
 
 
 def test_new_register_three_qubits():
     reg = new_register(3)
-    assert reg.amplitudes.shape == (8,)
-    assert reg.amplitudes[0] == 1.0
-    assert np.count_nonzero(reg.amplitudes) == 1
+    assert reg.shape == (8,)
+    assert reg[0] == 1.0
+    assert np.count_nonzero(reg) == 1
 
 
 @pytest.mark.parametrize("bad", [0, -1, 25, 100])
@@ -59,23 +58,21 @@ def test_new_register_rejects_bad_sizes(bad):
 
 def test_register_cap_is_the_widest_encoding_register():
     assert MAX_QUBITS == MAX_ARITY + 1
-    assert len(transmitter_state([1] * MAX_ARITY).amplitudes) == 1 << MAX_QUBITS
+    assert len(transmitter_state([1] * MAX_ARITY)) == 1 << MAX_QUBITS
     with pytest.raises(ValueError):
         new_register(MAX_QUBITS + 1)
 
 
-def test_statevector_rejects_wrong_length():
-    # A length that is not a power of two, or is one outside 2..2^MAX_QUBITS, is refused.
-    for length in (0, 1, 3, 6, 1 << (MAX_QUBITS + 1)):
-        with pytest.raises(ValueError):
-            StateVector(np.zeros(length, dtype=complex))
-    with pytest.raises(ValueError):
-        StateVector(np.zeros((2, 2), dtype=complex))
-
-
-def test_statevector_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        StateVector(np.array([np.nan, 0], dtype=complex))
+@pytest.mark.parametrize("use", ["apply_gate", "measure_all"])
+def test_register_shape_is_refused_where_it_is_used(use):
+    # A length that is not a power of two, or is one outside 2..2^MAX_QUBITS, is refused,
+    # and so is a 2-D array; measure_all draws no bit for any of them.
+    stub = _FixedBit(0)
+    for shape in (0, 1, 3, 6, 1 << (MAX_QUBITS + 1), (2, 2)):
+        bad = np.zeros(shape, dtype=complex)
+        with pytest.raises(ValueError, match="1-D of length 2\\^k"):
+            apply_gate(bad, pauli_x(0)) if use == "apply_gate" else measure_all(bad, stub)
+    assert stub.calls == 0
 
 
 # ---------------------------------------------------------------- gate ops
@@ -106,49 +103,49 @@ def test_apply_gate_index_out_of_range():
 
 def test_hadamard_on_zero_gives_equal_superposition():
     out = apply_gate(new_register(1), hadamard(0))
-    assert np.allclose(out.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-12)
+    assert np.allclose(out, [INV_SQRT2, INV_SQRT2], atol=1e-12)
 
 
 def test_pauli_x_swaps_basis_states():
     out = apply_gate(new_register(1), pauli_x(0))
-    assert np.array_equal(out.amplitudes, np.array([0, 1], dtype=complex))
+    assert np.array_equal(out, np.array([0, 1], dtype=complex))
     back = apply_gate(out, pauli_x(0))
-    assert np.array_equal(back.amplitudes, np.array([1, 0], dtype=complex))
+    assert np.array_equal(back, np.array([1, 0], dtype=complex))
 
 
 def test_x_on_qubit0_targets_most_significant_bit():
     out = apply_gate(new_register(3), pauli_x(0))
-    assert out.probabilities().tolist() == [0, 0, 0, 0, 1, 0, 0, 0]  # |100>
+    assert (abs(out) ** 2).tolist() == [0, 0, 0, 0, 1, 0, 0, 0]  # |100>
 
 
 def test_cnot_flips_target_when_control_set():
     # |10> -> |11>
     state = apply_gate(new_register(2), pauli_x(0))
     out = apply_gate(state, cnot(0, 1))
-    assert out.probabilities().tolist() == [0, 0, 0, 1]
+    assert (abs(out) ** 2).tolist() == [0, 0, 0, 1]
 
 
 def test_cnot_leaves_target_when_control_clear():
     # |01> stays |01>
     state = apply_gate(new_register(2), pauli_x(1))
     out = apply_gate(state, cnot(0, 1))
-    assert out.probabilities().tolist() == [0, 1, 0, 0]
+    assert (abs(out) ** 2).tolist() == [0, 1, 0, 0]
 
 
 def test_cnot_with_reversed_roles():
     # control on qubit 1: |01> -> |11>
     state = apply_gate(new_register(2), pauli_x(1))
     out = apply_gate(state, cnot(1, 0))
-    assert out.probabilities().tolist() == [0, 0, 0, 1]
+    assert (abs(out) ** 2).tolist() == [0, 0, 0, 1]
 
 
 def test_apply_gate_leaves_input_untouched():
     reg = new_register(2)
-    before = reg.amplitudes.copy()
-    apply_gate(reg, pauli_x(0))
-    apply_gate(reg, hadamard(1))
-    apply_gate(reg, cnot(0, 1))
-    assert np.array_equal(reg.amplitudes, before)
+    before = reg.copy()
+    for gate in (pauli_x(0), hadamard(1), cnot(0, 1)):
+        # A caller that writes into a result must not change the input.
+        assert not np.shares_memory(apply_gate(reg, gate), reg)
+    assert np.array_equal(reg, before)
 
 
 def _gates_for(num_qubits):
@@ -169,7 +166,7 @@ def test_every_gate_preserves_norm(num_qubits, seed):
     state = random_state(num_qubits, seed)
     for gate in _gates_for(num_qubits):
         out = apply_gate(state, gate)
-        assert abs(out.probabilities().sum() - 1.0) < 1e-12
+        assert abs((abs(out) ** 2).sum() - 1.0) < 1e-12
 
 
 @settings(max_examples=40)
@@ -178,7 +175,7 @@ def test_every_gate_is_self_inverse(num_qubits, seed):
     state = random_state(num_qubits, seed)
     for gate in _gates_for(num_qubits):
         twice = apply_gate(apply_gate(state, gate), gate)
-        assert np.allclose(twice.amplitudes, state.amplitudes, atol=1e-12)
+        assert np.allclose(twice, state, atol=1e-12)
 
 
 def _bit(num_qubits, qubit):
@@ -218,8 +215,8 @@ def test_every_gate_matches_its_definition():
     for num_qubits in range(1, 5):
         state = random_state(num_qubits, num_qubits)
         for gate in _gates_for(num_qubits):
-            expected = _gate_matrix(num_qubits, gate) @ state.amplitudes
-            assert np.allclose(apply_gate(state, gate).amplitudes, expected, rtol=0, atol=1e-12), gate
+            expected = _gate_matrix(num_qubits, gate) @ state
+            assert np.allclose(apply_gate(state, gate), expected, rtol=0, atol=1e-12), gate
     # Wide registers on the first, middle and last qubits, byte for byte.
     for num_qubits in (9, MAX_QUBITS):
         state = random_state(num_qubits, num_qubits)
@@ -227,14 +224,14 @@ def test_every_gate_matches_its_definition():
         gates = [pauli_x(q) for q in ends] + [hadamard(q) for q in ends]
         gates += [cnot(c, t) for c in ends for t in ends if c != t]
         for gate in gates:
-            expected = _gate_by_index(state.amplitudes, num_qubits, gate)
-            assert apply_gate(state, gate).amplitudes.tobytes() == expected.tobytes(), gate
+            expected = _gate_by_index(state, num_qubits, gate)
+            assert apply_gate(state, gate).tobytes() == expected.tobytes(), gate
 
 
 def test_gate_results_stay_finite():
     state = random_state(3, 99)
     for gate in _gates_for(3):
-        assert np.isfinite(apply_gate(state, gate).amplitudes).all()
+        assert np.isfinite(apply_gate(state, gate)).all()
 
 
 # --------------------------------------------------------------- measurement
@@ -270,7 +267,7 @@ def test_measure_born_frequency_on_plus_state():
 
 
 def test_measure_rejects_unnormalized_state():
-    bad = StateVector(np.array([1.0, 1.0], dtype=complex))
+    bad = np.array([1.0, 1.0], dtype=complex)
     with pytest.raises(StateError):
         measure_all(bad, RngStream(0, 0))
 
@@ -299,7 +296,7 @@ def test_measure_rejects_support_wider_than_two_without_drawing():
     amps = np.sqrt(np.array([0.5, 0.3, 0.2, 0.0], dtype=complex))
     stub = _FixedBit(0)
     with pytest.raises(StateError, match="at most two branches"):
-        measure_all(StateVector(amps), stub)
+        measure_all(amps, stub)
     assert stub.calls == 0
 
 
@@ -307,8 +304,17 @@ def test_measure_rejects_unequal_branches_without_drawing():
     # H/CNOT on a basis state never gives two branches of unequal probability.
     stub = _FixedBit(0)
     with pytest.raises(StateError, match="one fair bit"):
-        measure_all(StateVector(np.sqrt(np.array([0.3, 0.7], dtype=complex))), stub)
+        measure_all(np.sqrt(np.array([0.3, 0.7], dtype=complex)), stub)
     assert stub.calls == 0
+
+
+def test_measure_rejects_nonfinite_without_drawing():
+    # A NaN or inf amplitude makes the norm NaN or inf, which the norm check refuses.
+    for amps in ([np.nan, 0], [np.inf, 0], [1, complex(0, np.nan)]):
+        stub = _FixedBit(0)
+        with pytest.raises(StateError, match="norm"):
+            measure_all(np.array(amps, dtype=complex), stub)
+        assert stub.calls == 0
 
 
 def test_measure_two_branch_boundary():

@@ -55,13 +55,13 @@ def stream_of(p, width):
 # -------------------------------------------------------- transmitter state
 
 def test_transmitter_state_two_secret_zeros_is_ghz_form():
-    probs = transmitter_state([0, 0]).probabilities()
+    probs = abs(transmitter_state([0, 0])) ** 2
     assert np.flatnonzero(probs).tolist() == [0, 7]
     assert np.allclose(probs[[0, 7]], 0.5, rtol=0, atol=1e-12)
 
 
 def test_transmitter_state_single_one():
-    probs = transmitter_state([1]).probabilities()
+    probs = abs(transmitter_state([1])) ** 2
     assert np.flatnonzero(probs).tolist() == [1, 2]  # |01> and |10>
     assert np.allclose(probs[[1, 2]], 0.5, rtol=0, atol=1e-12)
 
@@ -71,7 +71,7 @@ def test_transmitter_state_support_is_two_complementary_branches(n):
     full_mask = (1 << (n + 1)) - 1
     for value in range(1 << n):
         g = [(value >> (n - 1 - j)) & 1 for j in range(n)]
-        probs = transmitter_state(g).probabilities()
+        probs = abs(transmitter_state(g)) ** 2
         support = np.flatnonzero(probs)
         assert len(support) == 2
         i0, i1 = support

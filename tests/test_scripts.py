@@ -1,11 +1,13 @@
 """Smoke tests: each script in scripts/, and the README's library example,
 runs to completion on small inputs."""
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -90,6 +92,31 @@ def test_benchmark_encrypt_marks_dirty_only_for_package_edits(tmp_path):
     with open(checkout / "src" / "qvmss" / "rng.py", "a") as handle:
         handle.write("# edited\n")
     assert revision() == clean + "-dirty"
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                    reason="needs git and a git checkout")
+def test_source_revision_names_the_commit_an_archive_matches(tmp_path):
+    # An unpacked `git archive` is in no git tree: it is named by the newest commit whose
+    # src/qvmss it matches, and is unknown once a file in it is edited.
+    archive = subprocess.run(["git", "archive", "--format=zip", "HEAD", "src/qvmss"],
+                             cwd=ROOT, check=True, capture_output=True).stdout
+    zipfile.ZipFile(io.BytesIO(archive)).extractall(tmp_path)
+    package = tmp_path / "src" / "qvmss"
+
+    def revision():
+        proc = run_python("-c", "import sys; from bench_entry import source_revision; "
+                                "print(source_revision(sys.argv[1]))", str(package),
+                          src=ROOT / "scripts")
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    head = subprocess.run(["git", "describe", "--always", "HEAD"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    assert revision() == head
+    with open(package / "rng.py", "a") as handle:
+        handle.write("# edited\n")
+    assert revision() == "unknown"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
@@ -282,6 +309,10 @@ def test_bench_pairs_appends_a_json_entry(tmp_path):
     ("benchmark_cli.py", ["--baseline", "no/such/src"]),
     ("bench_pairs.py", ["--pairs", "0", "base", "--workload", "w", "--seconds", "1"]),
     ("bench_pairs.py", ["--pairs", "x", "base", "--workload", "w", "--seconds", "1"]),
+    ("bench_pairs.py", ["--seconds", "nan", "base", "--workload", "w", "--pairs", "1"]),
+    ("bench_pairs.py", ["--seconds", "inf", "base", "--workload", "w", "--pairs", "1"]),
+    ("bench_pairs.py", ["--seconds", "0", "base", "--workload", "w", "--pairs", "1"]),
+    ("bench_pairs.py", ["--seconds", "-1", "base", "--workload", "w", "--pairs", "1"]),
 ])
 def test_scripts_reject_out_of_range_counts(script, args):
     proc = run_script(script, *args)
