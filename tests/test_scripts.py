@@ -101,7 +101,8 @@ def test_source_revision_names_the_commit_an_archive_matches(tmp_path):
     # src/qvmss it matches, and is unknown once a file in it is edited.
     archive = subprocess.run(["git", "archive", "--format=zip", "HEAD", "src/qvmss"],
                              cwd=ROOT, check=True, capture_output=True).stdout
-    zipfile.ZipFile(io.BytesIO(archive)).extractall(tmp_path)
+    with zipfile.ZipFile(io.BytesIO(archive)) as unpacked:
+        unpacked.extractall(tmp_path)
     package = tmp_path / "src" / "qvmss"
 
     def revision():
