@@ -33,7 +33,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import metrics, rng, scheme
-from .imaging import BinaryImage, PbmParseError, PbmVariant, make_fixture, read_pbm, write_pbm
+from .imaging import PBM_FORMATS, BinaryImage, PbmParseError, make_fixture, read_pbm, write_pbm
 from .scheme import classical_encrypt, decrypt, decrypt_all, encrypt
 
 EXIT_OK = 0
@@ -145,7 +145,7 @@ def _publish(out_dir: str, files: Iterable[tuple[str, BinaryImage | bytes]], fmt
     manifest.json lands last.  Any exception removes every staged file; an
     OSError exits 2.  Returns the file names in write order.
     """
-    prefix, variant, token = _prefix(out_dir), PbmVariant(fmt), os.urandom(8).hex()
+    prefix, token = _prefix(out_dir), os.urandom(8).hex()
     digests, staged = {}, []
 
     def stage(name: str, payload: bytes) -> None:
@@ -159,7 +159,7 @@ def _publish(out_dir: str, files: Iterable[tuple[str, BinaryImage | bytes]], fmt
         os.makedirs(prefix or ".", exist_ok=True)
         try:
             for name, item in files:
-                payload = item if isinstance(item, bytes) else write_pbm(item, variant)
+                payload = item if isinstance(item, bytes) else write_pbm(item, fmt)
                 if manifest is not None:
                     digests[name] = hashlib.sha256(payload).hexdigest()
                 stage(name, payload)
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_output(p):
         p.add_argument("-o", "--out-dir", default=".", help="output directory")
-        p.add_argument("--format", choices=["p1", "p4"], default="p4",
+        p.add_argument("--format", choices=PBM_FORMATS, default="p4",
                        help="PBM variant for written images")
 
     p_enc = sub.add_parser("encrypt", help="encrypt n secrets into U.pbm and S1..Sn.pbm")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,6 +28,8 @@ _WHITESPACE = b" \t\n\r\v\f"
 _HEADER_FILLER = re.compile(rb"(?:[%s]+|#[^\n\r]*){0,1024}" % re.escape(_WHITESPACE))
 _DIGITS = re.compile(rb"[0-9]*")
 
+PBM_FORMATS = ("p1", "p4")  # the variants `write_pbm` writes, as `--format` names them
+
 # Bytes of a P1 raster scanned per step when blanking comments.
 _COMMENT_CHUNK = 1 << 16
 
@@ -43,11 +44,6 @@ class PbmParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-class PbmVariant(Enum):
-    P1_ASCII = "p1"
-    P4_PACKED = "p4"
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -290,11 +286,13 @@ def _read_p4_raster(data: bytes, pos: int, width: int, height: int) -> np.ndarra
     return rows
 
 
-def write_pbm(image: BinaryImage, variant: PbmVariant = PbmVariant.P4_PACKED) -> bytes:
-    """Serialize to PBM bytes; output is canonical and byte-reproducible."""
-    magic = "P1" if variant is PbmVariant.P1_ASCII else "P4"
-    header = f"{magic}\n{image.width} {image.height}\n".encode("ascii")
-    if variant is PbmVariant.P1_ASCII:
+def write_pbm(image: BinaryImage, variant: str = "p4") -> bytes:
+    """Serialize to PBM bytes of a variant in PBM_FORMATS; output is canonical
+    and byte-reproducible.  Any other variant is a ValueError."""
+    if variant not in PBM_FORMATS:
+        raise ValueError(f"PBM variant must be one of {PBM_FORMATS}, got {variant!r}")
+    header = f"{variant.upper()}\n{image.width} {image.height}\n".encode("ascii")
+    if variant == "p1":
         # Each row is "b b ... b\n": a digit then a space or, last, a newline.
         text = np.full((image.height, 2 * image.width), ord(" "), dtype=np.uint8)
         text[:, 0::2] = image.as_grid() + ord("0")

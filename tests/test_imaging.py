@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from qvmss import imaging, rng
 from qvmss.imaging import (
+    PBM_FORMATS,
     BinaryImage,
     PbmParseError,
-    PbmVariant,
     ShapeMismatchError,
     make_fixture,
     read_pbm,
@@ -127,7 +127,7 @@ def image_makers(width, height=5):
     return [
         ("bits", lambda: BinaryImage(width, height, a.as_grid().reshape(-1))),
         ("from_rows", lambda: BinaryImage.from_rows(width, height, a.rows.copy())),
-        ("read_p1", lambda: read_pbm(write_pbm(a, PbmVariant.P1_ASCII))),
+        ("read_p1", lambda: read_pbm(write_pbm(a, "p1"))),
         ("read_p4", lambda: read_pbm(write_pbm(b))),
         ("read_p4_padding_set", lambda: read_pbm(padding_set)),
         # A view of the bytes when width % 8 == 0, a copy otherwise.
@@ -454,7 +454,7 @@ def test_bad_digit_after_1024_filler_runs_reports_its_offset(data, name):
 @pytest.mark.parametrize("comment", [b"", b" # row"], ids=["plain", "comment_per_row"])
 def test_read_p1_ordinary_file_peaks_below_3x(comment):
     image = make_fixture("random", 1024, 1024, seed=6)
-    header, raster = write_pbm(image, PbmVariant.P1_ASCII).split(b"\n", 2)[1:]
+    header, raster = write_pbm(image, "p1").split(b"\n", 2)[1:]
     data = b"P1\n" + header + b"\n" + raster.replace(b"\n", comment + b"\n")
     tracemalloc.start()
     try:
@@ -484,23 +484,27 @@ def test_read_p1_with_random_filler_between_digits(img, data):
 # -------------------------------------------------------------- PBM writing
 
 def test_write_p1_minimal_file():
-    assert write_pbm(BinaryImage(1, 1, [1]), PbmVariant.P1_ASCII) == b"P1\n1 1\n1\n"
+    image = BinaryImage(1, 1, [1])
+    assert write_pbm(image, "p1") == b"P1\n1 1\n1\n"
+    for variant in ("P1", "x", None):  # only the `--format` names are variants
+        with pytest.raises(ValueError, match="PBM variant"):
+            write_pbm(image, variant)
 
 
 def test_write_p1_golden_3x2():
     img = BinaryImage(3, 2, [1, 0, 1, 0, 1, 1])
-    assert write_pbm(img, PbmVariant.P1_ASCII) == b"P1\n3 2\n1 0 1\n0 1 1\n"
+    assert write_pbm(img, "p1") == b"P1\n3 2\n1 0 1\n0 1 1\n"
 
 
 def test_write_p4_packs_rows_with_zero_padding():
-    data = write_pbm(BinaryImage(9, 1, [1] * 9), PbmVariant.P4_PACKED)
+    data = write_pbm(BinaryImage(9, 1, [1] * 9), "p4")
     assert data == b"P4\n9 1\n" + bytes([0xFF, 0x80])
 
 
 def test_write_p4_length_formula():
     for width, height in [(1, 1), (7, 3), (8, 2), (9, 5), (64, 64), (130, 3)]:
         img = make_fixture("random", width, height, seed=width * height)
-        data = write_pbm(img, PbmVariant.P4_PACKED)
+        data = write_pbm(img, "p4")
         header = f"P4\n{width} {height}\n".encode()
         assert len(data) == len(header) + height * ((width + 7) // 8)
 
@@ -508,20 +512,20 @@ def test_write_p4_length_formula():
 def test_writer_output_is_reproducible():
     img = make_fixture("random", 33, 9, seed=4)
     assert write_pbm(img) == write_pbm(img)
-    assert write_pbm(img, PbmVariant.P1_ASCII) == write_pbm(img, PbmVariant.P1_ASCII)
+    assert write_pbm(img, "p1") == write_pbm(img, "p1")
 
 
 @settings(max_examples=60)
 @given(img=image_strategy())
 def test_round_trip_both_variants(img):
-    for variant in PbmVariant:
+    for variant in PBM_FORMATS:
         assert read_pbm(write_pbm(img, variant)) == img
 
 
 def test_round_trip_512():
     img = make_fixture("random", 512, 512, seed=11)
-    assert read_pbm(write_pbm(img, PbmVariant.P4_PACKED)) == img
-    assert read_pbm(write_pbm(img, PbmVariant.P1_ASCII)) == img
+    assert read_pbm(write_pbm(img, "p4")) == img
+    assert read_pbm(write_pbm(img, "p1")) == img
 
 
 # ----------------------------------------------------------------- fixtures

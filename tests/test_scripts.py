@@ -32,35 +32,20 @@ def test_readme_library_example_runs():
     assert json.loads(proc.stdout)["width"] == 64
 
 
-def test_benchmark_encrypt_runs():
+def test_benchmark_cli_times_the_engine_and_its_floor():
     # 300x300 is 11400 keystream bytes, so the floor crosses a chunk edge.
-    proc = run_script("benchmark_encrypt.py", "--sizes", "16", "300", "--arities", "1", "2",
+    proc = run_script("benchmark_cli.py", "--sizes", "16", "300", "--arities", "1",
                       "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["size", "arity", "seconds", "median_s", "iqr_s",
-                                "Mpixel/s", "floor_x"]
-    assert len(lines) == 1 + 2 * 2
-
-
-def test_benchmark_encrypt_appends_a_json_entry(tmp_path):
-    record = tmp_path / "BENCH_encrypt.json"
-    for _ in range(2):
-        proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1", "2",
-                          "--repeats", "3", "--json", str(record))
-        assert proc.returncode == 0, proc.stderr
-    entries = json.loads(record.read_text())
-    assert len(entries) == 2
-    for entry in entries:
-        assert set(entry) == {"revision", "python", "numpy", "nproc", "rows"}
-        assert [(row["size"], row["arity"]) for row in entry["rows"]] == [(16, 1), (16, 2)]
-        for row in entry["rows"]:
-            assert row["floor_x"] == row["seconds"] / row["floor_s"]
-            assert row["seconds"] <= row["median_s"] and row["iqr_s"] >= 0.0
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [
+        [command, size, "1"] for size in ("16", "300")
+        for command in ("encrypt", "decrypt", "metrics", "engine", "floor")]
+    assert all(float(row[3]) > 0 for row in rows)
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_benchmark_encrypt_marks_dirty_only_for_package_edits(tmp_path):
+def test_benchmark_cli_marks_dirty_only_for_package_edits(tmp_path):
     # A checkout whose only edit is outside src/qvmss benchmarks clean code.
     checkout = tmp_path / "checkout"
     shutil.copytree(ROOT / "src" / "qvmss", checkout / "src" / "qvmss",
@@ -79,7 +64,7 @@ def test_benchmark_encrypt_marks_dirty_only_for_package_edits(tmp_path):
     def revision():
         record = tmp_path / "record.json"
         record.unlink(missing_ok=True)
-        proc = run_script("benchmark_encrypt.py", "--sizes", "8", "--arities", "1",
+        proc = run_script("benchmark_cli.py", "--sizes", "8", "--arities", "1",
                           "--repeats", "1", "--json", str(record),
                           src=checkout / "src")
         assert proc.returncode == 0, proc.stderr
@@ -122,10 +107,10 @@ def test_source_revision_names_the_commit_an_archive_matches(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                     or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
-def test_benchmark_encrypt_records_the_cpus_it_may_use(tmp_path):
-    record = tmp_path / "BENCH_encrypt.json"
+def test_benchmark_cli_records_the_cpus_it_may_use(tmp_path):
+    record = tmp_path / "BENCH_cli.json"
     cpu = min(os.sched_getaffinity(0))
-    proc = run_script("benchmark_encrypt.py", "--sizes", "16", "--arities", "1",
+    proc = run_script("benchmark_cli.py", "--sizes", "16", "--arities", "1",
                       "--repeats", "1", "--json", str(record),
                       preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     assert proc.returncode == 0, proc.stderr
@@ -134,15 +119,18 @@ def test_benchmark_encrypt_records_the_cpus_it_may_use(tmp_path):
 
 def test_benchmark_cli_times_each_command_as_a_fresh_process(tmp_path):
     record = tmp_path / "BENCH_cli.json"
+    record.write_text('[{"earlier": "entry"}]')
     proc = run_script("benchmark_cli.py", "--sizes", "32", "--arities", "2", "--repeats", "1",
                       "--json", str(record))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["command", "size", "arity", "fresh_median_s", "fresh_iqr_s"]
-    (entry,) = json.loads(record.read_text())
+    earlier, entry = json.loads(record.read_text())  # appended after what was there
+    assert earlier == {"earlier": "entry"}
     assert set(entry) == {"revision", "python", "numpy", "nproc", "rows"}
     assert [(row["command"], row["size"], row["arity"]) for row in entry["rows"]] == [
-        ("encrypt", 32, 2), ("decrypt", 32, 2), ("metrics", 32, 2)]
+        ("encrypt", 32, 2), ("decrypt", 32, 2), ("metrics", 32, 2), ("engine", 32, 2),
+        ("floor", 32, 2)]
     for row, line in zip(entry["rows"], lines[1:]):
         assert set(row) == {"command", "size", "arity", "fresh_median_s", "fresh_iqr_s"}
         assert row["fresh_median_s"] > 0
@@ -164,6 +152,22 @@ def test_benchmark_cli_times_a_baseline_in_turn(tmp_path):
         assert row["fresh_median_s"] > 0 and row["baseline_median_s"] > 0
         assert row["fresh_iqr_s"] >= 0.0 and row["baseline_iqr_s"] >= 0.0
 
+
+
+def test_benchmark_cli_stops_when_a_side_fails_its_round_trip(tmp_path):
+    # The baseline's decrypt_all, which no timed command calls, loses the last secret:
+    # only the engine worker's round trip check can catch it, and it names that side.
+    baseline = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "qvmss", baseline / "qvmss",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(baseline / "qvmss" / "scheme.py", "a") as handle:
+        handle.write("_decrypt_all = decrypt_all\n"
+                     "decrypt_all = lambda share_set: _decrypt_all(share_set)[:-1]\n")
+    proc = run_script("benchmark_cli.py", "--sizes", "8", "--arities", "1", "--repeats", "1",
+                      "--baseline", str(baseline))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"{baseline}: python -c ENGINE_WORKER 7 ")
+    assert proc.stderr.rstrip().endswith("exited 1: round trip failed")
 
 # A checkout's bench/run.py stand-in: it logs its call and whether its src/ held
 # bytecode, leaves some behind, and prints the fixed result for its seed last.
@@ -301,9 +305,9 @@ def test_bench_pairs_appends_a_json_entry(tmp_path):
 
 
 @pytest.mark.parametrize("script, args", [
-    ("benchmark_encrypt.py", ["--repeats", "0"]),
-    ("benchmark_encrypt.py", ["--sizes", "0"]),
-    ("benchmark_encrypt.py", ["--arities", "17"]),
+    ("benchmark_cli.py", ["--sizes", "0"]),
+    ("benchmark_cli.py", ["--sizes", "x"]),
+    ("run_security_sweep.py", ["--runs", "0"]),
     ("run_security_sweep.py", ["--size", "0"]),
     ("benchmark_cli.py", ["--repeats", "0"]),
     ("benchmark_cli.py", ["--arities", "17"]),
