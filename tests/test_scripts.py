@@ -117,16 +117,31 @@ def test_benchmark_cli_records_the_cpus_it_may_use(tmp_path):
     assert json.loads(record.read_text())[0]["nproc"] == 1
 
 
-def test_benchmark_cli_times_each_command_as_a_fresh_process(tmp_path):
+def test_benchmark_cli_appends_a_json_entry(tmp_path):
     record = tmp_path / "BENCH_cli.json"
     record.write_text('[{"earlier": "entry"}]')
+    for _ in range(2):
+        proc = run_script("benchmark_cli.py", "--sizes", "16", "--arities", "1", "2",
+                          "--repeats", "1", "--json", str(record))
+        assert proc.returncode == 0, proc.stderr
+    earlier, *entries = json.loads(record.read_text())  # appended after what was there
+    assert earlier == {"earlier": "entry"}
+    assert len(entries) == 2
+    for entry in entries:
+        assert set(entry) == {"revision", "python", "numpy", "nproc", "rows"}
+        assert [(row["command"], row["size"], row["arity"]) for row in entry["rows"]] == [
+            (command, 16, arity) for arity in (1, 2)
+            for command in ("encrypt", "decrypt", "metrics", "engine", "floor")]
+
+
+def test_benchmark_cli_times_each_command_as_a_fresh_process(tmp_path):
+    record = tmp_path / "BENCH_cli.json"
     proc = run_script("benchmark_cli.py", "--sizes", "32", "--arities", "2", "--repeats", "1",
                       "--json", str(record))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["command", "size", "arity", "fresh_median_s", "fresh_iqr_s"]
-    earlier, entry = json.loads(record.read_text())  # appended after what was there
-    assert earlier == {"earlier": "entry"}
+    (entry,) = json.loads(record.read_text())
     assert set(entry) == {"revision", "python", "numpy", "nproc", "rows"}
     assert [(row["command"], row["size"], row["arity"]) for row in entry["rows"]] == [
         ("encrypt", 32, 2), ("decrypt", 32, 2), ("metrics", 32, 2), ("engine", 32, 2),
