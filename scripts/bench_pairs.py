@@ -44,8 +44,9 @@ from bench_entry import append_entry, positive_int, quartiles, source_revision
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("baseline", "change")
-END_TO_END = {metric["name"]: metric
-              for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = {metric["name"]: metric for metric in BENCHMARK["end_to_end"]}
+WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
 
 def run_benchmark(checkout, workload, seconds, seed):
@@ -142,7 +143,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("baseline", type=Path, help="another full checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--pairs", type=positive_int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--json", metavar="PATH", help="append this run's entry to PATH")

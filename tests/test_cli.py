@@ -853,7 +853,7 @@ def test_selftest_passes(capsys):
     rc = main(["selftest", "--seed", "11"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 8
     assert "FAIL" not in out
 
 
@@ -882,12 +882,18 @@ def test_selftest_injected_fault_fails_round_trip(capsys, monkeypatch):
     assert "FAIL round_trip" in out
 
 
+def test_selftest_fails_a_share_that_is_its_secret(capsys, leaky_first_share):
+    assert main(["selftest", "--seed", "11"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL share_secret_independence: max |corr(G, S)| = 1.000000" in out
+
+
 def test_selftest_json_mode(capsys):
     rc = main(["selftest", "--seed", "11", "--json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["passed"] is True
-    assert len(payload["results"]) == 7
+    assert len(payload["results"]) == 8
 
 
 def test_selftest_help_lists_json(capsys):

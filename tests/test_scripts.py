@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/, and the README's library example,
 runs to completion on small inputs."""
+import importlib.util
 import io
 import json
 import os
@@ -323,16 +324,16 @@ def test_bench_pairs_appends_a_json_entry(tmp_path):
     ("benchmark_cli.py", ["--sizes", "0"]),
     ("benchmark_cli.py", ["--sizes", "x"]),
     ("run_security_sweep.py", ["--runs", "0"]),
-    ("run_security_sweep.py", ["--size", "0"]),
+    ("bench_pairs.py", ["--workload", "paper_n2", "base", "--pairs", "1", "--seconds", "1"]),
     ("benchmark_cli.py", ["--repeats", "0"]),
     ("benchmark_cli.py", ["--arities", "17"]),
     ("benchmark_cli.py", ["--baseline", "no/such/src"]),
-    ("bench_pairs.py", ["--pairs", "0", "base", "--workload", "w", "--seconds", "1"]),
-    ("bench_pairs.py", ["--pairs", "x", "base", "--workload", "w", "--seconds", "1"]),
-    ("bench_pairs.py", ["--seconds", "nan", "base", "--workload", "w", "--pairs", "1"]),
-    ("bench_pairs.py", ["--seconds", "inf", "base", "--workload", "w", "--pairs", "1"]),
-    ("bench_pairs.py", ["--seconds", "0", "base", "--workload", "w", "--pairs", "1"]),
-    ("bench_pairs.py", ["--seconds", "-1", "base", "--workload", "w", "--pairs", "1"]),
+    ("bench_pairs.py", ["--pairs", "0", "base", "--workload", "paper-n2", "--seconds", "1"]),
+    ("bench_pairs.py", ["--pairs", "x", "base", "--workload", "paper-n2", "--seconds", "1"]),
+    ("bench_pairs.py", ["--seconds", "nan", "base", "--workload", "paper-n2", "--pairs", "1"]),
+    ("bench_pairs.py", ["--seconds", "inf", "base", "--workload", "paper-n2", "--pairs", "1"]),
+    ("bench_pairs.py", ["--seconds", "0", "base", "--workload", "paper-n2", "--pairs", "1"]),
+    ("bench_pairs.py", ["--seconds", "-1", "base", "--workload", "paper-n2", "--pairs", "1"]),
 ])
 def test_scripts_reject_out_of_range_counts(script, args):
     proc = run_script(script, *args)
@@ -342,16 +343,28 @@ def test_scripts_reject_out_of_range_counts(script, args):
         assert "not an integer: 'x'" in proc.stderr
 
 
-def test_run_security_sweep_on_constant_images():
-    # A 1x1 image is constant, so no pair has a correlation.
-    proc = run_script("run_security_sweep.py", "--runs", "2", "--size", "1")
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[2:4]
-    assert all(row.split()[6] == "n/a" for row in rows)
-
-
 def test_run_security_sweep_runs():
-    proc = run_script("run_security_sweep.py", "--runs", "2", "--size", "32")
+    proc = run_script("run_security_sweep.py", "--runs", "2", "--seed", "11")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("sweep: 2 runs at 32x32")
-    assert proc.stdout.splitlines()[-1].endswith("of 2 runs outside the uniformity bound")
+    assert proc.stdout.splitlines() == ["seed 11: pass", "seed 12: pass",
+                                        "0 of 2 runs failed a property"]
+    proc = run_script("run_security_sweep.py", "--size", "256")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --size 256" in proc.stderr
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_run_security_sweep_fails_a_share_that_is_its_secret(runs, capsys, monkeypatch,
+                                                             leaky_first_share):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.setattr(sys, "argv", ["run_security_sweep.py", "--runs", str(runs)])
+    spec = importlib.util.spec_from_file_location(
+        "run_security_sweep", ROOT / "scripts" / "run_security_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main() == 1
+    *seed_lines, summary = capsys.readouterr().out.splitlines()
+    assert [line.split(": FAIL ")[0] for line in seed_lines] == [
+        f"seed {seed}" for seed in range(1, runs + 1)]
+    assert all("share_secret_independence: " in line for line in seed_lines)
+    assert summary == f"{runs} of {runs} runs failed a property"
