@@ -330,11 +330,14 @@ def _selftest_properties(seed: int):
 
     # Independent bits give a sample correlation with sigma ~ 1/sqrt(N): 4 sigma is 2 * bound.
     pairs = [metrics.report(g, s) for g in (g1, g2) for s in (s1, s2)]
-    corr = max(abs(p.correlation) for p in pairs)
-    mm = max(abs(p.mismatch_fraction - 0.5) for p in pairs)
-    yield ("share_secret_independence", corr <= 2 * bound and mm <= bound,
-           f"max |corr(G, S)| = {corr:.6f} (bound {2 * bound:.6f}), "
-           f"max |mismatch-0.5| = {mm:.6f} (bound {bound:.6f})")
+    if any(p.correlation is None for p in pairs):  # a constant image has no correlation
+        yield ("share_secret_independence", False, "corr(G, S) undefined: an image is constant")
+    else:
+        corr = max(abs(p.correlation) for p in pairs)
+        mm = max(abs(p.mismatch_fraction - 0.5) for p in pairs)
+        yield ("share_secret_independence", corr <= 2 * bound and mm <= bound,
+               f"max |corr(G, S)| = {corr:.6f} (bound {2 * bound:.6f}), "
+               f"max |mismatch-0.5| = {mm:.6f} (bound {bound:.6f})")
 
     ok = (s1 ^ s2) == (g1 ^ g2)
     yield ("pairwise_xor", ok, "S1 xor S2 == G1 xor G2" if ok else "pairwise XOR identity broken")

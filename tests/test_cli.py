@@ -527,7 +527,7 @@ def scored_grids(draw):
     return [name for name, _ in images], scored
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(scored_grids())
 @example((["G1.pbm"], []))
 @example((['G1, "x"\n\\é', "U.pbm", "C.pbm"], [(0, 1, metrics.from_counts(3, 1, 1, 2, 1)),
@@ -888,6 +888,14 @@ def test_selftest_fails_a_share_that_is_its_secret(capsys, leaky_first_share):
     assert "FAIL share_secret_independence: max |corr(G, S)| = 1.000000" in out
 
 
+def test_selftest_fails_constant_shares_without_a_traceback(capsys, constant_shares):
+    assert main(["selftest", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert ("FAIL share_secret_independence: corr(G, S) undefined: an image is constant"
+            in captured.out.splitlines())
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_selftest_json_mode(capsys):
     rc = main(["selftest", "--seed", "11", "--json"])
     payload = json.loads(capsys.readouterr().out)
@@ -1120,7 +1128,7 @@ _GOOD_FILES = [write_pbm(make_fixture("random", 5, 3, seed=1)),
                write_pbm(make_fixture("random", 5, 3, seed=2), "p1")]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 @given(cli_cases())
 @example((_GOOD_FILES, ["encrypt", "f0.pbm", "f1.pbm", "-o", "out", "--format", "p1"]))
 @example((_GOOD_FILES, ["encrypt", "-o", "out"]))

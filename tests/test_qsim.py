@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qvmss.metrics import uniformity_bound
 from qvmss.qsim import (
     MAX_QUBITS,
     GateKind,
@@ -262,8 +263,7 @@ def test_measure_born_frequency_on_plus_state():
     ones = sum(
         measure_all(plus, RngStream(2718, stream)) == "1" for stream in range(draws)
     )
-    bound = 4.0 * 0.5 / math.sqrt(draws)
-    assert abs(ones / draws - 0.5) <= bound
+    assert abs(ones / draws - 0.5) <= uniformity_bound(draws)
 
 
 def test_measure_rejects_unnormalized_state():

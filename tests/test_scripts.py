@@ -353,18 +353,31 @@ def test_run_security_sweep_runs():
     assert "unrecognized arguments: --size 256" in proc.stderr
 
 
-@pytest.mark.parametrize("runs", [1, 3])
-def test_run_security_sweep_fails_a_share_that_is_its_secret(runs, capsys, monkeypatch,
-                                                             leaky_first_share):
+def run_sweep_in_process(runs, capsys, monkeypatch):
+    """`run_security_sweep.py --runs runs`'s exit code, seed lines and summary line."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     monkeypatch.setattr(sys, "argv", ["run_security_sweep.py", "--runs", str(runs)])
     spec = importlib.util.spec_from_file_location(
         "run_security_sweep", ROOT / "scripts" / "run_security_sweep.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    assert sweep.main() == 1
+    rc = sweep.main()
     *seed_lines, summary = capsys.readouterr().out.splitlines()
     assert [line.split(": FAIL ")[0] for line in seed_lines] == [
         f"seed {seed}" for seed in range(1, runs + 1)]
-    assert all("share_secret_independence: " in line for line in seed_lines)
     assert summary == f"{runs} of {runs} runs failed a property"
+    return rc, seed_lines
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_run_security_sweep_fails_a_share_that_is_its_secret(runs, capsys, monkeypatch,
+                                                             leaky_first_share):
+    rc, seed_lines = run_sweep_in_process(runs, capsys, monkeypatch)
+    assert rc == 1
+    assert all("share_secret_independence: " in line for line in seed_lines)
+
+
+def test_run_security_sweep_fails_constant_shares(capsys, monkeypatch, constant_shares):
+    rc, seed_lines = run_sweep_in_process(3, capsys, monkeypatch)
+    assert rc == 1
+    assert all("share_secret_independence: corr(G, S) undefined" in line for line in seed_lines)
